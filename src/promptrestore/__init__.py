@@ -2,16 +2,13 @@
 
 Library layout:
   tensor / nn     float64 autodiff core and trainable layers
+  _kernels        numpy depthwise 3x3 and GELU kernels behind tensor
   attention       agent self/cross attention plus vanilla baselines
   blocks          residual context blocks, gated feedforward, sampling units
   text            prompt tokenizer and trainable prompt encoder
   model           the full encoder/decoder restoration network
   degradations    parameterized procedural degradation renderers
   dataset         multi-degradation sample composer and manifest writer
-  losses/metrics  training objectives and image quality metrics
-  train           SGDM/EMA training loop and category-grouped evaluation
-  bench           analytic parameter/FLOP accounting and wall-clock timing
-  cli             datagen / train / eval / infer / bench entry points
 """
 
 __version__ = "0.1.0"

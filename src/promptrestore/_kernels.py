@@ -1,9 +1,11 @@
 """Hot inner loops: depthwise 3x3 convolution (stride 1, zero pad 1) and GELU.
 
-These memory-bound kernels dominate desk-scale training, so they get numba
-JIT implementations; pure-numpy fallbacks keep the package importable
-without numba. The conv2d and gelu contract tests compare against
-independent oracles either way.
+One numpy implementation per kernel. The depthwise kernels take [C,H,W]
+arrays, but every caller hands them transposed views of channels-last
+[H,W,C] features, so they compute channels-last and return the result as a
+transposed [C,H,W] view of a fresh [H,W,C] array. No padded copy is made:
+each of the 9 taps accumulates a shifted slice, a block of rows at a time.
+The contract tests compare every kernel against an independent oracle.
 
 All kernels are dtype-generic: they inherit the input array's dtype, which
 is how the optional float32 compute mode stays fast.
@@ -13,191 +15,106 @@ from __future__ import annotations
 
 import numpy as np
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
+# there are no compiled kernels; perfbench's machine facts read this flag
+_HAVE_NUMBA = False
 
 _GELU_K = 0.7978845608028654  # sqrt(2/pi)
 _GELU_C = 0.044715
 
 
-def _pad1(x):
-    c, h, w = x.shape
-    xp = np.zeros((c, h + 2, w + 2), dtype=x.dtype)
-    xp[:, 1:-1, 1:-1] = x
-    return xp
+def _hwc(x):
+    # [C,H,W] -> contiguous [H,W,C]; free for a transposed channels-last view
+    return np.ascontiguousarray(x.transpose(1, 2, 0))
 
 
-def _depthwise3x3_np(x, w):
+# rows per pass of the forward correlation: a block this size stays in L2
+# across all 9 taps instead of streaming the whole array from memory 9 times
+_BLOCK_BYTES = 1 << 18
+
+
+def _taps(h, w, c, r0=0, r1=None):
+    """Yield (i, j, dst, src) for the off-centre taps of a zero-padded 3x3
+    correlation on [H, W*C] rows, restricted to output rows r0:r1:
+    out[dst] += x[src] * w[:, i, j]."""
+    r1 = h if r1 is None else r1
+    for i in range(3):
+        for j in range(3):
+            if i == 1 and j == 1:
+                continue
+            di, dj = i - 1, j - 1
+            y0, y1 = max(r0, -di), min(r1, h - max(0, di))
+            x0, x1 = max(0, -dj) * c, (w - max(0, dj)) * c
+            if y0 < y1 and x0 < x1:
+                yield i, j, (slice(y0, y1), slice(x0, x1)), \
+                    (slice(y0 + di, y1 + di), slice(x0 + dj * c, x1 + dj * c))
+
+
+def _correlate3x3(x, w):
+    # out[c,y,x] = sum_ij w[c,i,j] * x[c, y+i-1, x+j-1], computed channels-last
     c, h, wd = x.shape
-    xp = _pad1(x)
-    out = np.zeros_like(x)
-    for i in range(3):
-        for j in range(3):
-            out += w[:, i, j, None, None] * xp[:, i:i + h, j:j + wd]
-    return out
+    x2 = _hwc(x).reshape(h, wd * c)
+    # per-tap weights tiled along a row: wt[i, j, x*C + ch] = w[ch, i, j]
+    wt = np.tile(w.astype(x.dtype, copy=False).transpose(1, 2, 0), (1, 1, wd))
+    out = np.empty_like(x2)
+    rows = max(1, _BLOCK_BYTES // max(1, x2[:1].nbytes))
+    scratch = np.empty((min(rows, h), wd * c), dtype=x.dtype)
+    for r0 in range(0, h, rows):
+        r1 = min(h, r0 + rows)
+        np.multiply(x2[r0:r1], wt[1, 1], out=out[r0:r1])
+        for i, j, dst, src in _taps(h, wd, c, r0, r1):
+            xs = x2[src]
+            buf = scratch[:xs.shape[0], :xs.shape[1]]
+            np.multiply(xs, wt[i, j, dst[1]], out=buf)
+            out[dst] += buf
+    return out.reshape(h, wd, c).transpose(2, 0, 1)
 
 
-def _depthwise3x3_grad_input_np(g, w):
+def depthwise3x3(x, w):
+    """Depthwise 3x3 cross-correlation of x[C,H,W] with w[C,3,3]."""
+    return _correlate3x3(x, w)
+
+
+def depthwise3x3_grad_input(g, w):
+    """Adjoint of depthwise3x3 in x: the correlation with the flipped kernel."""
+    return _correlate3x3(g, w[:, ::-1, ::-1])
+
+
+def depthwise3x3_grad_weight(x, g):
+    """Gradient of depthwise3x3 in w: gw[c,i,j] = sum_yx g[c,y,x] x[c,y+i-1,x+j-1]."""
     c, h, wd = g.shape
-    gxp = np.zeros((c, h + 2, wd + 2), dtype=g.dtype)
-    for i in range(3):
-        for j in range(3):
-            gxp[:, i:i + h, j:j + wd] += w[:, i, j, None, None] * g
-    return gxp[:, 1:-1, 1:-1]
-
-
-def _depthwise3x3_grad_weight_np(x, g):
-    xp = _pad1(x)
-    c, h, wd = g.shape
-    gw = np.empty((c, 3, 3), dtype=g.dtype)
-    for i in range(3):
-        for j in range(3):
-            gw[:, i, j] = (xp[:, i:i + h, j:j + wd] * g).sum(axis=(1, 2))
+    x3, g3 = _hwc(x), _hwc(g)
+    gw = np.zeros((c, 3, 3), dtype=g.dtype)
+    gw[:, 1, 1] = np.einsum("hwc,hwc->c", g3, x3)
+    for i, j, dst, src in _taps(h, wd, 1):
+        gw[:, i, j] = np.einsum("hwc,hwc->c", g3[dst], x3[src])
     return gw
 
 
-def _gelu_np(x):
-    inner = _GELU_K * (x + _GELU_C * x ** 3)
-    t = np.tanh(inner)
-    y = 0.5 * x * (1.0 + t)
-    dinner = _GELU_K * (1.0 + 3 * _GELU_C * x ** 2)
-    dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
-    return y.astype(x.dtype, copy=False), dy.astype(x.dtype, copy=False)
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True, fastmath=False)
-    def _dw_fwd(x, w):  # pragma: no cover - numba
-        c, h, wd = x.shape
-        out = np.empty_like(x)
-        for ch in range(c):
-            for y in range(h):
-                for xx in range(wd):
-                    acc = x[ch, y, xx] * w[ch, 1, 1]
-                    if y > 0:
-                        acc += x[ch, y - 1, xx] * w[ch, 0, 1]
-                        if xx > 0:
-                            acc += x[ch, y - 1, xx - 1] * w[ch, 0, 0]
-                        if xx < wd - 1:
-                            acc += x[ch, y - 1, xx + 1] * w[ch, 0, 2]
-                    if xx > 0:
-                        acc += x[ch, y, xx - 1] * w[ch, 1, 0]
-                    if xx < wd - 1:
-                        acc += x[ch, y, xx + 1] * w[ch, 1, 2]
-                    if y < h - 1:
-                        acc += x[ch, y + 1, xx] * w[ch, 2, 1]
-                        if xx > 0:
-                            acc += x[ch, y + 1, xx - 1] * w[ch, 2, 0]
-                        if xx < wd - 1:
-                            acc += x[ch, y + 1, xx + 1] * w[ch, 2, 2]
-                    out[ch, y, xx] = acc
-        return out
-
-    @numba.njit(cache=True, fastmath=False)
-    def _dw_grad_input(g, w):  # pragma: no cover - numba
-        # gather form: gx[u,v] = sum_ij w[i,j] * g[u-i+1, v-j+1]
-        c, h, wd = g.shape
-        gx = np.empty_like(g)
-        for ch in range(c):
-            for u in range(h):
-                for v in range(wd):
-                    acc = g[ch, u, v] * w[ch, 1, 1]
-                    if u < h - 1:
-                        acc += g[ch, u + 1, v] * w[ch, 0, 1]
-                        if v < wd - 1:
-                            acc += g[ch, u + 1, v + 1] * w[ch, 0, 0]
-                        if v > 0:
-                            acc += g[ch, u + 1, v - 1] * w[ch, 0, 2]
-                    if v < wd - 1:
-                        acc += g[ch, u, v + 1] * w[ch, 1, 0]
-                    if v > 0:
-                        acc += g[ch, u, v - 1] * w[ch, 1, 2]
-                    if u > 0:
-                        acc += g[ch, u - 1, v] * w[ch, 2, 1]
-                        if v < wd - 1:
-                            acc += g[ch, u - 1, v + 1] * w[ch, 2, 0]
-                        if v > 0:
-                            acc += g[ch, u - 1, v - 1] * w[ch, 2, 2]
-                    gx[ch, u, v] = acc
-        return gx
-
-    @numba.njit(cache=True, fastmath=False)
-    def _dw_grad_weight(x, g):  # pragma: no cover - numba
-        c, h, wd = g.shape
-        gw = np.zeros((c, 3, 3), dtype=g.dtype)
-        for ch in range(c):
-            a00 = a01 = a02 = a10 = a11 = a12 = a20 = a21 = a22 = x[ch, 0, 0] * 0
-            for y in range(h):
-                for xx in range(wd):
-                    gv = g[ch, y, xx]
-                    a11 += gv * x[ch, y, xx]
-                    if y > 0:
-                        a01 += gv * x[ch, y - 1, xx]
-                        if xx > 0:
-                            a00 += gv * x[ch, y - 1, xx - 1]
-                        if xx < wd - 1:
-                            a02 += gv * x[ch, y - 1, xx + 1]
-                    if xx > 0:
-                        a10 += gv * x[ch, y, xx - 1]
-                    if xx < wd - 1:
-                        a12 += gv * x[ch, y, xx + 1]
-                    if y < h - 1:
-                        a21 += gv * x[ch, y + 1, xx]
-                        if xx > 0:
-                            a20 += gv * x[ch, y + 1, xx - 1]
-                        if xx < wd - 1:
-                            a22 += gv * x[ch, y + 1, xx + 1]
-            gw[ch, 0, 0], gw[ch, 0, 1], gw[ch, 0, 2] = a00, a01, a02
-            gw[ch, 1, 0], gw[ch, 1, 1], gw[ch, 1, 2] = a10, a11, a12
-            gw[ch, 2, 0], gw[ch, 2, 1], gw[ch, 2, 2] = a20, a21, a22
-        return gw
-
-    @numba.njit(cache=True, fastmath=False)
-    def _gelu_inner(x, k, c3):  # pragma: no cover - numba
-        u = np.empty_like(x)
-        for i in range(x.size):
-            v = x[i]
-            u[i] = k * (v + c3 * v * v * v)
-        return u
-
-    @numba.njit(cache=True, fastmath=False)
-    def _gelu_outer(x, t, k, dc, half, one):  # pragma: no cover - numba
-        y = np.empty_like(x)
-        dy = np.empty_like(x)
-        for i in range(x.size):
-            v = x[i]
-            ti = t[i]
-            a = half * (one + ti)
-            y[i] = a * v
-            dy[i] = a + half * v * (one - ti * ti) * k * (one + dc * v * v)
-        return y, dy
-
-    def gelu(x):
-        # polynomial passes in numba, tanh through numpy's SIMD kernel;
-        # constants pre-cast so float32 inputs stay float32 throughout
-        flat = np.ascontiguousarray(x).reshape(-1)
-        dt = flat.dtype.type
-        t = np.tanh(_gelu_inner(flat, dt(_GELU_K), dt(_GELU_C)))
-        y, dy = _gelu_outer(flat, t, dt(_GELU_K), dt(3 * _GELU_C),
-                            dt(0.5), dt(1.0))
-        return y.reshape(x.shape), dy.reshape(x.shape)
-
-    def depthwise3x3(x, w):
-        return _dw_fwd(np.ascontiguousarray(x), np.ascontiguousarray(w))
-
-    def depthwise3x3_grad_input(g, w):
-        return _dw_grad_input(np.ascontiguousarray(g), np.ascontiguousarray(w))
-
-    def depthwise3x3_grad_weight(x, g):
-        return _dw_grad_weight(np.ascontiguousarray(x), np.ascontiguousarray(g))
-
-else:
-    gelu = _gelu_np
-    depthwise3x3 = _depthwise3x3_np
-    depthwise3x3_grad_input = _depthwise3x3_grad_input_np
-    depthwise3x3_grad_weight = _depthwise3x3_grad_weight_np
+def gelu(x, slope=True):
+    """tanh-approximate GELU; returns (y, dy/dx), with None for dy/dx when
+    slope is False. All arithmetic is in place on at most three arrays."""
+    p = np.multiply(x, x, out=np.empty_like(x))
+    p *= _GELU_C
+    p += 1.0
+    p *= x
+    p *= _GELU_K
+    np.tanh(p, out=p)
+    p += 1.0
+    p *= 0.5                      # p = (1 + tanh(inner)) / 2
+    if not slope:
+        p *= x
+        return p, None
+    # dy/dx = p + 2 s p (1 - p), with s = x d(inner)/dx = K x (1 + 3 C x^2)
+    s = x * x
+    s *= 3 * _GELU_C
+    s += 1.0
+    s *= _GELU_K
+    s *= x
+    s *= 2.0
+    s *= p
+    y = p * x
+    np.subtract(1.0, p, out=p)    # p now holds 1 - p
+    s *= p
+    s += 1.0
+    s -= p
+    return y, s

@@ -77,7 +77,24 @@ def _pool_tokens(tokens: Tensor, h: int, w: int, ah: int, aw: int) -> Tensor:
     return T.transpose(T.reshape(pooled, (c, ah * aw)), (1, 0))
 
 
-class AgentSelfAttention(Module):
+class _AgentAttention(Module):
+    """Agent-grid clamping and position-encoding resize shared by the agent
+    self and cross attention modules (both hold cfg and _warned_clamp)."""
+
+    def _agent_grid(self, h: int, w: int) -> tuple[int, int]:
+        ah, aw = min(self.cfg.agent_h, h), min(self.cfg.agent_w, w)
+        if (ah, aw) != (self.cfg.agent_h, self.cfg.agent_w) and not self._warned_clamp:
+            warnings.warn(f"agent grid clamped to {ah}x{aw} for spatial {h}x{w}")
+            self._warned_clamp = True
+        return ah, aw
+
+    def _pos_at(self, pos: Tensor, h: int, w: int) -> Tensor:
+        if (h, w) == (self.cfg.height, self.cfg.width):
+            return pos
+        return T.bilinear_resize(pos, h, w)
+
+
+class AgentSelfAttention(_AgentAttention):
     """Self attention over an image feature [H,W,C] via agent tokens.
 
     Pipeline: add learnable position encoding; project Q/K/V; pool Q onto
@@ -97,23 +114,11 @@ class AgentSelfAttention(Module):
         self.last_attn: tuple[np.ndarray, np.ndarray] | None = None
         self._warned_clamp = False
 
-    def _agent_grid(self, h: int, w: int) -> tuple[int, int]:
-        ah, aw = min(self.cfg.agent_h, h), min(self.cfg.agent_w, w)
-        if (ah, aw) != (self.cfg.agent_h, self.cfg.agent_w) and not self._warned_clamp:
-            warnings.warn(f"agent grid clamped to {ah}x{aw} for spatial {h}x{w}")
-            self._warned_clamp = True
-        return ah, aw
-
-    def _pos_at(self, h: int, w: int) -> Tensor:
-        if (h, w) == (self.cfg.height, self.cfg.width):
-            return self.pos
-        return T.bilinear_resize(self.pos, h, w)
-
     def __call__(self, x: Tensor) -> Tensor:
         h, w, c = x.shape
         heads = self.cfg.heads
         ah, aw = self._agent_grid(h, w)
-        xp = T.add(x, self._pos_at(h, w))
+        xp = T.add(x, self._pos_at(self.pos, h, w))
         tokens = T.reshape(xp, (h * w, c))
         q = self.w_q(tokens)
         k = self.w_k(tokens)
@@ -129,7 +134,7 @@ class AgentSelfAttention(Module):
         return T.reshape(self.w_out(merged), (h, w, c))
 
 
-class AgentCrossAttention(Module):
+class AgentCrossAttention(_AgentAttention):
     """Fuse a text feature [L,C] into an image feature [H,W,C].
 
     Q comes from the image (plus learnable image position encoding), K/V
@@ -156,12 +161,8 @@ class AgentCrossAttention(Module):
         if f_txt.shape != (self.cfg.text_len, c):
             raise T.ShapeError(f"text feature {f_txt.shape} != ({self.cfg.text_len}, {c})")
         heads = self.cfg.heads
-        ah, aw = min(self.cfg.agent_h, h), min(self.cfg.agent_w, w)
-        if (ah, aw) != (self.cfg.agent_h, self.cfg.agent_w) and not self._warned_clamp:
-            warnings.warn(f"agent grid clamped to {ah}x{aw} for spatial {h}x{w}")
-            self._warned_clamp = True
-        pos_img = self.pos_img if (h, w) == (self.cfg.height, self.cfg.width) \
-            else T.bilinear_resize(self.pos_img, h, w)
+        ah, aw = self._agent_grid(h, w)
+        pos_img = self._pos_at(self.pos_img, h, w)
         q_img = T.add(T.reshape(self.w_q(T.reshape(f_img, (h * w, c))), (h, w, c)), pos_img)
         k = T.add(self.w_k(f_txt), self.pos_txt)
         v = T.add(self.w_v(f_txt), self.pos_txt)

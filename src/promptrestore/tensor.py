@@ -7,7 +7,9 @@ small elementwise suite. Forward ops never mutate their inputs; gradients are
 recorded on an explicit Tape and replayed in reverse.
 
 Layout conventions:
-  * arrays are row-major float64 throughout
+  * arrays are float64 (or the float32 default dtype); op outputs are
+    row-major, except depthwise conv2d, which returns a [C,H,W] transposed
+    view of a channels-last [H,W,C] array
   * conv2d / pooling operate on [C, H, W]
   * pixel_unshuffle packs sub-pixels row-major: output channel c*r*r + i*r + j
     holds input pixel offset (i, j) of channel c
@@ -301,8 +303,10 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    # tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
-    out, slope = _kernels.gelu(x.data)
+    # tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)));
+    # the slope is computed only when _finish will record the op
+    taped = active_tape() is not None and x.requires_grad
+    out, slope = _kernels.gelu(x.data, taped)
     return _finish(out, (x,), lambda g: (g * slope,), "gelu")
 
 
@@ -496,7 +500,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
         wg = wd.reshape(groups, cout // groups, cg * kh * kw)
         out = np.matmul(wg, win).reshape(cout, ho, wo)
     if bias is not None:
-        out = out + bias.data[:, None, None]
+        out += bias.data[:, None, None]  # out is the kernel's fresh array
 
     def backward(g):
         if depthwise:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,21 @@ def test_mhaca_gradients():
         return T.sum_all(T.sigmoid(m(f_img, f_txt)))
 
     check_gradients(loss, params, rtol=1e-4, max_per_tensor=3, rng=rng(32))
+
+
+def test_mhaca_agent_grid_clamp_and_position_resize_match_mhasa():
+    cfg = AttnConfig(8, 2, 4, 4, 8, 8, text_len=3)
+    m = AgentCrossAttention(cfg, rng(40))
+    f_img = Tensor(rng(41).normal(size=(2, 3, 8)))
+    with pytest.warns(UserWarning, match="^agent grid clamped to 2x3 for spatial 2x3$"):
+        out = m(f_img, Tensor(rng(42).normal(size=(3, 8))))
+    assert out.shape == (2, 3, 8)
+    np.testing.assert_array_equal(m._pos_at(m.pos_img, 2, 3).data,
+                                  T.bilinear_resize(m.pos_img, 2, 3).data)
+    assert m._pos_at(m.pos_img, 8, 8) is m.pos_img
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the warning is given once per module
+        m(f_img, Tensor(rng(43).normal(size=(3, 8))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,168 @@
+"""Contract tests for the numpy kernels in promptrestore._kernels.
+
+The depthwise kernels are checked against the brute-force convolution
+oracle and against loop-form adjoints, for contiguous [C,H,W] inputs and for
+the transposed channels-last views every caller passes. GELU is checked
+against its closed form and its slope against central differences.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from promptrestore import _kernels
+from promptrestore import tensor as T
+from promptrestore.gradcheck import check_gradients
+from promptrestore.tensor import Tape, Tensor
+
+from helpers import conv2d_oracle
+
+SHAPES = [(1, 1, 1), (2, 1, 5), (3, 2, 3), (5, 6, 7), (4, 5, 1)]
+LAYOUTS = ["chw", "hwc_view"]
+
+
+def make(shape, seed, layout, dtype=np.float64):
+    """A [C,H,W] array, either contiguous or a transposed [H,W,C] array."""
+    c, h, w = shape
+    r = np.random.default_rng(seed)
+    if layout == "chw":
+        return r.uniform(-1, 1, (c, h, w)).astype(dtype)
+    return r.uniform(-1, 1, (h, w, c)).astype(dtype).transpose(2, 0, 1)
+
+
+def weights(c, seed, dtype=np.float64):
+    return np.random.default_rng(seed).uniform(-1, 1, (c, 3, 3)).astype(dtype)
+
+
+def grad_input_oracle(g, w):
+    # scatter every output gradient back through the taps that produced it
+    c, h, wd = g.shape
+    gx = np.zeros((c, h, wd))
+    for ch in range(c):
+        for y in range(h):
+            for x in range(wd):
+                for i in range(3):
+                    for j in range(3):
+                        u, v = y + i - 1, x + j - 1
+                        if 0 <= u < h and 0 <= v < wd:
+                            gx[ch, u, v] += w[ch, i, j] * g[ch, y, x]
+    return gx
+
+
+def grad_weight_oracle(x, g):
+    c, h, wd = x.shape
+    gw = np.zeros((c, 3, 3))
+    for ch in range(c):
+        for i in range(3):
+            for j in range(3):
+                for y in range(h):
+                    for xx in range(wd):
+                        u, v = y + i - 1, xx + j - 1
+                        if 0 <= u < h and 0 <= v < wd:
+                            gw[ch, i, j] += g[ch, y, xx] * x[ch, u, v]
+    return gw
+
+
+# ---------------------------------------------------------------------------
+# depthwise 3x3
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_depthwise3x3_vs_conv_oracle(shape, layout):
+    x, w = make(shape, 1, layout), weights(shape[0], 2)
+    xc, wc = x.copy(), w.copy()
+    out = _kernels.depthwise3x3(x, w)
+    ref = conv2d_oracle(x, w[:, None], padding=1, groups=shape[0])
+    assert out.shape == shape
+    assert np.abs(out - ref).max() <= 1e-12
+    assert not np.may_share_memory(out, x)   # conv2d adds its bias in place
+    np.testing.assert_array_equal(x, xc)
+    np.testing.assert_array_equal(w, wc)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_depthwise3x3_grad_input_vs_adjoint(shape, layout):
+    g, w = make(shape, 3, layout), weights(shape[0], 4)
+    gx = _kernels.depthwise3x3_grad_input(g, w)
+    assert gx.shape == shape
+    assert np.abs(gx - grad_input_oracle(g, w)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_depthwise3x3_grad_weight_vs_loops(shape, layout):
+    x, g = make(shape, 5, layout), make(shape, 6, layout)
+    gw = _kernels.depthwise3x3_grad_weight(x, g)
+    assert gw.shape == (shape[0], 3, 3)
+    assert np.abs(gw - grad_weight_oracle(x, g)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_depthwise3x3_row_blocks(monkeypatch, rows):
+    # blocks of `rows` rows, so 7 rows end in a partial block
+    shape = (3, 7, 5)
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", rows * 5 * 3 * 8)
+    x, w = make(shape, 7, "hwc_view"), weights(3, 8)
+    ref = conv2d_oracle(x, w[:, None], padding=1, groups=3)
+    assert np.abs(_kernels.depthwise3x3(x, w) - ref).max() <= 1e-12
+    g = make(shape, 14, "hwc_view")
+    assert np.abs(_kernels.depthwise3x3_grad_input(g, w) - grad_input_oracle(g, w)).max() <= 1e-12
+
+
+def test_kernels_keep_float32():
+    x, g = make((3, 4, 5), 9, "hwc_view", np.float32), make((3, 4, 5), 10, "chw", np.float32)
+    w = weights(3, 11, np.float32)
+    assert _kernels.depthwise3x3(x, w).dtype == np.float32
+    assert _kernels.depthwise3x3_grad_input(g, w).dtype == np.float32
+    assert _kernels.depthwise3x3_grad_weight(x, g).dtype == np.float32
+    y, dy = _kernels.gelu(x)
+    assert y.dtype == np.float32 and dy.dtype == np.float32
+
+
+# ---------------------------------------------------------------------------
+# GELU
+
+
+def gelu_closed_form(v):
+    return 0.5 * v * (1.0 + math.tanh(math.sqrt(2.0 / math.pi) * (v + 0.044715 * v ** 3)))
+
+
+def test_gelu_vs_closed_form_and_central_difference():
+    x = np.random.default_rng(12).uniform(-6, 6, (7, 9))
+    x[0, :3] = [0.0, -30.0, 30.0]
+    y, dy = _kernels.gelu(x)
+    y_only, none = _kernels.gelu(x, False)
+    assert none is None
+    np.testing.assert_array_equal(y_only, y)
+    h = 1e-6
+    for idx in np.ndindex(x.shape):
+        v = float(x[idx])
+        assert abs(y[idx] - gelu_closed_form(v)) <= 1e-12
+        fd = (gelu_closed_form(v + h) - gelu_closed_form(v - h)) / (2 * h)
+        assert abs(dy[idx] - fd) <= 1e-8
+
+
+def test_gelu_slope_only_when_taped(monkeypatch):
+    asked = []
+    real = _kernels.gelu
+
+    def recorder(x, slope=True):
+        asked.append(slope)
+        return real(x, slope)
+
+    monkeypatch.setattr(_kernels, "gelu", recorder)
+    r = np.random.default_rng(13)
+    leaf = Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True)
+    const = Tensor(r.uniform(-2, 2, (3, 4)))
+    T.gelu(leaf)                     # no tape
+    with Tape():
+        T.gelu(const)                # taped, but nothing to differentiate
+    assert asked == [False, False]
+    with Tape():
+        y = T.gelu(leaf)
+    assert asked[-1] is True and y.requires_grad
+    check_gradients(lambda: T.sum_all(T.mul(T.gelu(leaf), const)), [leaf],
+                    rtol=1e-6, max_per_tensor=12, rng=r)
