@@ -3,7 +3,7 @@
 Library layout:
   tensor / nn     float64 autodiff core and trainable layers
   _kernels        numpy depthwise 3x3 and GELU kernels behind tensor
-  attention       agent self/cross attention plus vanilla baselines
+  attention       agent self/cross attention and a vanilla self-attention baseline
   blocks          residual context blocks, gated feedforward, sampling units
   text            prompt tokenizer and trainable prompt encoder
   model           the full encoder/decoder restoration network

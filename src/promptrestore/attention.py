@@ -1,10 +1,11 @@
-"""Agent-token attention modules and their vanilla baselines.
+"""Agent-token attention modules and a vanilla self-attention baseline.
 
 The agent variants pool the query field onto a small agent grid (n tokens,
 n << N) and route information through two chained softmax attentions:
 agents attend to keys/values, then queries attend to the agents. Both
 attention products are linear in the token count N, unlike the quadratic
-vanilla baselines kept here for complexity comparison.
+vanilla self attention, which the text encoder uses on its short token
+sequence and which serves as the complexity baseline.
 """
 
 from __future__ import annotations
@@ -40,17 +41,6 @@ class AttnConfig:
         return self.channels // self.heads
 
 
-def softmax_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(d)) v with d = q's feature dim; supports a
-    leading head axis on all three operands."""
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise T.ShapeError(f"attention dims: q{q.shape} k{k.shape} v{v.shape}")
-    d = q.shape[-1]
-    logits = T.scale(T.matmul(q, T.transpose(k) if k.ndim == 2
-                              else T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d))
-    return T.matmul(T.softmax(logits, axis=-1), v)
-
-
 def _split_heads(x: Tensor, heads: int) -> Tensor:
     n, c = x.shape
     return T.transpose(T.reshape(x, (n, heads, c // heads)), (1, 0, 2))
@@ -61,12 +51,11 @@ def _merge_heads(x: Tensor) -> Tensor:
     return T.reshape(T.transpose(x, (1, 0, 2)), (n, h * d))
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-    # per-head scaled dot product; returns (output, attention weights)
+def _attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    # per-head softmax(q k^T / sqrt(d)) v on [heads, tokens, d] operands
     d = q.shape[-1]
     logits = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d))
-    attn = T.softmax(logits, axis=-1)
-    return T.matmul(attn, v), attn
+    return T.matmul(T.softmax(logits, axis=-1), v)
 
 
 def _pool_tokens(tokens: Tensor, h: int, w: int, ah: int, aw: int) -> Tensor:
@@ -78,15 +67,22 @@ def _pool_tokens(tokens: Tensor, h: int, w: int, ah: int, aw: int) -> Tensor:
 
 
 class _AgentAttention(Module):
-    """Agent-grid clamping and position-encoding resize shared by the agent
-    self and cross attention modules (both hold cfg and _warned_clamp)."""
+    """Agent routing shared by the agent self and cross attention modules
+    (both hold cfg and _warned_clamp)."""
 
-    def _agent_grid(self, h: int, w: int) -> tuple[int, int]:
+    def _route(self, q: Tensor, k: Tensor, v: Tensor, h: int, w: int) -> Tensor:
+        """Queries q [h*w, C] on an h x w grid read keys/values k, v [M, C]
+        through the agent grid: V_a = attn(agents, K, V), then
+        out = attn(Q, agents, V_a). Returns the merged heads [h*w, C]."""
         ah, aw = min(self.cfg.agent_h, h), min(self.cfg.agent_w, w)
         if (ah, aw) != (self.cfg.agent_h, self.cfg.agent_w) and not self._warned_clamp:
             warnings.warn(f"agent grid clamped to {ah}x{aw} for spatial {h}x{w}")
             self._warned_clamp = True
-        return ah, aw
+        heads = self.cfg.heads
+        agents = _split_heads(_pool_tokens(q, h, w, ah, aw), heads)
+        qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
+        v_agent = _attend(agents, kh, vh)              # [heads, n, d]
+        return _merge_heads(_attend(qh, agents, v_agent))
 
     def _pos_at(self, pos: Tensor, h: int, w: int) -> Tensor:
         if (h, w) == (self.cfg.height, self.cfg.width):
@@ -111,27 +107,19 @@ class AgentSelfAttention(_AgentAttention):
         self.w_v = Linear(c, c, rng)
         self.dwconv = Conv2d(c, c, 3, rng, padding=1, groups=c)
         self.w_out = Linear(c, c, rng)
-        self.last_attn: tuple[np.ndarray, np.ndarray] | None = None
         self._warned_clamp = False
 
     def __call__(self, x: Tensor) -> Tensor:
         h, w, c = x.shape
-        heads = self.cfg.heads
-        ah, aw = self._agent_grid(h, w)
         xp = T.add(x, self._pos_at(self.pos, h, w))
         tokens = T.reshape(xp, (h * w, c))
         q = self.w_q(tokens)
         k = self.w_k(tokens)
         v = self.w_v(tokens)
-        agents = _split_heads(_pool_tokens(q, h, w, ah, aw), heads)
-        qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
-        v_agent, a1 = _attend(agents, kh, vh)          # [heads, n, d]
-        out, a2 = _attend(qh, agents, v_agent)         # [heads, N, d]
-        self.last_attn = (a1.data, a2.data)
+        out = self._route(q, k, v, h, w)
         spatial_v = T.transpose(T.reshape(v, (h, w, c)), (2, 0, 1))
         local = T.reshape(T.transpose(self.dwconv(spatial_v), (1, 2, 0)), (h * w, c))
-        merged = T.add(_merge_heads(out), local)
-        return T.reshape(self.w_out(merged), (h, w, c))
+        return T.reshape(self.w_out(T.add(out, local)), (h, w, c))
 
 
 class AgentCrossAttention(_AgentAttention):
@@ -153,27 +141,18 @@ class AgentCrossAttention(_AgentAttention):
         self.w_v = Linear(c, c, rng)
         self.pos_img = param(rng.normal(0.0, 0.02, (cfg.height, cfg.width, c)))
         self.pos_txt = param(rng.normal(0.0, 0.02, (cfg.text_len, c)))
-        self.last_attn: tuple[np.ndarray, np.ndarray] | None = None
         self._warned_clamp = False
 
     def __call__(self, f_img: Tensor, f_txt: Tensor) -> Tensor:
         h, w, c = f_img.shape
         if f_txt.shape != (self.cfg.text_len, c):
             raise T.ShapeError(f"text feature {f_txt.shape} != ({self.cfg.text_len}, {c})")
-        heads = self.cfg.heads
-        ah, aw = self._agent_grid(h, w)
         pos_img = self._pos_at(self.pos_img, h, w)
         q_img = T.add(T.reshape(self.w_q(T.reshape(f_img, (h * w, c))), (h, w, c)), pos_img)
         k = T.add(self.w_k(f_txt), self.pos_txt)
         v = T.add(self.w_v(f_txt), self.pos_txt)
-        q_tokens = T.reshape(q_img, (h * w, c))
-        agents = _split_heads(_pool_tokens(q_tokens, h, w, ah, aw), heads)
-        qh = _split_heads(q_tokens, heads)
-        kh, vh = _split_heads(k, heads), _split_heads(v, heads)
-        v_agent, a1 = _attend(agents, kh, vh)          # [heads, n, d]
-        fused, a2 = _attend(qh, agents, v_agent)       # [heads, N, d]
-        self.last_attn = (a1.data, a2.data)
-        return T.add(T.reshape(_merge_heads(fused), (h, w, c)), f_img)
+        fused = self._route(T.reshape(q_img, (h * w, c)), k, v, h, w)
+        return T.add(T.reshape(fused, (h, w, c)), f_img)
 
 
 class VanillaSelfAttention(Module):
@@ -193,28 +172,6 @@ class VanillaSelfAttention(Module):
         heads = self.cfg.heads
         qh, kh, vh = (_split_heads(proj(tokens), heads)
                       for proj in (self.w_q, self.w_k, self.w_v))
-        out, _ = _attend(qh, kh, vh)
+        out = _attend(qh, kh, vh)
         return T.reshape(self.w_out(_merge_heads(out)), (h, w, c))
 
-
-class VanillaCrossAttention(Module):
-    """Plain multi-head cross attention baseline (image queries text)."""
-
-    def __init__(self, cfg: AttnConfig, rng: np.random.Generator):
-        c = cfg.channels
-        self.cfg = cfg
-        self.w_q = Linear(c, c, rng)
-        self.w_k = Linear(c, c, rng)
-        self.w_v = Linear(c, c, rng)
-        self.w_out = Linear(c, c, rng)
-
-    def __call__(self, f_img: Tensor, f_txt: Tensor) -> Tensor:
-        h, w, c = f_img.shape
-        if f_txt.shape != (self.cfg.text_len, c):
-            raise T.ShapeError(f"text feature {f_txt.shape} != ({self.cfg.text_len}, {c})")
-        heads = self.cfg.heads
-        qh = _split_heads(self.w_q(T.reshape(f_img, (h * w, c))), heads)
-        kh = _split_heads(self.w_k(f_txt), heads)
-        vh = _split_heads(self.w_v(f_txt), heads)
-        out, _ = _attend(qh, kh, vh)
-        return T.add(T.reshape(self.w_out(_merge_heads(out)), (h, w, c)), f_img)

@@ -46,6 +46,9 @@ def write_ppm(path, img: np.ndarray) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
+    """Binary P6, maxval 255, '#' comments allowed in the header; returns
+    float [H,W,3] in [0,1]. A malformed or truncated file raises ValueError
+    naming the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     fields = []
@@ -63,8 +66,14 @@ def read_ppm(path) -> np.ndarray:
         fields.append(blob[start:pos])
     if fields[0] != b"P6" or fields[3] != b"255":
         raise ValueError(f"{path}: not a maxval-255 P6 PPM")
-    w, h = int(fields[1]), int(fields[2])
+    dims = fields[1:3]
+    if not all(f.isdigit() and int(f) > 0 for f in dims):
+        raise ValueError(f"{path}: PPM width and height must be positive integers, got {dims}")
+    w, h = int(dims[0]), int(dims[1])
     pos += 1  # single whitespace after header
+    if len(blob) - pos < h * w * 3:
+        raise ValueError(f"{path}: truncated PPM, {w}x{h} needs {h * w * 3} pixel bytes, "
+                         f"found {max(len(blob) - pos, 0)}")
     data = np.frombuffer(blob, dtype=np.uint8, count=h * w * 3, offset=pos)
     return data.reshape(h, w, 3).astype(np.float64) / 255.0
 

@@ -71,35 +71,27 @@ def active_tape() -> Optional["Tape"]:
     return stack[-1] if stack else None
 
 
-def nan_checks_enabled() -> bool:
-    return getattr(_state, "nan_checks", True)
-
-
-def set_nan_checks(enabled: bool) -> None:
-    """Toggle non-finite output detection (on by default).
-
-    Enabled is the debug/test behaviour: any op whose output contains
-    NaN/Inf raises NonFiniteError. Disabled propagates silently (release
-    behaviour for long training runs).
-    """
-    _state.nan_checks = bool(enabled)
-
-
 class no_nan_checks:
-    """Context manager that disables non-finite checks inside its block."""
+    """Context manager that disables non-finite output detection in its block.
+
+    Checks are on by default, the debug/test behaviour: any op whose output
+    contains NaN/Inf raises NonFiniteError. Inside the block NaN/Inf
+    propagate silently (release behaviour for long training runs). The
+    switch is per thread.
+    """
 
     def __enter__(self):
-        self._prev = nan_checks_enabled()
-        set_nan_checks(False)
+        self._prev = getattr(_state, "nan_checks", True)
+        _state.nan_checks = False
         return self
 
     def __exit__(self, *exc):
-        set_nan_checks(self._prev)
+        _state.nan_checks = self._prev
         return False
 
 
 def _check_finite(arr: np.ndarray, opname: str) -> None:
-    if nan_checks_enabled() and not np.all(np.isfinite(arr)):
+    if getattr(_state, "nan_checks", True) and not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{opname} produced non-finite values")
 
 
@@ -470,8 +462,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """Cross-correlation of x[C_in,H,W] with w[C_out,C_in/groups,kh,kw].
 
-    groups == C_in with single-channel filters gives depthwise mode.
-    Zero padding; output size (H + 2p - kh)//stride + 1.
+    Zero padding; output size (H + 2p - kh)//stride + 1. Two compute paths,
+    chosen from the shapes: a depthwise 3x3 (groups == C_in == C_out,
+    stride 1, padding 1) runs the _kernels depthwise kernels; every other
+    conv is a grouped im2col matmul, with groups == 1 as a batch of one.
     """
     cin, h, wdt = x.shape
     cout, cg, kh, kw = w.shape
@@ -487,18 +481,14 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     depthwise = groups == cin and cg == 1 and cout == cin and kh == 3 and kw == 3 \
         and stride == 1 and padding == 1
     wd = w.data
-    xp = x.data if depthwise or not padding else \
-        np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
     if depthwise:
         out = _kernels.depthwise3x3(x.data, wd.reshape(cin, 3, 3))
-    elif groups == 1:
-        cols = _conv_windows(xp, kh, kw, stride, ho, wo).reshape(cin * kh * kw, ho * wo)
-        out = (wd.reshape(cout, -1) @ cols).reshape(cout, ho, wo)
     else:
-        win = _conv_windows(xp, kh, kw, stride, ho, wo)
-        win = win.reshape(groups, cg, kh * kw, ho * wo).reshape(groups, cg * kh * kw, ho * wo)
+        xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) \
+            if padding else x.data
         wg = wd.reshape(groups, cout // groups, cg * kh * kw)
-        out = np.matmul(wg, win).reshape(cout, ho, wo)
+        cols = _conv_windows(xp, kh, kw, stride, ho, wo).reshape(groups, cg * kh * kw, ho * wo)
+        out = np.matmul(wg, cols).reshape(cout, ho, wo)
     if bias is not None:
         out += bias.data[:, None, None]  # out is the kernel's fresh array
 
@@ -507,36 +497,23 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
             w3 = wd.reshape(cin, 3, 3)
             gx = _kernels.depthwise3x3_grad_input(g, w3)
             gw = _kernels.depthwise3x3_grad_weight(x.data, g).reshape(w.shape)
-            gb = g.sum(axis=(1, 2)) if bias is not None else None
-            return (gx, gw, gb) if bias is not None else (gx, gw)
         else:
-            win_b = _conv_windows(xp, kh, kw, stride, ho, wo)
-            if groups == 1:
-                cols_b = win_b.reshape(cin * kh * kw, ho * wo)
-                g2 = g.reshape(cout, ho * wo)
-                gw = (g2 @ cols_b.T).reshape(w.shape)
-            else:
-                wing = win_b.reshape(groups, cg * kh * kw, ho * wo)
-                g3 = g.reshape(groups, cout // groups, ho * wo)
-                gw = np.matmul(g3, wing.swapaxes(1, 2)).reshape(w.shape)
+            g3 = g.reshape(groups, cout // groups, ho * wo)
+            cols = _conv_windows(xp, kh, kw, stride, ho, wo).reshape(groups, cg * kh * kw, ho * wo)
+            gw = np.matmul(g3, cols.swapaxes(1, 2)).reshape(w.shape)
+            # per tap a contiguous [G, C_g, C_out/G], so matmul takes the BLAS path
+            wt = np.ascontiguousarray(
+                wd.reshape(groups, cout // groups, cg, kh, kw).transpose(3, 4, 0, 2, 1))
             gxp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
-                    # w[:, :, i, j] : [C_out, C_g] ; accumulate into the strided slice
-                    if groups == 1:
-                        contrib = np.tensordot(wd[:, :, i, j], g, (0, 0))
-                        gxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += contrib
-                    else:
-                        wg_ij = wd[:, :, i, j].reshape(groups, cout // groups, cg)
-                        g4 = g.reshape(groups, cout // groups, ho, wo)
-                        contrib = np.einsum("goc,gohw->gchw", wg_ij, g4)
-                        gxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
-                            contrib.reshape(cin, ho, wo)
-        gx = gxp[:, padding:hp - padding, padding:wp - padding] if padding else gxp
-        gb = g.sum(axis=(1, 2)) if bias is not None else None
-        if bias is not None:
-            return gx, gw, gb
-        return gx, gw
+                    # tap (i, j) scattered onto the strided input positions it read
+                    tap = np.matmul(wt[i, j], g3).reshape(cin, ho, wo)
+                    gxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += tap
+            gx = gxp[:, padding:hp - padding, padding:wp - padding] if padding else gxp
+        if bias is None:
+            return gx, gw
+        return gx, gw, g.sum(axis=(1, 2))
 
     parents = (x, w) if bias is None else (x, w, bias)
     return _finish(out, parents, backward, "conv2d")

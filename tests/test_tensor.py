@@ -281,6 +281,8 @@ def test_nan_detection_raises_and_can_be_disabled():
         with T.no_nan_checks():
             out = T.add(bad, bad)
             assert np.isinf(out.data[1])
+        with pytest.raises(T.NonFiniteError):   # checks are on again after the block
+            T.add(bad, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +331,7 @@ def test_backward_softmax_cross_entropy_vs_finite_differences():
 
 
 @pytest.mark.parametrize("op_name", [
-    "conv", "depthwise", "layer_norm", "pool", "shuffle", "resize",
+    "conv", "grouped_conv", "depthwise", "layer_norm", "pool", "shuffle", "resize",
     "sigmoid", "clamp", "concat", "abs", "bias", "embedding",
 ])
 def test_backward_each_op_vs_finite_differences(op_name):
@@ -339,6 +341,12 @@ def test_backward_each_op_vs_finite_differences(op_name):
         w = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, 4), requires_grad=True)
         fn = lambda: T.sum_all(T.gelu(T.conv2d(x, w, b, stride=2, padding=1)))
+        params = [x, w, b]
+    elif op_name == "grouped_conv":
+        x = Tensor(rng.uniform(-1, 1, (4, 7, 7)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (6, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, 6), requires_grad=True)
+        fn = lambda: T.sum_all(T.gelu(T.conv2d(x, w, b, stride=2, padding=1, groups=2)))
         params = [x, w, b]
     elif op_name == "depthwise":
         x = Tensor(rng.uniform(-1, 1, (5, 6, 6)), requires_grad=True)
