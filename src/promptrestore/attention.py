@@ -42,13 +42,14 @@ class AttnConfig:
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
-    n, c = x.shape
-    return T.transpose(T.reshape(x, (n, heads, c // heads)), (1, 0, 2))
+    # [..., C] -> [heads, N, C/heads], N the product of the leading axes
+    c = x.shape[-1]
+    return T.transpose(T.reshape(x, (-1, heads, c // heads)), (1, 0, 2))
 
 
-def _merge_heads(x: Tensor) -> Tensor:
-    h, n, d = x.shape
-    return T.reshape(T.transpose(x, (1, 0, 2)), (n, h * d))
+def _merge_heads(x: Tensor, shape) -> Tensor:
+    # [heads, N, d] -> shape, whose last axis is heads*d
+    return T.reshape(T.transpose(x, (1, 0, 2)), shape)
 
 
 def _attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -58,31 +59,24 @@ def _attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return T.matmul(T.softmax(logits, axis=-1), v)
 
 
-def _pool_tokens(tokens: Tensor, h: int, w: int, ah: int, aw: int) -> Tensor:
-    # [N,C] laid out on an h x w grid -> agent tokens [ah*aw, C]
-    c = tokens.shape[-1]
-    grid = T.transpose(T.reshape(tokens, (h, w, c)), (2, 0, 1))
-    pooled = T.adaptive_avg_pool(grid, ah, aw)
-    return T.transpose(T.reshape(pooled, (c, ah * aw)), (1, 0))
-
-
 class _AgentAttention(Module):
     """Agent routing shared by the agent self and cross attention modules
     (both hold cfg and _warned_clamp)."""
 
-    def _route(self, q: Tensor, k: Tensor, v: Tensor, h: int, w: int) -> Tensor:
-        """Queries q [h*w, C] on an h x w grid read keys/values k, v [M, C]
-        through the agent grid: V_a = attn(agents, K, V), then
-        out = attn(Q, agents, V_a). Returns the merged heads [h*w, C]."""
+    def _route(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+        """Queries q [H,W,C] read keys/values k, v [..., C] through the agent
+        grid (q mean-pooled onto agent_h x agent_w): V_a = attn(agents, K, V),
+        then out = attn(Q, agents, V_a). Returns the merged heads [H,W,C]."""
+        h, w, _ = q.shape
         ah, aw = min(self.cfg.agent_h, h), min(self.cfg.agent_w, w)
         if (ah, aw) != (self.cfg.agent_h, self.cfg.agent_w) and not self._warned_clamp:
             warnings.warn(f"agent grid clamped to {ah}x{aw} for spatial {h}x{w}")
             self._warned_clamp = True
         heads = self.cfg.heads
-        agents = _split_heads(_pool_tokens(q, h, w, ah, aw), heads)
+        agents = _split_heads(T.adaptive_avg_pool(q, ah, aw), heads)
         qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
         v_agent = _attend(agents, kh, vh)              # [heads, n, d]
-        return _merge_heads(_attend(qh, agents, v_agent))
+        return _merge_heads(_attend(qh, agents, v_agent), q.shape)
 
     def _pos_at(self, pos: Tensor, h: int, w: int) -> Tensor:
         if (h, w) == (self.cfg.height, self.cfg.width):
@@ -110,16 +104,10 @@ class AgentSelfAttention(_AgentAttention):
         self._warned_clamp = False
 
     def __call__(self, x: Tensor) -> Tensor:
-        h, w, c = x.shape
+        h, w, _ = x.shape
         xp = T.add(x, self._pos_at(self.pos, h, w))
-        tokens = T.reshape(xp, (h * w, c))
-        q = self.w_q(tokens)
-        k = self.w_k(tokens)
-        v = self.w_v(tokens)
-        out = self._route(q, k, v, h, w)
-        spatial_v = T.transpose(T.reshape(v, (h, w, c)), (2, 0, 1))
-        local = T.reshape(T.transpose(self.dwconv(spatial_v), (1, 2, 0)), (h * w, c))
-        return T.reshape(self.w_out(T.add(out, local)), (h, w, c))
+        q, k, v = self.w_q(xp), self.w_k(xp), self.w_v(xp)
+        return self.w_out(T.add(self._route(q, k, v), self.dwconv(v)))
 
 
 class AgentCrossAttention(_AgentAttention):
@@ -147,16 +135,15 @@ class AgentCrossAttention(_AgentAttention):
         h, w, c = f_img.shape
         if f_txt.shape != (self.cfg.text_len, c):
             raise T.ShapeError(f"text feature {f_txt.shape} != ({self.cfg.text_len}, {c})")
-        pos_img = self._pos_at(self.pos_img, h, w)
-        q_img = T.add(T.reshape(self.w_q(T.reshape(f_img, (h * w, c))), (h, w, c)), pos_img)
+        q = T.add(self.w_q(f_img), self._pos_at(self.pos_img, h, w))
         k = T.add(self.w_k(f_txt), self.pos_txt)
         v = T.add(self.w_v(f_txt), self.pos_txt)
-        fused = self._route(T.reshape(q_img, (h * w, c)), k, v, h, w)
-        return T.add(T.reshape(fused, (h, w, c)), f_img)
+        return T.add(self._route(q, k, v), f_img)
 
 
 class VanillaSelfAttention(Module):
-    """Plain multi-head self attention over [H,W,C]; quadratic in N."""
+    """Plain multi-head self attention over the tokens of x [..., C] (an
+    image [H,W,C] or a sequence [L,C]); quadratic in the token count N."""
 
     def __init__(self, cfg: AttnConfig, rng: np.random.Generator):
         c = cfg.channels
@@ -167,11 +154,8 @@ class VanillaSelfAttention(Module):
         self.w_out = Linear(c, c, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        h, w, c = x.shape
-        tokens = T.reshape(x, (h * w, c))
         heads = self.cfg.heads
-        qh, kh, vh = (_split_heads(proj(tokens), heads)
+        qh, kh, vh = (_split_heads(proj(x), heads)
                       for proj in (self.w_q, self.w_k, self.w_v))
-        out = _attend(qh, kh, vh)
-        return T.reshape(self.w_out(_merge_heads(out)), (h, w, c))
+        return self.w_out(_merge_heads(_attend(qh, kh, vh), x.shape))
 

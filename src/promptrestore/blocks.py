@@ -1,8 +1,8 @@
 """Composite building blocks for the restoration network.
 
-Features are channels-last [H,W,C]; the depthwise convolutions hop through
-[C,H,W] internally. 1x1 convolutions are realized as linear maps on the
-channel axis (identical math, better GEMM shapes).
+Features are channels-last [H,W,C] throughout: 1x1 convolutions are linear
+maps on the channel axis (identical math, better GEMM shapes), and the
+depthwise and strided convolutions are nn.Conv2d, which takes [H,W,C].
 """
 
 from __future__ import annotations
@@ -34,15 +34,6 @@ class BlockConfig:
         return max(1, round(self.channels * self.gdfn_expansion))
 
 
-def _to_spatial(x: Tensor, h: int, w: int) -> Tensor:
-    return T.transpose(T.reshape(x, (h, w, x.shape[-1])), (2, 0, 1))
-
-
-def _to_tokens(x: Tensor) -> Tensor:
-    c, h, w = x.shape
-    return T.reshape(T.transpose(x, (1, 2, 0)), (h * w, c))
-
-
 class GatedDConvFFN(Module):
     """Two 1x1-conv + depthwise-3x3 paths; GELU(path1) gates path2."""
 
@@ -57,12 +48,8 @@ class GatedDConvFFN(Module):
         self.proj_out = Linear(h, channels, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        hh, ww, c = x.shape
-        tokens = T.reshape(x, (hh * ww, c))
-        p1 = _to_tokens(self.dw1(_to_spatial(self.proj1(tokens), hh, ww)))
-        p2 = _to_tokens(self.dw2(_to_spatial(self.proj2(tokens), hh, ww)))
-        gated = T.mul(T.gelu(p1), p2)
-        return T.reshape(self.proj_out(gated), (hh, ww, c))
+        gated = T.mul(T.gelu(self.dw1(self.proj1(x))), self.dw2(self.proj2(x)))
+        return self.proj_out(gated)
 
 
 class ContextBlock(Module):
@@ -91,11 +78,7 @@ class Downsample(Module):
         self.proj = Linear(channels, channels // 2, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        h, w, c = x.shape
-        tokens = self.proj(T.reshape(x, (h * w, c)))
-        spatial = _to_spatial(tokens, h, w)
-        down = T.pixel_unshuffle(spatial, 2)
-        return T.transpose(down, (1, 2, 0))
+        return T.pixel_unshuffle(self.proj(x), 2)
 
 
 class Upsample(Module):
@@ -107,11 +90,7 @@ class Upsample(Module):
         self.proj = Linear(channels, channels * 2, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        h, w, c = x.shape
-        tokens = self.proj(T.reshape(x, (h * w, c)))
-        spatial = _to_spatial(tokens, h, w)
-        up = T.pixel_shuffle(spatial, 2)
-        return T.transpose(up, (1, 2, 0))
+        return T.pixel_shuffle(self.proj(x), 2)
 
 
 class DegradationClassifier(Module):
@@ -133,16 +112,12 @@ class DegradationClassifier(Module):
 
     def compress(self, x: Tensor) -> Tensor:
         # [H,W,C] -> half-resolution [H',W',C] feature
-        h, w, c = x.shape
-        y = self.conv(_to_spatial(x, h, w))
-        return T.gelu(self.norm(T.transpose(y, (1, 2, 0))))
+        return T.gelu(self.norm(self.conv(x)))
 
     def head(self, feat: Tensor) -> Tensor:
         # global mean over the spatial grid, then the classifier stack
-        h, w, c = feat.shape
-        pooled = T.adaptive_avg_pool(_to_spatial(feat, h, w), 1, 1)
-        flat = T.reshape(pooled, (1, c))
-        logits = self.fc3(T.gelu(self.fc2(T.gelu(self.fc1(flat)))))
+        pooled = T.adaptive_avg_pool(feat, 1, 1)
+        logits = self.fc3(T.gelu(self.fc2(T.gelu(self.fc1(pooled)))))
         return T.reshape(logits, (logits.shape[-1],))
 
     def __call__(self, x: Tensor) -> Tensor:

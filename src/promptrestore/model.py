@@ -182,8 +182,7 @@ class RestorationModel(Module):
             raise T.ShapeError(f"expected [H,W,3] image, got {image.shape}")
         if h % 8 or w % 8:
             raise T.ShapeError(f"spatial size {h}x{w} not divisible by 8")
-        x = self.input_conv(T.transpose(image, (2, 0, 1)))
-        x = T.transpose(x, (1, 2, 0))
+        x = self.input_conv(image)
         skips = []
         for blocks, down in ((self.enc0, self.down0), (self.enc1, self.down1),
                              (self.enc2, self.down2)):
@@ -209,16 +208,14 @@ class RestorationModel(Module):
         x = self.fuse_latent(latent, feat_wide)
         x = self.up2(x)
         x = T.concat([x, skips[2]], axis=-1)
-        hh, ww, cc = x.shape
-        x = T.reshape(self.reduce2(T.reshape(x, (hh * ww, cc))), (hh, ww, cc // 2))
+        x = self.reduce2(x)
         x = self.fuse_mid(x, feat_mid)
         for block in self.dec2:
             x = block(x)
 
         x = self.up1(x)
         x = T.concat([x, skips[1]], axis=-1)
-        hh, ww, cc = x.shape
-        x = T.reshape(self.reduce1(T.reshape(x, (hh * ww, cc))), (hh, ww, cc // 2))
+        x = self.reduce1(x)
         for block in self.dec1:
             x = block(x)
 
@@ -229,8 +226,7 @@ class RestorationModel(Module):
         for block in self.refine:
             x = block(x)
 
-        correction = T.transpose(self.output_conv(T.transpose(x, (2, 0, 1))),
-                                 (1, 2, 0))
+        correction = self.output_conv(x)
         return RestorationOutput(restored=T.add(img, correction), logits=logits)
 
 

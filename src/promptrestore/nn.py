@@ -1,4 +1,10 @@
-"""Parameter containers and the basic trainable layers."""
+"""Parameter containers and the basic trainable layers.
+
+Features are channels-last: Linear maps the last axis of any tensor, and
+Conv2d takes and returns [H,W,C]. Conv2d transposes to and from
+tensor.conv2d's [C,H,W] inside; it is the only place a feature visits
+that layout.
+"""
 
 from __future__ import annotations
 
@@ -45,15 +51,6 @@ class Module:
     def state_arrays(self) -> list[np.ndarray]:
         return [p.data for _, p in self.named_parameters()]
 
-    def load_state_arrays(self, arrays: list[np.ndarray]) -> None:
-        params = list(self.named_parameters())
-        if len(arrays) != len(params):
-            raise ValueError(f"state has {len(arrays)} arrays, model expects {len(params)}")
-        for (name, p), a in zip(params, arrays):
-            if a.shape != p.data.shape:
-                raise ValueError(f"parameter {name}: shape {a.shape} != {p.data.shape}")
-            p.data = np.array(a, dtype=T.DTYPE)
-
 
 class ModuleList(Module):
     def __init__(self, modules):
@@ -81,7 +78,8 @@ def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 
 
 class Linear(Module):
-    """y = x @ weight + bias, weight stored [in_features, out_features]."""
+    """y = x @ weight + bias on the last axis of x [..., in_features];
+    weight stored [in_features, out_features]."""
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
                  bias: bool = True):
@@ -97,6 +95,9 @@ class Linear(Module):
 
 
 class Conv2d(Module):
+    """2-d convolution of a channels-last feature [H,W,C_in] -> [H',W',C_out];
+    weight stored [C_out, C_in/groups, k, k]."""
+
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
                  stride: int = 1, padding: int = 0, groups: int = 1,
                  bias: bool = True, zero_init: bool = False):
@@ -111,8 +112,9 @@ class Conv2d(Module):
         self.stride, self.padding, self.groups = stride, padding, groups
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight, self.bias, stride=self.stride,
-                        padding=self.padding, groups=self.groups)
+        y = T.conv2d(T.transpose(x, (2, 0, 1)), self.weight, self.bias,
+                     stride=self.stride, padding=self.padding, groups=self.groups)
+        return T.transpose(y, (1, 2, 0))
 
 
 class LayerNorm(Module):

@@ -1,18 +1,21 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The op set is exactly what the restoration model needs: matmul (2-d and
-batched), conv2d (grouped/depthwise), softmax, layer norm, pixel shuffle /
-unshuffle, adaptive average pooling, bilinear resize, embedding lookup and a
-small elementwise suite. Forward ops never mutate their inputs; gradients are
-recorded on an explicit Tape and replayed in reverse.
+The op set is exactly what the restoration model needs: matmul (a linear
+map of the last axis, or batched), conv2d (grouped/depthwise), softmax,
+layer norm, pixel shuffle / unshuffle, adaptive average pooling, bilinear
+resize, embedding lookup and a small elementwise suite. Forward ops never
+mutate their inputs; gradients are recorded on an explicit Tape and
+replayed in reverse.
 
 Layout conventions:
   * arrays are float64 (or the float32 default dtype); op outputs are
     row-major, except depthwise conv2d, which returns a [C,H,W] transposed
     view of a channels-last [H,W,C] array
-  * conv2d / pooling operate on [C, H, W]
-  * pixel_unshuffle packs sub-pixels row-major: output channel c*r*r + i*r + j
-    holds input pixel offset (i, j) of channel c
+  * every image op is channels-last [H,W,C] (pixel shuffle / unshuffle,
+    adaptive pooling, bilinear resize) except conv2d, which takes [C,H,W];
+    nn.Conv2d is the one caller that transposes to and from it
+  * pixel_unshuffle packs sub-pixels row-major: output [y, x, c*r*r + i*r + j]
+    holds input pixel [y*r + i, x*r + j, c]
 """
 
 from __future__ import annotations
@@ -118,50 +121,11 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; the free functions below do the work
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes if axes else None)
 
 
 class _Node:
@@ -380,12 +344,23 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for 2-d operands or stacked 3-d+ operands with equal batch dims."""
+    """a @ b. With a 2-d b this is a[..., k] @ b[k, n], a linear map of a's
+    last axis whose leading axes fold into one GEMM; otherwise both operands
+    are stacked 3-d+ with equal batch dims."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError("matmul needs >= 2-d operands")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: inner dims {ad.shape} vs {bd.shape}")
+    if bd.ndim == 2:
+        a2 = ad.reshape(-1, ad.shape[-1])
+        out = np.matmul(a2, bd).reshape(*ad.shape[:-1], bd.shape[1])
+
+        def backward(g):
+            g2 = g.reshape(-1, bd.shape[1])
+            return np.matmul(g2, bd.T).reshape(ad.shape), np.matmul(a2.T, g2)
+
+        return _finish(out, (a, b), backward, "matmul")
     if ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeError(f"matmul: batch dims {ad.shape} vs {bd.shape}")
     out = np.matmul(ad, bd)
@@ -523,38 +498,36 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
 # pixel shuffle
 
 
+def _unshuffle(a: np.ndarray, r: int) -> np.ndarray:
+    # [H,W,C] -> [H/r,W/r,C*r*r]: (y*r+i, x*r+j, c) lands at (y, x, c*r*r+i*r+j)
+    h, w, c = a.shape
+    return a.reshape(h // r, r, w // r, r, c).transpose(0, 2, 4, 1, 3) \
+        .reshape(h // r, w // r, c * r * r)
+
+
+def _shuffle(a: np.ndarray, r: int) -> np.ndarray:
+    # [H,W,C*r*r] -> [H*r,W*r,C], the inverse of _unshuffle
+    h, w, crr = a.shape
+    c = crr // (r * r)
+    return a.reshape(h, w, c, r, r).transpose(0, 3, 1, 4, 2).reshape(h * r, w * r, c)
+
+
 def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
-    """[C,H,W] -> [C*r*r, H/r, W/r]; sub-pixel (i,j) of c lands at c*r*r+i*r+j."""
-    c, h, w = x.shape
+    """[H,W,C] -> [H/r,W/r,C*r*r]; sub-pixel (i,j) of c lands at c*r*r+i*r+j."""
+    h, w, _ = x.shape
     if h % r or w % r:
         raise ShapeError(f"pixel_unshuffle: {h}x{w} not divisible by r={r}")
-    ho, wo = h // r, w // r
-
-    def fwd(a):
-        return a.reshape(c, ho, r, wo, r).transpose(0, 2, 4, 1, 3).reshape(c * r * r, ho, wo)
-
-    def inv(a):
-        return a.reshape(c, r, r, ho, wo).transpose(0, 3, 1, 4, 2).reshape(c, h, w)
-
-    return _finish(np.ascontiguousarray(fwd(x.data)), (x,),
-                   lambda g: (inv(g),), "pixel_unshuffle")
+    return _finish(np.ascontiguousarray(_unshuffle(x.data, r)), (x,),
+                   lambda g: (_shuffle(g, r),), "pixel_unshuffle")
 
 
 def pixel_shuffle(x: Tensor, r: int) -> Tensor:
-    """[C*r*r, H, W] -> [C, H*r, W*r]; exact inverse of pixel_unshuffle."""
-    crr, h, w = x.shape
+    """[H,W,C*r*r] -> [H*r,W*r,C]; exact inverse of pixel_unshuffle."""
+    crr = x.shape[-1]
     if crr % (r * r):
         raise ShapeError(f"pixel_shuffle: {crr} channels not divisible by r^2={r * r}")
-    c = crr // (r * r)
-
-    def fwd(a):
-        return a.reshape(c, r, r, h, w).transpose(0, 3, 1, 4, 2).reshape(c, h * r, w * r)
-
-    def inv(a):
-        return a.reshape(c, h, r, w, r).transpose(0, 2, 4, 1, 3).reshape(crr, h, w)
-
-    return _finish(np.ascontiguousarray(fwd(x.data)), (x,),
-                   lambda g: (inv(g),), "pixel_shuffle")
+    return _finish(np.ascontiguousarray(_shuffle(x.data, r)), (x,),
+                   lambda g: (_unshuffle(g, r),), "pixel_shuffle")
 
 
 # ---------------------------------------------------------------------------
@@ -598,16 +571,16 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 
 def adaptive_avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Mean-pool x[C,H,W] onto an out_h x out_w grid (floor/ceil windows)."""
-    c, h, w = x.shape
+    """Mean-pool x[H,W,C] onto an out_h x out_w grid (floor/ceil windows)."""
+    h, w, _ = x.shape
     if out_h > h or out_w > w:
         raise ShapeError(f"adaptive_avg_pool: output {out_h}x{out_w} exceeds input {h}x{w}")
     rh = _pool_matrix(h, out_h)
     rw = _pool_matrix(w, out_w)
-    out = np.einsum("ih,jw,chw->cij", rh, rw, x.data, optimize=True)
+    out = np.einsum("ih,jw,hwc->ijc", rh, rw, x.data, optimize=True)
 
     def backward(g):
-        return (np.einsum("ih,jw,cij->chw", rh, rw, g, optimize=True),)
+        return (np.einsum("ih,jw,ijc->hwc", rh, rw, g, optimize=True),)
 
     return _finish(out, (x,), backward, "adaptive_avg_pool")
 

@@ -91,7 +91,6 @@ class TextEncoderConfig:
 
 class _EncoderLayer(Module):
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
-        # token sequence treated as an [L,1,dim] grid to reuse the attention op
         self.norm1 = LayerNorm(dim)
         self.attn = VanillaSelfAttention(AttnConfig(dim, heads, 1, 1, 1, 1), rng)
         self.norm2 = LayerNorm(dim)
@@ -99,9 +98,7 @@ class _EncoderLayer(Module):
         self.ff2 = Linear(dim * 2, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        length, dim = x.shape
-        attended = self.attn(T.reshape(self.norm1(x), (length, 1, dim)))
-        y = T.add(x, T.reshape(attended, (length, dim)))
+        y = T.add(x, self.attn(self.norm1(x)))
         return T.add(y, self.ff2(T.gelu(self.ff1(self.norm2(y)))))
 
 

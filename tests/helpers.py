@@ -44,13 +44,14 @@ def conv2d_oracle(x, w, bias=None, stride=1, padding=0, groups=1):
 
 
 def adaptive_pool_oracle(x, oh, ow):
-    c, h, w = x.shape
-    out = np.zeros((c, oh, ow))
+    # x is channels-last [H,W,C]
+    h, w, c = x.shape
+    out = np.zeros((oh, ow, c))
     for i in range(oh):
         for j in range(ow):
             y0, y1 = (i * h) // oh, -(-(i + 1) * h // oh)
             x0, x1 = (j * w) // ow, -(-(j + 1) * w // ow)
-            out[:, i, j] = x[:, y0:y1, x0:x1].mean(axis=(1, 2))
+            out[i, j] = x[y0:y1, x0:x1].mean(axis=(0, 1))
     return out
 
 

@@ -212,6 +212,10 @@ def test_mhsa_reduces_to_softmax_attention_with_identity_projections():
     x = rng(36).normal(size=(3, 2, 6))
     out = m(Tensor(x)).data.reshape(6, 6)
     tokens = x.reshape(6, 6)
-    np.testing.assert_allclose(out, attention_oracle(tokens, tokens, tokens),
-                               atol=1e-12)
+    expect = attention_oracle(tokens, tokens, tokens)
+    np.testing.assert_allclose(out, expect, atol=1e-12)
+    # the same module on a token sequence [L, C], as the text encoder calls it
+    out_tokens = m(Tensor(tokens)).data
+    assert out_tokens.shape == (6, 6)
+    np.testing.assert_allclose(out_tokens, expect, atol=1e-12)
 

@@ -1,12 +1,16 @@
 """The traced benchmark wraps library functions and methods by name
 (perfbench/layers.py). Installing and removing those wrappers here makes a
 renamed op, or a wrapped `__call__` moved into a base class, fail the test
-suite rather than only a traced benchmark run."""
+suite rather than only a traced benchmark run; a small traced restore run
+through the benchmark's coverage check does the same for a layer the
+restore path stops reaching (e.g. a conv that bypasses tensor.conv2d)."""
 
 import ast
 import importlib
 import sys
 from pathlib import Path
+
+import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -19,14 +23,21 @@ def _run_modules():
     raise AssertionError("perfbench/run.py defines no MODULES")
 
 
-def test_perfbench_wrappers_install_and_uninstall():
+def _perfbench():
     sys.path.insert(0, str(PERFBENCH))
     try:
-        layers = importlib.import_module("layers")
-        tracer_mod = importlib.import_module("tracer")
+        return importlib.import_module("layers"), importlib.import_module("tracer")
     finally:
         sys.path.remove(str(PERFBENCH))
-    pkg = {name: importlib.import_module(f"promptrestore.{name}") for name in _run_modules()}
+
+
+def _package():
+    return {name: importlib.import_module(f"promptrestore.{name}") for name in _run_modules()}
+
+
+def test_perfbench_wrappers_install_and_uninstall():
+    layers, tracer_mod = _perfbench()
+    pkg = _package()
     before = {name: dict(vars(mod)) for name, mod in pkg.items()}
     tracer = tracer_mod.Tracer(pkg.values())
     try:
@@ -39,3 +50,29 @@ def test_perfbench_wrappers_install_and_uninstall():
     for obj, key, fn in wrapped:
         assert getattr(obj, key) is fn
     assert {name: dict(vars(mod)) for name, mod in pkg.items()} == before
+
+
+def test_traced_restore_passes_coverage_check():
+    # a MICRO_CONFIG stand-in for one traced restore_128 operation: set-up
+    # (model construction) and the operation are summarised separately, as
+    # perfbench/run.py does, then every required layer must have recorded
+    layers, tracer_mod = _perfbench()
+    pkg = _package()
+    M = pkg["model"]
+    image = np.random.default_rng(0).uniform(0.0, 1.0, (32, 32, 3))
+    tracer = tracer_mod.Tracer(pkg.values())
+    try:
+        layers.instrument(tracer, pkg)
+        tracer.active = True
+        model = M.RestorationModel(M.MICRO_CONFIG, seed=0)
+        setup = tracer.summary()
+        tracer.reset()
+        model.restore(image, "Remove rain.")
+        loop = tracer.summary()
+    finally:
+        tracer.uninstall()
+
+    def value(name):
+        return layers.resolve(name, loop, setup, tracer, 1, {})
+
+    layers.check_coverage("restore_128", value)

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,11 @@ from helpers import adaptive_pool_oracle, conv2d_oracle, matmul_oracle
 
 def rand(*shape, seed=0, lo=-1.0, hi=1.0):
     return np.random.default_rng(seed).uniform(lo, hi, size=shape)
+
+
+def hwc(x):
+    # a [C,H,W] array as a contiguous channels-last [H,W,C] array
+    return np.ascontiguousarray(x.transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +43,19 @@ def test_matmul_vs_triple_loop():
 def test_matmul_shape_mismatch():
     with pytest.raises(T.ShapeError):
         T.matmul(Tensor(rand(2, 3)), Tensor(rand(4, 2)))
+
+
+def test_matmul_maps_last_axis_of_nd_operand():
+    # a[..., k] @ b[k, n]: every row of every leading index is one oracle matmul
+    a, b = rand(2, 3, 4, seed=26), rand(4, 5, seed=27)
+    out = T.matmul(Tensor(a), Tensor(b))
+    assert out.shape == (2, 3, 5)
+    for i in range(2):
+        assert np.abs(out.data[i] - matmul_oracle(a[i], b)).max() < 1e-12
+    with pytest.raises(T.ShapeError):
+        T.matmul(Tensor(rand(2, 3, 4)), Tensor(rand(5, 2)))
+    with pytest.raises(T.ShapeError):
+        T.matmul(Tensor(rand(2, 3, 4)), Tensor(rand(3, 4, 2)))
 
 
 def test_matmul_batched_matches_per_slice():
@@ -150,29 +170,42 @@ def test_layer_norm_moments():
 
 
 def test_pixel_shuffle_round_trip_exact():
-    x = rand(3, 8, 8, seed=15)
+    x = hwc(rand(3, 8, 8, seed=15))
     down = T.pixel_unshuffle(Tensor(x), 2)
-    assert down.shape == (12, 4, 4)
+    assert down.shape == (4, 4, 12)
     back = T.pixel_shuffle(down, 2)
     np.testing.assert_array_equal(back.data, x)
 
 
 def test_pixel_unshuffle_shape():
-    out = T.pixel_unshuffle(Tensor(np.zeros((48, 128, 128))), 2)
-    assert out.shape == (192, 64, 64)
+    out = T.pixel_unshuffle(Tensor(np.zeros((128, 128, 48))), 2)
+    assert out.shape == (64, 64, 192)
 
 
 def test_pixel_unshuffle_subpixel_order():
     # row-major sub-pixel layout: channel order (a, b, c, d)
     a, b, c, d = 1.0, 2.0, 3.0, 4.0
-    x = np.array([[[a, b], [c, d]]])
+    x = hwc(np.array([[[a, b], [c, d]]]))
     out = T.pixel_unshuffle(Tensor(x), 2).data
     np.testing.assert_array_equal(out.reshape(4), [a, b, c, d])
 
 
+def test_pixel_unshuffle_channel_major_packing():
+    # output [y, x, c*r*r + i*r + j] holds input [y*r + i, x*r + j, c]
+    r = 2
+    x = rand(4, 6, 3, seed=28)
+    out = T.pixel_unshuffle(Tensor(x), r).data
+    for y in range(2):
+        for xx in range(3):
+            for c in range(3):
+                for i in range(r):
+                    for j in range(r):
+                        assert out[y, xx, c * r * r + i * r + j] == x[y * r + i, xx * r + j, c]
+
+
 def test_pixel_unshuffle_indivisible():
     with pytest.raises(T.ShapeError):
-        T.pixel_unshuffle(Tensor(np.zeros((1, 5, 4))), 2)
+        T.pixel_unshuffle(Tensor(np.zeros((5, 4, 1))), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -180,32 +213,32 @@ def test_pixel_unshuffle_indivisible():
 
 
 def test_adaptive_pool_identity():
-    x = rand(2, 4, 5, seed=16)
+    x = hwc(rand(2, 4, 5, seed=16))
     out = T.adaptive_avg_pool(Tensor(x), 4, 5)
     np.testing.assert_allclose(out.data, x, atol=1e-15)
 
 
 def test_adaptive_pool_global_mean():
-    x = rand(3, 6, 7, seed=17)
+    x = hwc(rand(3, 6, 7, seed=17))
     out = T.adaptive_avg_pool(Tensor(x), 1, 1)
-    np.testing.assert_allclose(out.data[:, 0, 0], x.mean(axis=(1, 2)), atol=1e-12)
+    np.testing.assert_allclose(out.data[0, 0, :], x.mean(axis=(0, 1)), atol=1e-12)
 
 
 def test_adaptive_pool_4x4_to_2x2_window_means():
-    x = np.arange(16, dtype=float).reshape(1, 4, 4)
+    x = np.arange(16, dtype=float).reshape(4, 4, 1)
     out = T.adaptive_avg_pool(Tensor(x), 2, 2)
     np.testing.assert_allclose(out.data, adaptive_pool_oracle(x, 2, 2), atol=1e-12)
 
 
 def test_adaptive_pool_uneven_vs_oracle():
-    x = rand(2, 7, 5, seed=18)
+    x = hwc(rand(2, 7, 5, seed=18))
     out = T.adaptive_avg_pool(Tensor(x), 3, 2)
     np.testing.assert_allclose(out.data, adaptive_pool_oracle(x, 3, 2), atol=1e-12)
 
 
 def test_adaptive_pool_output_too_large():
     with pytest.raises(T.ShapeError):
-        T.adaptive_avg_pool(Tensor(np.zeros((1, 2, 2))), 3, 1)
+        T.adaptive_avg_pool(Tensor(np.zeros((2, 2, 1))), 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +365,10 @@ def test_backward_softmax_cross_entropy_vs_finite_differences():
 
 @pytest.mark.parametrize("op_name", [
     "conv", "grouped_conv", "depthwise", "layer_norm", "pool", "shuffle", "resize",
-    "sigmoid", "clamp", "concat", "abs", "bias", "embedding",
+    "sigmoid", "clamp", "concat", "abs", "bias", "linear", "embedding",
 ])
 def test_backward_each_op_vs_finite_differences(op_name):
-    rng = np.random.default_rng(hash(op_name) % 2 ** 31)
+    rng = np.random.default_rng(zlib.crc32(op_name.encode()))
     if op_name == "conv":
         x = Tensor(rng.uniform(-1, 1, (3, 6, 6)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)), requires_grad=True)
@@ -360,12 +393,15 @@ def test_backward_each_op_vs_finite_differences(op_name):
         fn = lambda: T.sum_all(T.gelu(T.layer_norm(x, g, b)))
         params = [x, g, b]
     elif op_name == "pool":
-        x = Tensor(rng.uniform(-1, 1, (2, 5, 7)), requires_grad=True)
+        x = Tensor(rng.uniform(-1, 1, (5, 7, 2)), requires_grad=True)
         fn = lambda: T.sum_all(T.gelu(T.adaptive_avg_pool(x, 2, 3)))
         params = [x]
     elif op_name == "shuffle":
-        x = Tensor(rng.uniform(-1, 1, (4, 4, 4)), requires_grad=True)
-        fn = lambda: T.sum_all(T.gelu(T.pixel_shuffle(T.pixel_unshuffle(x, 2), 2)))
+        x = Tensor(rng.uniform(-1, 1, (4, 6, 3)), requires_grad=True)
+        # a position-dependent weight between the two, so neither backward
+        # can hide behind the round trip being the identity
+        c = Tensor(rng.uniform(0.5, 1.5, (2, 3, 12)))
+        fn = lambda: T.sum_all(T.gelu(T.pixel_shuffle(T.mul(T.pixel_unshuffle(x, 2), c), 2)))
         params = [x]
     elif op_name == "resize":
         x = Tensor(rng.uniform(-1, 1, (4, 5, 2)), requires_grad=True)
@@ -393,6 +429,12 @@ def test_backward_each_op_vs_finite_differences(op_name):
         b = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
         fn = lambda: T.sum_all(T.gelu(T.add_bias(x, b)))
         params = [x, b]
+    elif op_name == "linear":
+        x = Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, 5), requires_grad=True)
+        fn = lambda: T.sum_all(T.gelu(T.add_bias(T.matmul(x, w), b)))
+        params = [x, w, b]
     else:  # embedding
         w = Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
         ids = np.array([0, 2, 2, 5])
