@@ -35,10 +35,15 @@ SPLIT_FRACTIONS = (0.7, 0.1, 0.2)
 
 
 def write_ppm(path, img: np.ndarray) -> None:
-    """Binary P6, maxval 255; img is float [H,W,3] in [0,1]."""
-    h, w, c = img.shape
-    if c != 3:
-        raise ValueError("PPM writer expects [H,W,3]")
+    """Binary P6, maxval 255; img is float [H,W,3] in [0,1], clipped to it.
+    A shape other than [H,W,3] or a non-finite value raises ValueError
+    naming the path, before the file is opened."""
+    if img.ndim != 3 or img.shape[2] != 3:
+        raise ValueError(f"{path}: PPM writer expects [H,W,3], got shape {img.shape}")
+    if not np.isfinite(img).all():
+        raise ValueError(f"{path}: {img.size - np.isfinite(img).sum()} of {img.size} "
+                         "values are not finite")
+    h, w = img.shape[:2]
     data = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
@@ -159,11 +164,13 @@ def read_manifest(path) -> list[SampleRecord]:
 def generate_clean_image(rng: np.random.Generator, size: int) -> np.ndarray:
     """Procedural geometric scene with mean luminance >= 0.35 (keeps every
     composed degradation above the visibility floor)."""
-    yy, xx = np.mgrid[0:size, 0:size].astype(float) / size
+    coord = np.arange(size) / size       # y / size down the rows, x / size across
     c0 = rng.uniform(0.15, 0.85, 3)
     c1 = rng.uniform(0.15, 0.85, 3)
-    axis = yy if rng.random() < 0.5 else xx
-    img = c0 + (c1 - c0) * axis[:, :, None]
+    # a linear gradient down the rows or across the columns, one [size,3] ramp
+    ramp = c0 + (c1 - c0) * coord[:, None]
+    ramp = ramp[:, None] if rng.random() < 0.5 else ramp[None]
+    img = np.broadcast_to(ramp, (size, size, 3)).copy()
     for _ in range(int(rng.integers(3, 8))):
         color = rng.uniform(0.1, 0.9, 3)
         if rng.random() < 0.5:
@@ -173,8 +180,13 @@ def generate_clean_image(rng: np.random.Generator, size: int) -> np.ndarray:
         else:
             cy, cx = rng.uniform(0, size, 2)
             r = rng.uniform(size / 12, size / 4)
-            inside = (yy * size - cy) ** 2 + (xx * size - cx) ** 2 < r * r
-            img[inside] = color
+            # only the disc's bounding box can be inside; the pixel of margin
+            # covers (i / size) * size differing from i in the last bit
+            rows = slice(max(0, int(cy - r) - 1), int(cy + r) + 2)
+            cols = slice(max(0, int(cx - r) - 1), int(cx + r) + 2)
+            inside = ((coord[rows, None] * size - cy) ** 2
+                      + (coord[None, cols] * size - cx) ** 2 < r * r)
+            img[rows, cols][inside] = color
     img = np.clip(img, 0.0, 1.0)
     mean = img.mean()
     if mean < 0.35:   # lift dark scenes so lowlight cannot crush them

@@ -1,10 +1,22 @@
 """Procedural degradation renderers with (alpha, beta, gamma) parameters.
 
 All renderers map float images [H,W,3] in [0,1] to the same range. beta is
-the severity in [0,1] and beta = 0 renders as the exact identity; gamma is
-the per-kind feature parameter (blur angle, rain slant, haze blob seed);
-alpha seeds the snow mask. Re-rendering with an identical spec is
-bit-identical, which the ground-truth consistency checks rely on.
+the severity in [0,1] and beta = 0 renders as the exact identity (a copy) for
+every kind; gamma is the per-kind feature parameter (blur angle, rain slant,
+haze blob seed); alpha seeds the snow mask. Above beta = 0 the amount of snow
+does not follow beta: alpha draws 15-39 flakes and the mask stops growing at
+15% of the image. Re-rendering with an identical spec is bit-identical, which
+the ground-truth consistency checks rely on.
+
+Cost: rain is one ordered scatter-add (np.add.at) of every streak sample's
+four bilinear weights, in passes of at most _SPLAT_ENTRIES entries so the
+temporaries do not grow with the image; snow flakes (and the scene discs of
+dataset.generate_clean_image) are evaluated on their bounding boxes only.
+Both give the same bits as rendering one primitive at a time over the whole
+image: the scatter adds in the same (streak, sample, corner) order, and as
+every weight is >= 0, clipping the sum at 1 equals clamping after each add;
+outside its box a flake is 0 and a disc holds no pixel, so the box leaves
+the rest of the image as it was.
 """
 
 from __future__ import annotations
@@ -123,20 +135,44 @@ def rain_streak_count(beta: float, shape) -> int:
     return round(beta * RAIN_BASE_COUNT * (h * w) / (128 * 128))
 
 
-def _splat_line(mask: np.ndarray, y0, x0, length, angle_deg) -> None:
-    h, w = mask.shape
+# bilinear entries (4 per line sample) scattered per pass, so that the
+# temporaries of one pass stay small whatever the image size
+_SPLAT_ENTRIES = 1 << 15
+
+
+def _splat_lines(h: int, w: int, lines: np.ndarray, angle_deg) -> np.ndarray:
+    """Sum of anti-aliased lines, clipped at 1: each row (y0, x0, length) of
+    `lines` is sampled at max(2, int(2*length)) evenly spaced points (as
+    np.linspace(0, length, k)), and each point splats its four bilinear
+    weights, in (line, sample, corner) order, into an [H,W] mask."""
     ang = np.deg2rad(angle_deg)
     # rain falls vertically at slant gamma: direction (cos g, sin g) in (y, x)
     dy, dx = np.cos(ang), np.sin(ang)
-    steps = max(2, int(length * 2))
-    for t in np.linspace(0.0, length, steps):
-        y, x = y0 + t * dy, x0 + t * dx
-        iy, ix = int(np.floor(y)), int(np.floor(x))
+    y0, x0, length = lines.T
+    steps = np.maximum(2, (length * 2).astype(np.int64))
+    spacing = length / (steps - 1)
+    ends = np.cumsum(steps)              # one past each line's last sample
+    mask = np.zeros(h * w)
+    per_pass = max(1, _SPLAT_ENTRIES // 4)
+    for lo in range(0, int(ends[-1]), per_pass):
+        j = np.arange(lo, min(lo + per_pass, int(ends[-1])))
+        line = np.searchsorted(ends, j, side="right")
+        i = j - (ends[line] - steps[line])          # sample index on its line
+        t = i * spacing[line]
+        last = i == steps[line] - 1
+        t[last] = length[line[last]]
+        y = y0[line] + t * dy
+        x = x0[line] + t * dx
+        iy, ix = np.floor(y), np.floor(x)
         fy, fx = y - iy, x - ix
-        for yy, wy in ((iy, 1 - fy), (iy + 1, fy)):
-            for xx, wx in ((ix, 1 - fx), (ix + 1, fx)):
-                if 0 <= yy < h and 0 <= xx < w:
-                    mask[yy, xx] = min(1.0, mask[yy, xx] + wy * wx)
+        rows = iy.astype(np.int64)[:, None] + (0, 0, 1, 1)
+        cols = ix.astype(np.int64)[:, None] + (0, 1, 0, 1)
+        weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx,
+                            fy * (1 - fx), fy * fx], axis=1)
+        keep = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+        np.add.at(mask, rows[keep] * w + cols[keep], weights[keep])
+    # every weight is >= 0, so clipping the sum equals clamping every add
+    return np.minimum(mask, 1.0, out=mask).reshape(h, w)
 
 
 def apply_rain(img: np.ndarray, beta: float, gamma: float,
@@ -147,12 +183,13 @@ def apply_rain(img: np.ndarray, beta: float, gamma: float,
         return img.copy()
     h, w = img.shape[:2]
     rng = np.random.default_rng(int(rng_stream))
-    mask = np.zeros((h, w))
-    for _ in range(n):
-        y0 = rng.uniform(-4, h - 4)
-        x0 = rng.uniform(0, w)
-        length = rng.uniform(0.08, 0.16) * h
-        _splat_line(mask, y0, x0, length, gamma)
+    # per streak: y0 ~ U(-4, h-4), x0 ~ U(0, w), length ~ U(0.08, 0.16) * h;
+    # lo + (hi - lo) * u is how Generator.uniform maps the same doubles
+    lo = np.array([-4.0, 0.0, 0.08])
+    hi = np.array([h - 4.0, float(w), 0.16])
+    lines = lo + (hi - lo) * rng.random((n, 3))
+    lines[:, 2] *= h
+    mask = _splat_lines(h, w, lines, gamma)
     m = (RAIN_ALPHA * mask)[:, :, None]
     return img * (1.0 - m) + RAIN_BRIGHTNESS * m
 
@@ -162,23 +199,31 @@ def snow_mask(alpha: int, shape) -> np.ndarray:
     h, w = shape[:2]
     rng = np.random.default_rng(int(alpha))
     n_flakes = int(rng.integers(15, 40))
-    yy, xx = np.mgrid[0:h, 0:w].astype(float)
+    yy, xx = np.arange(h, dtype=float), np.arange(w, dtype=float)
     mask = np.zeros((h, w))
     scale = min(h, w)
     for _ in range(n_flakes):
         cy, cx = rng.uniform(0, h), rng.uniform(0, w)
         ry = rng.uniform(0.02, 0.06) * scale
         rx = ry * rng.uniform(0.7, 1.3)
-        rho = np.sqrt(((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2)
+        # the flake is 0 wherever rho >= 1, so only its bounding box can grow
+        # the mask (the extra pixel of margin covers rounding)
+        rows = slice(max(0, int(cy - ry)), int(cy + ry) + 2)
+        cols = slice(max(0, int(cx - rx)), int(cx + rx) + 2)
+        rho = np.sqrt(((yy[rows, None] - cy) / ry) ** 2 + ((xx[None, cols] - cx) / rx) ** 2)
         flake = np.clip((1.0 - rho) / 0.35, 0.0, 1.0)
-        grown = np.maximum(mask, flake)
-        if grown.mean() > SNOW_COVERAGE_CAP:
+        before = mask[rows, cols].copy()
+        np.maximum(before, flake, out=mask[rows, cols])
+        if mask.mean() > SNOW_COVERAGE_CAP:   # the same sum as over a fresh array
+            mask[rows, cols] = before
             break
-        mask = grown
     return mask
 
 
-def apply_snow(img: np.ndarray, alpha: int) -> np.ndarray:
+def apply_snow(img: np.ndarray, alpha: int, beta: float) -> np.ndarray:
+    """Snow flakes from the alpha seed; beta = 0 is the identity."""
+    if beta == 0.0:
+        return img.copy()
     m = snow_mask(alpha, img.shape)[:, :, None]
     return img * (1.0 - m) + m
 
@@ -192,7 +237,7 @@ def apply_spec(img: np.ndarray, spec: DegradationSpec) -> np.ndarray:
         return apply_haze(img, spec.beta, int(spec.gamma))
     if spec.kind == "rain":
         return apply_rain(img, spec.beta, spec.gamma, spec.rng_stream)
-    return apply_snow(img, spec.alpha)
+    return apply_snow(img, spec.alpha, spec.beta)
 
 
 def render(clean: np.ndarray, specs) -> np.ndarray:

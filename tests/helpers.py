@@ -65,3 +65,85 @@ def attention_oracle(q, k, v):
     d = q.shape[-1]
     logits = q @ k.T / np.sqrt(d)
     return softmax_oracle(logits, axis=-1) @ v
+
+
+# ---------------------------------------------------------------------------
+# data-path loop forms: one primitive at a time over the whole image, as the
+# renderers were first written. The array renderers must match them bit for
+# bit (same floating-point operations in the same order).
+
+
+def _splat_line(mask, y0, x0, length, angle_deg):
+    h, w = mask.shape
+    ang = np.deg2rad(angle_deg)
+    # rain falls vertically at slant gamma: direction (cos g, sin g) in (y, x)
+    dy, dx = np.cos(ang), np.sin(ang)
+    steps = max(2, int(length * 2))
+    for t in np.linspace(0.0, length, steps):
+        y, x = y0 + t * dy, x0 + t * dx
+        iy, ix = int(np.floor(y)), int(np.floor(x))
+        fy, fx = y - iy, x - ix
+        for yy, wy in ((iy, 1 - fy), (iy + 1, fy)):
+            for xx, wx in ((ix, 1 - fx), (ix + 1, fx)):
+                if 0 <= yy < h and 0 <= xx < w:
+                    mask[yy, xx] = min(1.0, mask[yy, xx] + wy * wx)
+
+
+def rain_oracle(img, beta, gamma, rng_stream, base_count=120, alpha=0.6, brightness=0.8):
+    h, w = img.shape[:2]
+    n = round(beta * base_count * (h * w) / (128 * 128))
+    if n == 0:
+        return img.copy()
+    rng = np.random.default_rng(int(rng_stream))
+    mask = np.zeros((h, w))
+    for _ in range(n):
+        y0 = rng.uniform(-4, h - 4)
+        x0 = rng.uniform(0, w)
+        length = rng.uniform(0.08, 0.16) * h
+        _splat_line(mask, y0, x0, length, gamma)
+    m = (alpha * mask)[:, :, None]
+    return img * (1.0 - m) + brightness * m
+
+
+def snow_mask_oracle(alpha, shape, cap):
+    h, w = shape[:2]
+    rng = np.random.default_rng(int(alpha))
+    n_flakes = int(rng.integers(15, 40))
+    yy, xx = np.mgrid[0:h, 0:w].astype(float)
+    mask = np.zeros((h, w))
+    scale = min(h, w)
+    for _ in range(n_flakes):
+        cy, cx = rng.uniform(0, h), rng.uniform(0, w)
+        ry = rng.uniform(0.02, 0.06) * scale
+        rx = ry * rng.uniform(0.7, 1.3)
+        rho = np.sqrt(((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2)
+        flake = np.clip((1.0 - rho) / 0.35, 0.0, 1.0)
+        grown = np.maximum(mask, flake)
+        if grown.mean() > cap:
+            break
+        mask = grown
+    return mask
+
+
+def clean_image_oracle(rng, size):
+    yy, xx = np.mgrid[0:size, 0:size].astype(float) / size
+    c0 = rng.uniform(0.15, 0.85, 3)
+    c1 = rng.uniform(0.15, 0.85, 3)
+    axis = yy if rng.random() < 0.5 else xx
+    img = c0 + (c1 - c0) * axis[:, :, None]
+    for _ in range(int(rng.integers(3, 8))):
+        color = rng.uniform(0.1, 0.9, 3)
+        if rng.random() < 0.5:
+            y0, x0 = rng.integers(0, size, 2)
+            hh, ww = rng.integers(size // 8, size // 2, 2)
+            img[y0:y0 + hh, x0:x0 + ww] = color
+        else:
+            cy, cx = rng.uniform(0, size, 2)
+            r = rng.uniform(size / 12, size / 4)
+            inside = (yy * size - cy) ** 2 + (xx * size - cx) ** 2 < r * r
+            img[inside] = color
+    img = np.clip(img, 0.0, 1.0)
+    mean = img.mean()
+    if mean < 0.35:
+        img = np.clip(img + (0.35 - mean), 0.0, 1.0)
+    return img

@@ -1,7 +1,12 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
+from promptrestore import dataset as D
 from promptrestore.dataset import read_ppm, write_ppm
+from helpers import clean_image_oracle
 
 
 def test_ppm_round_trip_with_header_comment(tmp_path):
@@ -41,3 +46,122 @@ def test_ppm_wrong_magic_raises_naming_the_file(tmp_path):
     path.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
     with pytest.raises(ValueError, match=r"p3\.ppm: not a maxval-255 P6 PPM"):
         read_ppm(path)
+
+
+@pytest.mark.parametrize("img, what", [
+    (np.full((4, 5, 3), np.nan), "60 of 60 values are not finite"),
+    (np.array([[[0.5, np.inf, 0.5]]]), "1 of 3 values are not finite"),
+    (np.array([[[0.5, -np.inf, 0.5]]]), "1 of 3 values are not finite"),
+    (np.zeros((4, 5)), r"expects \[H,W,3\], got shape \(4, 5\)"),
+    (np.zeros((4, 5, 4)), r"expects \[H,W,3\], got shape \(4, 5, 4\)"),
+], ids=["nan", "inf", "-inf", "2-d", "4-channel"])
+def test_write_ppm_rejects_bad_images_naming_the_file(tmp_path, img, what):
+    path = tmp_path / "bad.ppm"
+    with pytest.raises(ValueError, match=rf"bad\.ppm: .*{what}"):
+        write_ppm(path, img)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("size", [16, 24, 37, 100, 129])
+def test_clean_image_matches_full_image_disc_loop(size):
+    # sizes that are not powers of two make (i / size) * size differ from i
+    for seed in range(30):
+        assert np.array_equal(D.generate_clean_image(np.random.default_rng((seed, size)), size),
+                              clean_image_oracle(np.random.default_rng((seed, size)), size)), seed
+
+
+# sha256 of every PPM that build_dataset(DatasetConfig(count=6, image_size=37,
+# seed=2)) writes, recorded before the renderers were vectorised; the config
+# holds all five kinds at a size that is not a power of two
+GOLDEN_PPM_SHA256 = {
+    "00000_clean.ppm": "aaed59c634193a017e9a5cd591b78f856a007030b94c3e017be75e47de4ada77",
+    "00000_degraded.ppm": "f554246238f67aecd2b10cec18aa5d55ce84c8942cbd653bbcf0df19c7017429",
+    "00000_gt.ppm": "5fc5a5b08aaa3412fbd5da7d1453236fd3f3da5c44953e9394158ba77c948a3d",
+    "00001_clean.ppm": "c5b34e7e8c97182c4dfeac637697c49c9da2d12eb6a4bfc3d36543b01598bb18",
+    "00001_degraded.ppm": "56fc6ffdd0d641fd810a1239cdbfca74f970f429de462455cc5d71709437135d",
+    "00001_gt.ppm": "c5b34e7e8c97182c4dfeac637697c49c9da2d12eb6a4bfc3d36543b01598bb18",
+    "00002_clean.ppm": "070b5ff9552a2e0a4929061b4bbf0df04f36e9a7751e1e6492d3252769a7f01a",
+    "00002_degraded.ppm": "90b6e5f14a899bfe6a8b5d77658b6f64686f186adf5b5c3e4f9e21d80ba9e78e",
+    "00002_gt.ppm": "4f9c5e524728228347e8cc78fc2942b001b842fb587e53dfcb83a9b08c640a97",
+    "00003_clean.ppm": "4b9b18bb62ff50267545dc8339adad879a0f1c52587eb6e5e90c14ca98ad8b1a",
+    "00003_degraded.ppm": "065ce332b14afb378b2d8c8d0c35e6fc9801325ef77b9f3ce3f58b25d0755934",
+    "00003_gt.ppm": "4b9b18bb62ff50267545dc8339adad879a0f1c52587eb6e5e90c14ca98ad8b1a",
+    "00004_clean.ppm": "23b0725e8e4ba715ac4b9b7b99507a891fbfe55c1d8427f8d2acd3957a7a4d86",
+    "00004_degraded.ppm": "230efc2c115320ce5df69ae8e73b3ed64b41aab2a0ac3fed527a40a6067c7996",
+    "00004_gt.ppm": "78dd4e5ba1b5dab108b35583aa6d89b266feddc6dfdd383c8e1f240bec0e4686",
+    "00005_clean.ppm": "2b05871dac99c66c1421b5bcd7e87b16d005ababa94c99d7b0f4dadea33cbab9",
+    "00005_degraded.ppm": "783bd61d66869dd10f7c86388703289b9bcbbaecb49c6dfe49ab9996da8523a0",
+    "00005_gt.ppm": "2b05871dac99c66c1421b5bcd7e87b16d005ababa94c99d7b0f4dadea33cbab9",
+}
+
+
+def test_build_dataset_writes_golden_bytes(tmp_path):
+    manifest = D.build_dataset(D.DatasetConfig(count=6, image_size=37, seed=2), tmp_path)
+    kinds = {k for rec in D.read_manifest(manifest) for k in rec.present}
+    assert kinds == set(D.KINDS)
+    images = tmp_path / "images"
+    assert sorted(os.listdir(images)) == sorted(GOLDEN_PPM_SHA256)
+    digests = {name: hashlib.sha256((images / name).read_bytes()).hexdigest()
+               for name in GOLDEN_PPM_SHA256}
+    assert digests == GOLDEN_PPM_SHA256
+
+
+def test_category_and_split_counts_sum_exactly():
+    for total in range(201):
+        counts = D.category_counts(total)
+        assert list(counts) == list(D.CATEGORIES)
+        assert sum(counts.values()) == total
+        pairs = D._assignments(D.DatasetConfig(count=total))
+        assert len(pairs) == total
+        for cat, n in counts.items():
+            assert sum(c == cat for c, _ in pairs) == n
+        assert {s for _, s in pairs} <= set(D.SPLITS)
+
+
+def test_manifest_round_trip(tmp_path):
+    records = [
+        D.SampleRecord(id=0, clean_path="images/00000_clean.ppm",
+                       degraded_path="images/00000_degraded.ppm", gt_path="images/00000_gt.ppm",
+                       present=["blur", "snow"], removed=["snow"],
+                       specs=[D.DegradationSpec("blur", beta=0.4, gamma=12.5, rng_stream=3).to_dict(),
+                              D.DegradationSpec("snow", alpha=9, beta=0.7).to_dict()],
+                       prompt_single="Remove snow.",
+                       prompt_two="There are blur, snow in the image. Remove snow.",
+                       split="val", category="2-1"),
+        D.SampleRecord(id=1, clean_path="a", degraded_path="b", gt_path="c",
+                       present=["haze"], removed=["haze"],
+                       specs=[D.DegradationSpec("haze", beta=1.0, gamma=2 ** 31 - 2).to_dict()],
+                       prompt_single="Remove haze.", prompt_two="There are haze in the image. Remove haze.",
+                       split="test", category="1-1"),
+    ]
+    path = tmp_path / "manifest.jsonl"
+    D.write_manifest(records, path)
+    back = D.read_manifest(path)
+    assert back == records
+    assert [r.spec_objects() for r in back] == [r.spec_objects() for r in records]
+
+
+def test_build_dataset_from_source_dir(tmp_path):
+    src = tmp_path / "pool"
+    src.mkdir()
+    rng = np.random.default_rng(4)
+    for k in range(3):
+        write_ppm(src / f"scene{k}.ppm", rng.uniform(0.0, 1.0, (16, 16, 3)))
+    (src / "notes.txt").write_text("not an image")
+    pool = {(src / f"scene{k}.ppm").read_bytes() for k in range(3)}
+    out = tmp_path / "out"
+    manifest = D.build_dataset(D.DatasetConfig(count=4, image_size=16, seed=1, source_dir=str(src)), out)
+    records = D.read_manifest(manifest)
+    assert len(records) == 4
+    for rec in records:
+        rec.validate()
+        assert (out / rec.clean_path).read_bytes() in pool
+        assert read_ppm(out / rec.degraded_path).shape == (16, 16, 3)
+
+
+def test_load_clean_pool_without_ppm_files_raises(tmp_path):
+    with pytest.raises(FileNotFoundError, match="no .ppm images"):
+        D.load_clean_pool(tmp_path)
+    (tmp_path / "notes.txt").write_text("not an image")
+    with pytest.raises(FileNotFoundError, match="no .ppm images"):
+        D.load_clean_pool(tmp_path)

@@ -1,0 +1,126 @@
+"""Contract tests for the degradation renderers: bit-equality with the
+one-primitive-at-a-time loop forms in helpers.py, the beta = 0 identity,
+the [0,1] range and the composition order."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from promptrestore import degradations as G
+from helpers import rain_oracle, snow_mask_oracle
+
+SIZES = (16, 37, 128, 200)
+BETAS = (0.05, 0.5, 1.0)
+SLANTS = (-20.0, 0.0, 20.0)
+
+
+def _image(h, w, seed=0):
+    return np.random.default_rng((seed, h, w)).uniform(0.0, 1.0, (h, w, 3))
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_rain_matches_streak_loop(size):
+    img = _image(size, size)
+    for k, (beta, slant) in enumerate(itertools.product(BETAS, SLANTS)):
+        stream = 1000 * size + k
+        assert np.array_equal(G.apply_rain(img, beta, slant, stream),
+                              rain_oracle(img, beta, slant, stream)), (beta, slant)
+
+
+@pytest.mark.parametrize("entries", [4, 12, 36, 1000])
+def test_rain_matches_streak_loop_across_scatter_passes(monkeypatch, entries):
+    # 1, 3, 9 and 250 samples per pass: passes end inside a streak, and
+    # every pixel must still receive its weights in the loop's order
+    monkeypatch.setattr(G, "_SPLAT_ENTRIES", entries)
+    for shape, beta, slant in (((37, 37), 1.0, 20.0), ((64, 21), 0.5, -20.0),
+                               ((24, 61), 1.0, 0.0)):
+        img = _image(*shape)
+        assert np.array_equal(G.apply_rain(img, beta, slant, 5),
+                              rain_oracle(img, beta, slant, 5)), (shape, entries)
+
+
+def test_rain_streaks_starting_above_the_image_match_streak_loop():
+    # y0 is drawn from U(-4, h - 4): find a stream whose first streak starts
+    # above row 0 and leaves through a side
+    h = w = 37
+    stream = next(s for s in range(1000)
+                  if np.random.default_rng(s).uniform(-4, h - 4) < 0)
+    img = _image(h, w)
+    for slant in SLANTS:
+        assert np.array_equal(G.apply_rain(img, 1.0, slant, stream),
+                              rain_oracle(img, 1.0, slant, stream))
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("cap", [G.SNOW_COVERAGE_CAP, 0.01], ids=["cap", "tight-cap"])
+def test_snow_mask_matches_flake_loop(monkeypatch, size, cap):
+    # the tight cap makes the cap stop the loop after a flake or two, so the
+    # flake that overshoots must be taken back out exactly
+    monkeypatch.setattr(G, "SNOW_COVERAGE_CAP", cap)
+    for alpha in range(12):
+        assert np.array_equal(G.snow_mask(alpha, (size, size)),
+                              snow_mask_oracle(alpha, (size, size), cap)), alpha
+    for shape in ((37, 64), (64, 21)):
+        assert np.array_equal(G.snow_mask(3, shape), snow_mask_oracle(3, shape, cap))
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_snow_render_for_any_positive_beta_is_the_flake_loop(beta):
+    img = _image(37, 37)
+    m = snow_mask_oracle(4, img.shape, G.SNOW_COVERAGE_CAP)[:, :, None]
+    out = G.apply_spec(img, G.DegradationSpec("snow", alpha=4, beta=beta))
+    assert np.array_equal(out, img * (1.0 - m) + m)
+
+
+def _spec(kind, beta):
+    return G.DegradationSpec(kind, alpha=11 if kind == "snow" else 0, beta=beta,
+                             gamma={"blur": 30.0, "rain": 10.0, "haze": 5}.get(kind, 0.0),
+                             rng_stream=7)
+
+
+@pytest.mark.parametrize("kind", G.KINDS)
+def test_beta_zero_is_an_identity_copy(kind):
+    img = _image(24, 31)
+    out = G.apply_spec(img, _spec(kind, 0.0))
+    assert out is not img
+    assert np.array_equal(out, img)
+
+
+@pytest.mark.parametrize("kind", G.KINDS)
+@pytest.mark.parametrize("beta", [0.3, 1.0])
+def test_every_kind_stays_in_unit_range(kind, beta):
+    for img in (_image(32, 32), np.zeros((32, 32, 3)), np.ones((32, 32, 3))):
+        out = G.apply_spec(img, _spec(kind, beta))
+        assert out.shape == img.shape
+        assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def test_render_follows_render_order_whatever_the_spec_order():
+    img = _image(32, 32)
+    specs = {k: _spec(k, 0.6) for k in G.KINDS}
+    expect = img
+    for kind in G.RENDER_ORDER:
+        expect = G.apply_spec(expect, specs[kind])
+    for perm in itertools.permutations(G.KINDS):
+        assert np.array_equal(G.render(img, [specs[k] for k in perm]), expect), perm
+
+
+def test_render_rejects_duplicate_kinds():
+    with pytest.raises(ValueError, match="duplicate degradation kind 'rain'"):
+        G.render(_image(8, 8), [_spec("rain", 0.5), _spec("haze", 0.5), _spec("rain", 0.2)])
+
+
+def test_rerendering_a_spec_is_bit_identical():
+    img = _image(40, 40)
+    specs = [_spec(k, 0.7) for k in G.KINDS]
+    assert np.array_equal(G.render(img, specs), G.render(img.copy(), specs))
+
+
+def test_compose_sample_rejects_bad_removal_sets():
+    img = _image(8, 8)
+    specs = [_spec("rain", 0.5), _spec("blur", 0.5)]
+    with pytest.raises(ValueError, match="non-empty"):
+        G.compose_sample(img, specs, [])
+    with pytest.raises(ValueError, match="not a subset"):
+        G.compose_sample(img, specs, ["rain", "snow"])

@@ -3,7 +3,9 @@
 renamed op, or a wrapped `__call__` moved into a base class, fail the test
 suite rather than only a traced benchmark run; a small traced restore run
 through the benchmark's coverage check does the same for a layer the
-restore path stops reaching (e.g. a conv that bypasses tensor.conv2d)."""
+restore path stops reaching (e.g. a conv that bypasses tensor.conv2d), and a
+small traced build_dataset run does it for a renderer that stops going
+through degradations.apply_<kind>."""
 
 import ast
 import importlib
@@ -76,3 +78,26 @@ def test_traced_restore_passes_coverage_check():
         return layers.resolve(name, loop, setup, tracer, 1, {})
 
     layers.check_coverage("restore_128", value)
+
+
+def test_traced_datagen_passes_coverage_check(tmp_path):
+    # a 32x32 stand-in for one traced datagen_128 operation; this config's
+    # three samples hold all five degradation kinds between them
+    layers, tracer_mod = _perfbench()
+    pkg = _package()
+    D = pkg["dataset"]
+    tracer = tracer_mod.Tracer(pkg.values())
+    try:
+        layers.instrument(tracer, pkg)
+        tracer.active = True
+        manifest = D.build_dataset(D.DatasetConfig(count=3, image_size=32, seed=6), tmp_path)
+        loop = tracer.summary()
+    finally:
+        tracer.uninstall()
+    kinds = {k for rec in D.read_manifest(manifest) for k in rec.present}
+    assert kinds == set(pkg["degradations"].KINDS)
+
+    def value(name):
+        return layers.resolve(name, loop, {}, tracer, 1, {})
+
+    layers.check_coverage("datagen_128", value)
