@@ -53,10 +53,18 @@ def _merge_heads(x: Tensor, shape) -> Tensor:
 
 
 def _attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    # per-head softmax(q k^T / sqrt(d)) v on [heads, tokens, d] operands
-    d = q.shape[-1]
-    logits = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d))
-    return T.matmul(T.softmax(logits, axis=-1), v)
+    # per-head softmax(q k^T / sqrt(d)) v on [heads, tokens, d] operands.
+    # 1/sqrt(d) scales the operand with fewer tokens (the agents, in agent
+    # routing), so no [N, n] array is scaled. The logits are laid out with the
+    # longer token axis last: [heads, n_q, n_k] with the softmax over keys on
+    # axis -1 when n_q <= n_k, else key-major [heads, n_k, n_q] with the
+    # softmax on axis -2, which then runs along rows of n_q contiguous values.
+    c = 1.0 / np.sqrt(q.shape[-1])
+    if q.shape[-2] <= k.shape[-2]:
+        logits = T.matmul(T.scale(q, c), T.transpose(k, (0, 2, 1)))
+        return T.matmul(T.softmax(logits, axis=-1), v)
+    logits = T.matmul(T.scale(k, c), T.transpose(q, (0, 2, 1)))
+    return T.matmul(T.transpose(T.softmax(logits, axis=-2), (0, 2, 1)), v)
 
 
 class _AgentAttention(Module):

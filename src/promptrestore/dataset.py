@@ -194,11 +194,18 @@ def generate_clean_image(rng: np.random.Generator, size: int) -> np.ndarray:
     return img
 
 
-def load_clean_pool(source_dir) -> list[np.ndarray]:
+def load_clean_pool(source_dir, size: int) -> list[np.ndarray]:
+    """Every .ppm image in source_dir, in name order; each must be
+    [size, size, 3], else ValueError names the file."""
     pool = []
     for name in sorted(os.listdir(source_dir)):
         if name.endswith(".ppm"):
-            pool.append(read_ppm(os.path.join(source_dir, name)))
+            path = os.path.join(source_dir, name)
+            img = read_ppm(path)
+            if img.shape != (size, size, 3):
+                raise ValueError(f"{path}: pool image has shape {img.shape}, "
+                                 f"expected ({size}, {size}, 3)")
+            pool.append(img)
     if not pool:
         raise FileNotFoundError(f"no .ppm images in {source_dir}")
     return pool
@@ -279,7 +286,7 @@ def build_dataset(cfg: DatasetConfig, out_dir) -> str:
     out_dir = str(out_dir)
     img_dir = os.path.join(out_dir, "images")
     os.makedirs(img_dir, exist_ok=True)
-    pool = load_clean_pool(cfg.source_dir) if cfg.source_dir else None
+    pool = load_clean_pool(cfg.source_dir, cfg.image_size) if cfg.source_dir else None
     b_lo, b_hi = cfg.beta_range
     records = []
     for sample_id, (category, split) in enumerate(_assignments(cfg)):

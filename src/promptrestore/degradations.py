@@ -240,14 +240,19 @@ def apply_spec(img: np.ndarray, spec: DegradationSpec) -> np.ndarray:
     return apply_snow(img, spec.alpha, spec.beta)
 
 
-def render(clean: np.ndarray, specs) -> np.ndarray:
-    """Apply specs in the canonical composition order haze -> rain -> snow
-    -> blur -> lowlight (fixes ground-truth semantics)."""
+def _by_kind(specs) -> dict:
     by_kind = {}
     for s in specs:
         if s.kind in by_kind:
             raise ValueError(f"duplicate degradation kind {s.kind!r}")
         by_kind[s.kind] = s
+    return by_kind
+
+
+def render(clean: np.ndarray, specs) -> np.ndarray:
+    """Apply specs in the canonical composition order haze -> rain -> snow
+    -> blur -> lowlight (fixes ground-truth semantics)."""
+    by_kind = _by_kind(specs)
     out = clean.copy()
     for kind in RENDER_ORDER:
         if kind in by_kind:
@@ -257,14 +262,23 @@ def render(clean: np.ndarray, specs) -> np.ndarray:
 
 def compose_sample(clean: np.ndarray, present_specs, removed_kinds):
     """Render the degraded image (all specs) and the ground truth (specs
-    not being removed, identical parameter values)."""
+    not being removed, identical parameter values).
+
+    Both share the kinds that come before the first removed one in
+    RENDER_ORDER; that prefix is rendered once and both images branch from
+    it, which gives the same bits as rendering each from the clean image.
+    """
     removed = set(removed_kinds)
-    present = {s.kind for s in present_specs}
+    by_kind = _by_kind(present_specs)
     if not removed:
         raise ValueError("removed set must be non-empty")
-    if not removed <= present:
-        raise ValueError(f"removed {removed} not a subset of present {present}")
-    degraded = render(clean, present_specs)
-    kept = [s for s in present_specs if s.kind not in removed]
-    gt = render(clean, kept)
+    if not removed <= by_kind.keys():
+        raise ValueError(f"removed {removed} not a subset of present {set(by_kind)}")
+    order = [kind for kind in RENDER_ORDER if kind in by_kind]
+    split = min(order.index(kind) for kind in removed)
+    degraded = gt = render(clean, [by_kind[kind] for kind in order[:split]])
+    for kind in order[split:]:
+        degraded = apply_spec(degraded, by_kind[kind])
+        if kind not in removed:
+            gt = apply_spec(gt, by_kind[kind])
     return degraded, gt

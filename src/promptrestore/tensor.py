@@ -7,6 +7,12 @@ resize, embedding lookup and a small elementwise suite. Forward ops never
 mutate their inputs; gradients are recorded on an explicit Tape and
 replayed in reverse.
 
+Non-finite checks: with checks on (the default; see no_nan_checks) every op
+scans its output for NaN/Inf in `_finish` and raises NonFiniteError, except
+reshape and transpose of a checked tensor: those hold the same values as
+their input, so they are not scanned again. A view of a leaf, or of an op
+output made under no_nan_checks, is scanned.
+
 Layout conventions:
   * arrays are float64 (or the float32 default dtype); op outputs are
     row-major, except depthwise conv2d, which returns a [C,H,W] transposed
@@ -78,9 +84,12 @@ class no_nan_checks:
     """Context manager that disables non-finite output detection in its block.
 
     Checks are on by default, the debug/test behaviour: any op whose output
-    contains NaN/Inf raises NonFiniteError. Inside the block NaN/Inf
-    propagate silently (release behaviour for long training runs). The
-    switch is per thread.
+    contains NaN/Inf raises NonFiniteError. Every op scans its output, but
+    reshape and transpose skip the scan when their input was itself checked
+    (its `checked` is True). Inside the block NaN/Inf propagate silently
+    (release behaviour for long training runs) and outputs stay unchecked,
+    so a view of one is scanned once checks are back on. The switch is per
+    thread.
     """
 
     def __enter__(self):
@@ -93,21 +102,21 @@ class no_nan_checks:
         return False
 
 
-def _check_finite(arr: np.ndarray, opname: str) -> None:
-    if getattr(_state, "nan_checks", True) and not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{opname} produced non-finite values")
-
-
 class Tensor:
-    """A dense float64 array that can participate in gradient recording."""
+    """A dense float64 array that can participate in gradient recording.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    `checked` is True when the values are known finite: the op that made the
+    tensor scanned them, or it is a view of a tensor that was.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "checked")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=DTYPE)
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
+        self.checked = False
 
     @property
     def shape(self):
@@ -204,9 +213,15 @@ def _as_tensor(x) -> Tensor:
 
 
 def _finish(out_data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
-            opname: str) -> Tensor:
-    _check_finite(out_data, opname)
+            opname: str, checked: bool = False) -> Tensor:
+    # checked: out_data holds values already known finite (a view of a
+    # checked input), so the scan is skipped
+    if not checked and getattr(_state, "nan_checks", True):
+        if not np.all(np.isfinite(out_data)):
+            raise NonFiniteError(f"{opname} produced non-finite values")
+        checked = True
     out = Tensor(out_data)
+    out.checked = checked
     tape = active_tape()
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -314,7 +329,7 @@ def mean_all(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.shape
     out = x.data.reshape(shape)
-    return _finish(out, (x,), lambda g: (g.reshape(old),), "reshape")
+    return _finish(out, (x,), lambda g: (g.reshape(old),), "reshape", x.checked)
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
@@ -324,7 +339,7 @@ def transpose(x: Tensor, axes=None) -> Tensor:
     inv = tuple(np.argsort(axes))
     # a view; ops that need contiguity make their own copies
     return _finish(x.data.transpose(axes), (x,),
-                   lambda g: (g.transpose(inv),), "transpose")
+                   lambda g: (g.transpose(inv),), "transpose", x.checked)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -379,9 +394,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     xd = x.data
-    shifted = xd - xd.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = xd - xd.max(axis=axis, keepdims=True)   # the one output array
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -403,11 +418,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
         raise ShapeError("layer_norm: gamma/beta must match normalized extent")
     if axis != -1 and axis != xd.ndim - 1:
         raise ShapeError("layer_norm: only the last axis is supported")
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
-    out = xhat * gamma.data + beta.data
+    # the row mean is a GEMV against a 1/n vector, the variance a row-wise dot
+    # of the centred rows; at most two arrays of x's size: xhat, and out only
+    # when the op is taped (backward reads xhat), else xhat becomes out in place
+    taped = active_tape() is not None and any(p.requires_grad for p in (x, gamma, beta))
+    x2 = xd.reshape(-1, n)
+    xhat = x2 - (x2 @ np.full(n, 1.0 / n, dtype=x2.dtype))[:, None]
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + eps)[:, None]
+    xhat *= inv
+    out = xhat * gamma.data if taped else np.multiply(xhat, gamma.data, out=xhat)
+    out += beta.data
+    xhat = xhat.reshape(xd.shape)
+    inv = inv.reshape(*xd.shape[:-1], 1)
 
     def backward(g):
         gxh = g * gamma.data
@@ -419,7 +441,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
         dbeta = g.sum(axis=red) if red else g
         return dx, dgamma, dbeta
 
-    return _finish(out, (x, gamma, beta), backward, "layer_norm")
+    return _finish(out.reshape(xd.shape), (x, gamma, beta), backward, "layer_norm")
 
 
 # ---------------------------------------------------------------------------

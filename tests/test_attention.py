@@ -46,6 +46,20 @@ def test_two_by_two_hand_case():
     np.testing.assert_allclose(out[0], attention_oracle(q, k, v), atol=1e-12)
 
 
+@pytest.mark.parametrize("heads", [1, 3])
+@pytest.mark.parametrize("n_q,n_k", [(4, 13), (13, 4), (7, 7)])
+def test_attend_matches_dense_oracle(n_q, n_k, heads):
+    # both logit layouts (query-major for n_q <= n_k, key-major otherwise)
+    r = rng(n_q * 100 + n_k * 10 + heads)
+    q, k = r.normal(size=(heads, n_q, 5)), r.normal(size=(heads, n_k, 5))
+    v = r.normal(size=(heads, n_k, 6))
+    out = _attend(Tensor(q), Tensor(k), Tensor(v)).data
+    assert out.shape == (heads, n_q, 6)
+    for h in range(heads):
+        np.testing.assert_allclose(out[h], attention_oracle(q[h], k[h], v[h]),
+                                   rtol=1e-12, atol=1e-12)
+
+
 def test_dim_mismatch():
     with pytest.raises(T.ShapeError):
         _attend(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 4, 5))),

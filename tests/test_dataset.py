@@ -159,9 +159,20 @@ def test_build_dataset_from_source_dir(tmp_path):
         assert read_ppm(out / rec.degraded_path).shape == (16, 16, 3)
 
 
+def test_build_dataset_rejects_pool_image_of_another_size(tmp_path):
+    src = tmp_path / "pool"
+    src.mkdir()
+    write_ppm(src / "a_square.ppm", np.full((16, 16, 3), 0.5))
+    write_ppm(src / "wide.ppm", np.full((24, 40, 3), 0.5))
+    cfg = D.DatasetConfig(count=4, image_size=16, seed=1, source_dir=str(src))
+    with pytest.raises(ValueError, match=r"wide\.ppm: pool image has shape \(24, 40, 3\)"):
+        D.build_dataset(cfg, tmp_path / "out")
+    assert not (tmp_path / "out" / "manifest.jsonl").exists()
+
+
 def test_load_clean_pool_without_ppm_files_raises(tmp_path):
     with pytest.raises(FileNotFoundError, match="no .ppm images"):
-        D.load_clean_pool(tmp_path)
+        D.load_clean_pool(tmp_path, 16)
     (tmp_path / "notes.txt").write_text("not an image")
     with pytest.raises(FileNotFoundError, match="no .ppm images"):
-        D.load_clean_pool(tmp_path)
+        D.load_clean_pool(tmp_path, 16)

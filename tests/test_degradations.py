@@ -124,3 +124,27 @@ def test_compose_sample_rejects_bad_removal_sets():
         G.compose_sample(img, specs, [])
     with pytest.raises(ValueError, match="not a subset"):
         G.compose_sample(img, specs, ["rain", "snow"])
+
+
+def test_compose_sample_renders_the_kept_prefix_once(monkeypatch):
+    # every (present, removed) pair over the five kinds: the degraded image and
+    # the ground truth equal rendering each from the clean image, and each
+    # spec before the first removed kind in RENDER_ORDER is applied once
+    img = _image(12, 12)
+    calls = []
+    apply_spec = G.apply_spec
+    monkeypatch.setattr(G, "apply_spec", lambda im, s: calls.append(s.kind) or apply_spec(im, s))
+    for k in range(1, len(G.KINDS) + 1):
+        for present in itertools.combinations(G.KINDS, k):
+            specs = [_spec(kind, 0.5) for kind in present]
+            for r in range(1, k + 1):
+                for removed in itertools.combinations(present, r):
+                    kept = [s for s in specs if s.kind not in removed]
+                    want = G.render(img, specs), G.render(img, kept)
+                    calls.clear()
+                    degraded, gt = G.compose_sample(img, specs, removed)
+                    assert np.array_equal(degraded, want[0]) and np.array_equal(gt, want[1])
+                    order = [kind for kind in G.RENDER_ORDER if kind in present]
+                    split = min(order.index(kind) for kind in removed)
+                    after = [kind for kind in order[split:] if kind not in removed]
+                    assert sorted(calls) == sorted(order + after), (present, removed)

@@ -7,7 +7,7 @@ from promptrestore import tensor as T
 from promptrestore.gradcheck import check_gradients
 from promptrestore.tensor import Tape, Tensor
 
-from helpers import adaptive_pool_oracle, conv2d_oracle, matmul_oracle
+from helpers import adaptive_pool_oracle, conv2d_oracle, matmul_oracle, softmax_oracle
 
 
 def rand(*shape, seed=0, lo=-1.0, hi=1.0):
@@ -135,6 +135,27 @@ def test_softmax_shift_invariance():
     a = T.softmax(Tensor(x), axis=-1).data
     b = T.softmax(Tensor(x + 13.5), axis=-1).data
     assert np.abs(a - b).max() < 1e-12
+
+
+@pytest.mark.parametrize("axis", [-1, -2])
+def test_softmax_matches_oracle_on_either_axis(axis):
+    x = rand(2, 5, 7, seed=12, lo=-4, hi=4)
+    np.testing.assert_allclose(T.softmax(Tensor(x), axis=axis).data,
+                               softmax_oracle(x, axis=axis), rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("c", [1, 7, 85])
+def test_layer_norm_matches_two_pass_oracle(c):
+    x = rand(3, 4, c, seed=c, lo=-3, hi=5)
+    g, b = rand(c, seed=c + 1, lo=0.5, hi=1.5), rand(c, seed=c + 2)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    want = (x - mu) / np.sqrt(var + 1e-6) * g + b
+    out = T.layer_norm(Tensor(x), Tensor(g), Tensor(b)).data
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+    with Tape():   # taped, out is a second array next to the xhat backward reads
+        taped = T.layer_norm(Tensor(x, requires_grad=True), Tensor(g), Tensor(b)).data
+    np.testing.assert_array_equal(taped, out)
 
 
 def test_layer_norm_constant_slice_is_zero():
@@ -318,6 +339,23 @@ def test_nan_detection_raises_and_can_be_disabled():
             T.add(bad, bad)
 
 
+@pytest.mark.parametrize("view", [lambda t: T.transpose(t), lambda t: T.reshape(t, (-1,))],
+                         ids=["transpose", "reshape"])
+def test_view_scans_unless_its_input_was_checked(view):
+    bad = np.array([[1.0, np.inf], [2.0, 3.0]])
+    with pytest.raises(T.NonFiniteError):          # a leaf is never checked
+        view(Tensor(bad))
+    y = T.add(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
+    assert y.checked
+    y.data[0, 1] = np.inf                          # invisible to a view: no re-scan
+    assert view(y).checked and view(view(y)).checked
+    with T.no_nan_checks():
+        z = T.add(Tensor(bad), Tensor(bad))
+    assert not z.checked
+    with pytest.raises(T.NonFiniteError):          # checks are on again
+        view(z)
+
+
 # ---------------------------------------------------------------------------
 # backward
 
@@ -365,7 +403,7 @@ def test_backward_softmax_cross_entropy_vs_finite_differences():
 
 @pytest.mark.parametrize("op_name", [
     "conv", "grouped_conv", "depthwise", "layer_norm", "pool", "shuffle", "resize",
-    "sigmoid", "clamp", "concat", "abs", "bias", "linear", "embedding",
+    "sigmoid", "clamp", "concat", "abs", "bias", "linear", "embedding", "softmax_axis",
 ])
 def test_backward_each_op_vs_finite_differences(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -435,6 +473,12 @@ def test_backward_each_op_vs_finite_differences(op_name):
         b = Tensor(rng.uniform(-1, 1, 5), requires_grad=True)
         fn = lambda: T.sum_all(T.gelu(T.add_bias(T.matmul(x, w), b)))
         params = [x, w, b]
+    elif op_name == "softmax_axis":
+        x = Tensor(rng.uniform(-2, 2, (2, 5, 4)), requires_grad=True)
+        # columns of a softmax over axis -2 sum to 1, so weight them
+        c = Tensor(rng.uniform(0.5, 1.5, (2, 5, 4)))
+        fn = lambda: T.sum_all(T.mul(T.softmax(x, axis=-2), c))
+        params = [x]
     else:  # embedding
         w = Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
         ids = np.array([0, 2, 2, 5])

@@ -1,0 +1,115 @@
+"""Numerics check between two checkouts of promptrestore.
+
+    python3 tools/numcheck.py dump <checkout> <out.npz>
+    python3 tools/numcheck.py compare <parent.npz> <change.npz> [<change2.npz>]
+
+`dump` imports promptrestore from <checkout>/src and saves, for fixed seeds,
+the outputs of `RestorationModel.restore` (restored image and logits), the
+loss of a taped L1 + mean-logit loss and every parameter gradient:
+
+  toy     TOY_CONFIG at 64x64, forward and backward
+  micro   MICRO_CONFIG at 16x16, forward and backward
+  toy128  TOY_CONFIG at 128x128, forward only (twice the native resolution,
+          so the position encodings are resized)
+
+`compare` prints, over the arrays of both files, the worst difference scaled
+by max(1, max|parent|), how many arrays are bit-equal and which exceed
+1e-12 * max(1, max|parent|). With a third file it also reports whether the
+two change runs are bit-identical. It exits 1 when an array is over the
+tolerance, a key is missing, or the change runs differ.
+
+Both subcommands pin BLAS to one thread, as the benchmark does.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"        # before numpy loads BLAS
+
+import argparse           # noqa: E402
+import sys                # noqa: E402
+
+import numpy as np        # noqa: E402
+
+TOLERANCE = 1e-12
+PROMPT = "remove the rain and the haze"
+
+
+def dump(checkout: str, out_path: str) -> None:
+    sys.path.insert(0, os.path.join(checkout, "src"))
+    from promptrestore import tensor as T
+    from promptrestore.model import MICRO_CONFIG, TOY_CONFIG, RestorationModel
+
+    out = {}
+    for tag, cfg, size, taped in (("toy", TOY_CONFIG, 64, True),
+                                  ("micro", MICRO_CONFIG, 16, True),
+                                  ("toy128", TOY_CONFIG, 128, False)):
+        m = RestorationModel(cfg, seed=3)
+        rng = np.random.default_rng(11)
+        # output_conv is zero-initialised, which would make restored == input
+        # and stop every gradient behind it
+        m.output_conv.weight.data = rng.normal(0.0, 0.02, m.output_conv.weight.shape)
+        img, gt = rng.uniform(0, 1, (size, size, 3)), rng.uniform(0, 1, (size, size, 3))
+        r = m.restore(img, PROMPT)
+        out[f"{tag}.restored"], out[f"{tag}.logits"] = r.restored.data, r.logits.data
+        if not taped:
+            continue
+        with T.Tape() as tape:
+            r = m.restore(T.Tensor(img), PROMPT)
+            loss = T.add(T.mean_all(T.absolute(T.sub(r.restored, T.Tensor(gt)))),
+                         T.mean_all(r.logits))
+        tape.backward(loss)
+        out[f"{tag}.loss"] = loss.data
+        out.update({f"{tag}.grad.{n}": p.grad for n, p in m.named_parameters()})
+    np.savez(out_path, **out)
+    print(f"{len(out)} arrays written to {out_path}")
+
+
+def compare(parent_path: str, change_path: str, change2_path: str | None) -> bool:
+    a, b = np.load(parent_path), np.load(change_path)
+    ok = True
+    missing = sorted(set(a.files) ^ set(b.files))
+    if missing:
+        print(f"keys in only one file: {missing}")
+        ok = False
+    worst, bad, equal = 0.0, [], 0
+    for key in sorted(set(a.files) & set(b.files)):
+        x, y = a[key], b[key]
+        scale = max(1.0, float(np.abs(x).max()))
+        d = float(np.abs(x - y).max())
+        worst = max(worst, d / scale)
+        equal += bool(np.array_equal(x, y))
+        if not d <= TOLERANCE * scale:
+            bad.append((key, d))
+    print(f"{len(a.files)} arrays, worst scaled diff {worst:.3g}, {equal} bit-equal, "
+          f"over tolerance: {bad}")
+    ok = ok and not bad
+    if change2_path is not None:
+        c = np.load(change2_path)
+        same = b.files == c.files and all(np.array_equal(b[k], c[k]) for k in b.files)
+        print(f"change runs bit-identical: {same}")
+        ok = ok and same
+    return ok
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    d = sub.add_parser("dump", help="save restore outputs and gradients of a checkout")
+    d.add_argument("checkout")
+    d.add_argument("out")
+    c = sub.add_parser("compare", help="compare a parent dump with one or two change dumps")
+    c.add_argument("parent")
+    c.add_argument("change")
+    c.add_argument("change2", nargs="?")
+    args = ap.parse_args()
+    if args.cmd == "dump":
+        dump(args.checkout, args.out)
+        return 0
+    return 0 if compare(args.parent, args.change, args.change2) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
