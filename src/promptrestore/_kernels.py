@@ -7,8 +7,7 @@ transposed [C,H,W] view of a fresh [H,W,C] array. No padded copy is made:
 each of the 9 taps accumulates a shifted slice, a block of rows at a time.
 The contract tests compare every kernel against an independent oracle.
 
-All kernels are dtype-generic: they inherit the input array's dtype, which
-is how the optional float32 compute mode stays fast.
+All kernels are dtype-generic: they inherit the input array's dtype.
 """
 
 from __future__ import annotations

@@ -36,10 +36,6 @@ class AttnConfig:
         if self.agent_h * self.agent_w > self.height * self.width:
             raise ValueError("agent grid larger than spatial grid")
 
-    @property
-    def head_dim(self) -> int:
-        return self.channels // self.heads
-
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
     # [..., C] -> [heads, N, C/heads], N the product of the leading axes

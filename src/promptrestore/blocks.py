@@ -29,18 +29,12 @@ class BlockConfig:
     width: int
     gdfn_expansion: float = 2.66
 
-    @property
-    def hidden(self) -> int:
-        return max(1, round(self.channels * self.gdfn_expansion))
-
 
 class GatedDConvFFN(Module):
     """Two 1x1-conv + depthwise-3x3 paths; GELU(path1) gates path2."""
 
-    def __init__(self, channels: int, rng: np.random.Generator,
-                 expansion: float = 2.66):
+    def __init__(self, channels: int, rng: np.random.Generator, expansion: float):
         h = max(1, round(channels * expansion))
-        self.hidden = h
         self.proj1 = Linear(channels, h, rng)
         self.proj2 = Linear(channels, h, rng)
         self.dw1 = Conv2d(h, h, 3, rng, padding=1, groups=h)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -22,12 +22,14 @@ from .degradations import (KINDS, DegradationSpec, compose_sample)
 SPLITS = ("train", "val", "test")
 CATEGORIES = ("1-1", "2-1", "2-2", "3-1", "3-2", "3-3")
 
-# Table-style defaults: share of one/two/three-degradation images, the
-# partial/global removal split inside each, and the train/val/test split
+# Table-style mix: share of one/two/three-degradation images, the
+# partial/global removal split inside each, the train/val/test split, and the
+# range each degradation's severity beta is drawn from
 GROUP_FRACTIONS = (0.476, 0.381, 0.143)
 DOUBLE_REMOVAL_FRACTIONS = (0.8, 0.2)          # 2-1 vs 2-2
 TRIPLE_REMOVAL_FRACTIONS = (0.4, 0.4, 0.2)     # 3-1, 3-2, 3-3
 SPLIT_FRACTIONS = (0.7, 0.1, 0.2)
+BETA_RANGE = (0.3, 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +136,10 @@ class SampleRecord:
                              f"inconsistent with sets ({expect})")
         if self.split not in SPLITS:
             raise ValueError(f"record {self.id}: bad split {self.split!r}")
+        kinds = [s.kind for s in self.spec_objects()]
+        if sorted(kinds) != sorted(self.present) or len(set(kinds)) != len(kinds):
+            raise ValueError(f"record {self.id}: spec kinds {kinds} are not "
+                             f"exactly present {self.present}")
 
     def spec_objects(self) -> list[DegradationSpec]:
         return [DegradationSpec.from_dict(d) for d in self.specs]
@@ -149,11 +155,27 @@ def write_manifest(records, path) -> None:
 
 
 def read_manifest(path) -> list[SampleRecord]:
+    """Records of a JSON-lines manifest, each validated. Bad JSON, missing or
+    unknown keys and invalid records or specs raise ValueError naming
+    path:line."""
+    keys = {f.name for f in fields(SampleRecord)}
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(SampleRecord(**json.loads(line)))
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+                missing, unknown = sorted(keys - row.keys()), sorted(row.keys() - keys)
+                if missing or unknown:
+                    raise ValueError(f"missing keys {missing}, unknown keys {unknown}")
+                rec = SampleRecord(**row)
+                rec.validate()
+            except (TypeError, ValueError) as e:   # JSONDecodeError is a ValueError
+                raise ValueError(f"{path}:{lineno}: {e}") from e
+            records.append(rec)
     return records
 
 
@@ -220,9 +242,6 @@ class DatasetConfig:
     count: int = 500
     image_size: int = 64
     seed: int = 0
-    beta_range: tuple[float, float] = (0.3, 0.9)
-    group_fractions: tuple[float, float, float] = GROUP_FRACTIONS
-    split_fractions: tuple[float, float, float] = SPLIT_FRACTIONS
     source_dir: str | None = None   # optional pool of clean .ppm images
 
 
@@ -235,8 +254,8 @@ def _largest_remainder(total: int, fractions) -> list[int]:
     return counts
 
 
-def category_counts(total: int, group_fractions=GROUP_FRACTIONS) -> dict[str, int]:
-    one, two, three = _largest_remainder(total, group_fractions)
+def category_counts(total: int) -> dict[str, int]:
+    one, two, three = _largest_remainder(total, GROUP_FRACTIONS)
     out = {"1-1": one}
     d21, d22 = _largest_remainder(two, DOUBLE_REMOVAL_FRACTIONS)
     out.update({"2-1": d21, "2-2": d22})
@@ -248,8 +267,8 @@ def category_counts(total: int, group_fractions=GROUP_FRACTIONS) -> dict[str, in
 def _assignments(cfg: DatasetConfig) -> list[tuple[str, str]]:
     """Deterministic (category, split) pair per sample id."""
     pairs = []
-    for cat, n in category_counts(cfg.count, cfg.group_fractions).items():
-        split_n = _largest_remainder(n, cfg.split_fractions)
+    for cat, n in category_counts(cfg.count).items():
+        split_n = _largest_remainder(n, SPLIT_FRACTIONS)
         for split, k in zip(SPLITS, split_n):
             pairs.extend([(cat, split)] * k)
     rng = np.random.default_rng((cfg.seed, 0xC0FFEE))
@@ -257,7 +276,7 @@ def _assignments(cfg: DatasetConfig) -> list[tuple[str, str]]:
     return pairs
 
 
-def _sample_specs(rng, category: str, size: int, b_lo: float, b_hi: float):
+def _sample_specs(rng, category: str):
     n_present, n_removed = (int(x) for x in category.split("-"))
     present = sorted(rng.choice(len(KINDS), size=n_present, replace=False))
     present = [KINDS[i] for i in present]
@@ -265,7 +284,7 @@ def _sample_specs(rng, category: str, size: int, b_lo: float, b_hi: float):
     removed = [present[i] for i in removed_idx]
     specs = []
     for kind in present:
-        beta = float(rng.uniform(b_lo, b_hi))
+        beta = float(rng.uniform(*BETA_RANGE))
         stream = int(rng.integers(0, 2 ** 63 - 1))
         if kind == "blur":
             gamma = float(rng.uniform(0.0, 180.0))
@@ -287,7 +306,6 @@ def build_dataset(cfg: DatasetConfig, out_dir) -> str:
     img_dir = os.path.join(out_dir, "images")
     os.makedirs(img_dir, exist_ok=True)
     pool = load_clean_pool(cfg.source_dir, cfg.image_size) if cfg.source_dir else None
-    b_lo, b_hi = cfg.beta_range
     records = []
     for sample_id, (category, split) in enumerate(_assignments(cfg)):
         rng = np.random.default_rng((cfg.seed, sample_id))
@@ -295,7 +313,7 @@ def build_dataset(cfg: DatasetConfig, out_dir) -> str:
             clean = generate_clean_image(rng, cfg.image_size)
         else:
             clean = pool[int(rng.integers(len(pool)))]
-        specs, removed = _sample_specs(rng, category, cfg.image_size, b_lo, b_hi)
+        specs, removed = _sample_specs(rng, category)
         present = [s.kind for s in specs]
         degraded, gt = compose_sample(clean, specs, removed)
         paths = {}

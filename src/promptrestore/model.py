@@ -238,11 +238,7 @@ _VERSION = 1
 
 
 def save_checkpoint(model: RestorationModel, path) -> None:
-    """Write parameters in declaration order plus config and vocab hash.
-
-    The vocab itself is written next to the checkpoint as <path>.vocab.txt
-    (one token per line, line index = id).
-    """
+    """Write parameters in declaration order plus config and vocab hash."""
     cfg_blob = model.config.serialize().encode("utf-8")
     arrays = model.state_arrays()
     buf = io.BytesIO()
@@ -255,11 +251,8 @@ def save_checkpoint(model: RestorationModel, path) -> None:
     for a in arrays:
         buf.write(struct.pack("<Q", a.size))
         buf.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    path = str(path)
-    with open(path, "wb") as fh:
+    with open(str(path), "wb") as fh:
         fh.write(buf.getvalue())
-    with open(path + ".vocab.txt", "w", encoding="utf-8") as fh:
-        fh.write(model.vocab.serialize())
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -273,7 +266,8 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> RestorationModel
     """Rebuild a model from a checkpoint.
 
     When config is given it must equal the stored one (guards against
-    loading weights into a differently shaped model).
+    loading weights into a differently shaped model). A non-finite
+    parameter, or bytes after the last array, raise CheckpointError.
     """
     with open(str(path), "rb") as fh:
         if _read_exact(fh, 4) != _MAGIC:
@@ -301,4 +295,8 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> RestorationModel
             raw = _read_exact(fh, numel * 8)
             p.data = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape) \
                 .astype(T.DTYPE)
+            if not np.isfinite(p.data).all():
+                raise CheckpointError(f"parameter {name}: non-finite values")
+        if fh.read(1):
+            raise CheckpointError("trailing bytes after the last array")
     return model

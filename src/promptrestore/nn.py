@@ -8,7 +8,7 @@ that layout.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -40,9 +40,6 @@ class Module:
     def parameters(self) -> Iterator[Tensor]:
         for _, p in self.named_parameters():
             yield p
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -81,17 +78,13 @@ class Linear(Module):
     """y = x @ weight + bias on the last axis of x [..., in_features];
     weight stored [in_features, out_features]."""
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
-                 bias: bool = True):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.weight = xavier_uniform(rng, (in_features, out_features),
                                      in_features, out_features)
-        self.bias = param(np.zeros(out_features)) if bias else None
+        self.bias = param(np.zeros(out_features))
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.weight)
-        if self.bias is not None:
-            y = T.add_bias(y, self.bias)
-        return y
+        return T.add_bias(T.matmul(x, self.weight), self.bias)
 
 
 class Conv2d(Module):
@@ -100,7 +93,7 @@ class Conv2d(Module):
 
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
                  stride: int = 1, padding: int = 0, groups: int = 1,
-                 bias: bool = True, zero_init: bool = False):
+                 zero_init: bool = False):
         fan_in = (c_in // groups) * kernel * kernel
         fan_out = (c_out // groups) * kernel * kernel
         shape = (c_out, c_in // groups, kernel, kernel)
@@ -108,7 +101,7 @@ class Conv2d(Module):
             self.weight = param(np.zeros(shape))
         else:
             self.weight = xavier_uniform(rng, shape, fan_in, fan_out)
-        self.bias = param(np.zeros(c_out)) if bias else None
+        self.bias = param(np.zeros(c_out))
         self.stride, self.padding, self.groups = stride, padding, groups
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -118,10 +111,9 @@ class Conv2d(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-6):
+    def __init__(self, dim: int):
         self.gamma = param(np.ones(dim))
         self.beta = param(np.zeros(dim))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)

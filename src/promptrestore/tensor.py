@@ -14,9 +14,8 @@ their input, so they are not scanned again. A view of a leaf, or of an op
 output made under no_nan_checks, is scanned.
 
 Layout conventions:
-  * arrays are float64 (or the float32 default dtype); op outputs are
-    row-major, except depthwise conv2d, which returns a [C,H,W] transposed
-    view of a channels-last [H,W,C] array
+  * arrays are float64; op outputs are row-major, except depthwise conv2d,
+    which returns a [C,H,W] transposed view of a channels-last [H,W,C] array
   * every image op is channels-last [H,W,C] (pixel shuffle / unshuffle,
     adaptive pooling, bilinear resize) except conv2d, which takes [C,H,W];
     nn.Conv2d is the one caller that transposes to and from it
@@ -26,6 +25,7 @@ Layout conventions:
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -35,25 +35,7 @@ from numpy.lib.stride_tricks import as_strided
 from . import _kernels
 
 DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Switch the compute precision for newly created tensors.
-
-    float64 is the default (and what the gradient checks require); float32
-    roughly halves memory traffic and is offered for long training runs.
-    Parameters must be created under the same mode as the activations they
-    meet, so switch before building a model.
-    """
-    global DTYPE
-    dtype = np.dtype(dtype).type
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("supported dtypes: float32, float64")
-    DTYPE = dtype
-
-
-def default_dtype():
-    return DTYPE
+_LN_EPS = 1e-6  # inside layer_norm's sqrt denominator
 
 
 class ShapeError(ValueError):
@@ -260,10 +242,6 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _finish(x.data * c, (x,), lambda g: (g * c,), "scale")
 
 
-def neg(x: Tensor) -> Tensor:
-    return _finish(-x.data, (x,), lambda g: (-g,), "neg")
-
-
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """x + b with b broadcast over x's leading axes (b matches trailing dims)."""
     if x.shape[x.ndim - b.ndim:] != b.shape:
@@ -281,12 +259,6 @@ def gelu(x: Tensor) -> Tensor:
     return _finish(out, (x,), lambda g: (g * slope,), "gelu")
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # exp overflow saturates to exact 0/1
-        s = 1.0 / (1.0 + np.exp(-x.data))
-    return _finish(s, (x,), lambda g: (g * s * (1.0 - s),), "sigmoid")
-
-
 def exp(x: Tensor) -> Tensor:
     y = np.exp(x.data)
     return _finish(y, (x,), lambda g: (g * y,), "exp")
@@ -300,12 +272,6 @@ def log(x: Tensor) -> Tensor:
 def absolute(x: Tensor) -> Tensor:
     xd = x.data
     return _finish(np.abs(xd), (x,), lambda g: (g * np.sign(xd),), "abs")
-
-
-def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    xd = x.data
-    mask = (xd >= lo) & (xd <= hi)
-    return _finish(np.clip(xd, lo, hi), (x,), lambda g: (g * mask,), "clamp")
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -332,9 +298,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _finish(out, (x,), lambda g: (g.reshape(old),), "reshape", x.checked)
 
 
-def transpose(x: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(x.ndim)))
+def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     # a view; ops that need contiguity make their own copies
@@ -405,26 +369,23 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _finish(y, (x,), backward, "softmax")
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
-               eps: float = 1e-6) -> Tensor:
-    """Normalize one axis to zero mean / unit variance, then scale and shift.
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
     gamma/beta are 1-d with the normalized extent. eps = 1e-6 sits inside
     the sqrt denominator.
     """
     xd = x.data
-    n = xd.shape[axis]
+    n = xd.shape[-1]
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ShapeError("layer_norm: gamma/beta must match normalized extent")
-    if axis != -1 and axis != xd.ndim - 1:
-        raise ShapeError("layer_norm: only the last axis is supported")
     # the row mean is a GEMV against a 1/n vector, the variance a row-wise dot
     # of the centred rows; at most two arrays of x's size: xhat, and out only
     # when the op is taped (backward reads xhat), else xhat becomes out in place
     taped = active_tape() is not None and any(p.requires_grad for p in (x, gamma, beta))
     x2 = xd.reshape(-1, n)
     xhat = x2 - (x2 @ np.full(n, 1.0 / n, dtype=x2.dtype))[:, None]
-    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + eps)[:, None]
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + _LN_EPS)[:, None]
     xhat *= inv
     out = xhat * gamma.data if taped else np.multiply(xhat, gamma.data, out=xhat)
     out += beta.data
@@ -555,40 +516,31 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # pooling / resize (both are linear maps realized as row/col matrix sandwiches)
 
-_pool_cache: dict[tuple, np.ndarray] = {}
-_resize_cache: dict[tuple, np.ndarray] = {}
 
-
+@functools.cache
 def _pool_matrix(n_in: int, n_out: int) -> np.ndarray:
-    key = (n_in, n_out, DTYPE)
-    m = _pool_cache.get(key)
-    if m is None:
-        m = np.zeros((n_out, n_in), dtype=DTYPE)
-        for i in range(n_out):
-            lo = (i * n_in) // n_out
-            hi = -(-(i + 1) * n_in // n_out)  # ceil
-            m[i, lo:hi] = 1.0 / (hi - lo)
-        _pool_cache[key] = m
+    m = np.zeros((n_out, n_in), dtype=DTYPE)
+    for i in range(n_out):
+        lo = (i * n_in) // n_out
+        hi = -(-(i + 1) * n_in // n_out)  # ceil
+        m[i, lo:hi] = 1.0 / (hi - lo)
     return m
 
 
+@functools.cache
 def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     # bilinear weights, align_corners convention (endpoints map to endpoints)
-    key = (n_in, n_out, DTYPE)
-    m = _resize_cache.get(key)
-    if m is None:
-        m = np.zeros((n_out, n_in), dtype=DTYPE)
-        if n_out == 1 or n_in == 1:
-            m[:, 0] = 1.0
-        else:
-            pos = np.arange(n_out) * (n_in - 1) / (n_out - 1)
-            lo = np.floor(pos).astype(int)
-            hi = np.minimum(lo + 1, n_in - 1)
-            frac = pos - lo
-            for i in range(n_out):
-                m[i, lo[i]] += 1.0 - frac[i]
-                m[i, hi[i]] += frac[i]
-        _resize_cache[key] = m
+    m = np.zeros((n_out, n_in), dtype=DTYPE)
+    if n_out == 1 or n_in == 1:
+        m[:, 0] = 1.0
+    else:
+        pos = np.arange(n_out) * (n_in - 1) / (n_out - 1)
+        lo = np.floor(pos).astype(int)
+        hi = np.minimum(lo + 1, n_in - 1)
+        frac = pos - lo
+        for i in range(n_out):
+            m[i, lo[i]] += 1.0 - frac[i]
+            m[i, hi[i]] += frac[i]
     return m
 
 

@@ -29,10 +29,8 @@ _PUNCT = (",", ".")
 class Vocab:
     """token -> id map; ids follow sorted token order for reproducibility."""
 
-    def __init__(self, tokens=None):
-        if tokens is None:
-            tokens = sorted({PAD, UNK, *_TEMPLATE_WORDS, *_KINDS, *_PUNCT})
-        self.tokens = list(tokens)
+    def __init__(self):
+        self.tokens = sorted({PAD, UNK, *_TEMPLATE_WORDS, *_KINDS, *_PUNCT})
         self.index = {t: i for i, t in enumerate(self.tokens)}
         self.pad_id = self.index[PAD]
         self.unk_id = self.index[UNK]
@@ -46,10 +44,6 @@ class Vocab:
     def serialize(self) -> str:
         # one token per line, line index = id
         return "\n".join(self.tokens) + "\n"
-
-    @classmethod
-    def deserialize(cls, text: str) -> "Vocab":
-        return cls([line for line in text.splitlines() if line])
 
     def content_hash(self) -> bytes:
         return hashlib.sha256(self.serialize().encode("utf-8")).digest()

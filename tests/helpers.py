@@ -1,10 +1,14 @@
-"""Shared brute-force oracles for contract tests.
+"""Shared brute-force oracles and the gradient checker for contract tests.
 
-Everything here is deliberately written as plain loops / direct formulas so
-it stays independent of the library code paths it checks.
+The oracles are deliberately written as plain loops / direct formulas so
+they stay independent of the library code paths they check.
 """
 
+from typing import Callable, Optional, Sequence
+
 import numpy as np
+
+from promptrestore.tensor import Tape, Tensor
 
 
 def matmul_oracle(a, b):
@@ -147,3 +151,62 @@ def clean_image_oracle(rng, size):
     if mean < 0.35:
         img = np.clip(img + (0.35 - mean), 0.0, 1.0)
     return img
+
+
+# ---------------------------------------------------------------------------
+# central-difference gradient checking against the tape
+
+
+def numeric_grad(f: Callable[[], float], x: Tensor, index: int,
+                 h: float = 1e-5) -> float:
+    """d f / d x.flat[index] by central differences, restoring x afterwards."""
+    flat = x.data.reshape(-1)
+    orig = flat[index]
+    flat[index] = orig + h
+    fp = f()
+    flat[index] = orig - h
+    fm = f()
+    flat[index] = orig
+    return (fp - fm) / (2.0 * h)
+
+
+def check_gradients(build_loss: Callable[[], Tensor], params: Sequence[Tensor],
+                    h: float = 1e-5, rtol: float = 1e-4, atol: float = 1e-8,
+                    max_per_tensor: int = 4,
+                    rng: Optional[np.random.Generator] = None) -> float:
+    """Compare tape gradients of a scalar loss against central differences.
+
+    Samples up to max_per_tensor coordinates of every tensor in params.
+    Passes when |ad - fd| <= atol + rtol * |fd| per coordinate. Returns the
+    worst relative error seen; raises AssertionError on failure.
+    """
+    rng = rng or np.random.default_rng(0)
+    for p in params:
+        p.requires_grad = True
+        p.grad = None
+    with Tape() as tape:
+        loss = build_loss()
+        tape.backward(loss)
+    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+                for p in params]
+
+    def f():
+        return float(build_loss().data)
+
+    worst = 0.0
+    for p, ad in zip(params, analytic):
+        n = p.size
+        k = min(max_per_tensor, n)
+        idx = rng.choice(n, size=k, replace=False) if n > k else np.arange(n)
+        for i in idx:
+            fd = numeric_grad(f, p, int(i), h=h)
+            a = ad.reshape(-1)[i]
+            err = abs(a - fd)
+            rel = err / max(abs(a), abs(fd), 1e-12)
+            if err > atol + rtol * abs(fd):
+                raise AssertionError(
+                    f"gradient mismatch at tensor shape {p.shape} index {i}: "
+                    f"analytic {a:.10g} vs numeric {fd:.10g} (rel {rel:.3g})")
+            if err > atol:
+                worst = max(worst, rel)
+    return worst

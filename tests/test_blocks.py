@@ -4,8 +4,9 @@ import pytest
 from promptrestore import tensor as T
 from promptrestore.blocks import (BlockConfig, ContextBlock, DegradationClassifier,
                                   Downsample, GatedDConvFFN, Upsample)
-from promptrestore.gradcheck import check_gradients
 from promptrestore.tensor import Tensor
+
+from helpers import check_gradients
 
 
 def rng(seed=0):
@@ -22,13 +23,13 @@ def zero_module(m):
 
 
 def test_gdfn_shape_preserved():
-    m = GatedDConvFFN(48, rng(1))
+    m = GatedDConvFFN(48, rng(1), 2.66)
     out = m(Tensor(rng(2).normal(size=(16, 16, 48))))
     assert out.shape == (16, 16, 48)
 
 
 def test_gdfn_zero_input_zero_bias_gives_zero():
-    m = GatedDConvFFN(8, rng(3))
+    m = GatedDConvFFN(8, rng(3), 2.66)
     for lin in (m.proj1, m.proj2, m.proj_out):
         lin.bias.data = np.zeros_like(lin.bias.data)
     m.dw1.bias.data = np.zeros_like(m.dw1.bias.data)
@@ -40,19 +41,19 @@ def test_gdfn_zero_input_zero_bias_gives_zero():
 def test_gdfn_param_count_formula():
     c = 48
     h = round(2.66 * c)
-    m = GatedDConvFFN(c, rng(4))
+    m = GatedDConvFFN(c, rng(4), 2.66)
     weights = 2 * c * h + 2 * 9 * h + h * c
     biases = 2 * h + 2 * h + c
-    assert m.hidden == h
-    assert m.param_count() == weights + biases
+    assert m.proj1.weight.shape == (c, h)
+    assert sum(p.size for p in m.parameters()) == weights + biases
 
 
 def test_gdfn_gradients():
-    m = GatedDConvFFN(4, rng(5))
+    m = GatedDConvFFN(4, rng(5), 2.66)
     x = Tensor(rng(6).normal(size=(3, 3, 4)), requires_grad=True)
 
     def loss():
-        return T.sum_all(T.sigmoid(m(x)))
+        return T.sum_all(T.gelu(m(x)))
 
     check_gradients(loss, [x] + list(m.parameters()), rtol=1e-4,
                     max_per_tensor=3, rng=rng(7))
@@ -166,7 +167,7 @@ def test_mdp_gradients():
     x = Tensor(rng(32).normal(size=(4, 4, 8)), requires_grad=True)
 
     def loss():
-        return T.sum_all(T.sigmoid(m(x)))
+        return T.sum_all(T.gelu(m(x)))
 
     check_gradients(loss, [x] + list(m.parameters()), rtol=1e-4,
                     max_per_tensor=3, rng=rng(33))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -139,6 +140,51 @@ def test_manifest_round_trip(tmp_path):
     back = D.read_manifest(path)
     assert back == records
     assert [r.spec_objects() for r in back] == [r.spec_objects() for r in records]
+
+
+def _record(**changes):
+    rec = dict(id=7, clean_path="c", degraded_path="d", gt_path="g",
+               present=["blur", "rain"], removed=["rain"],
+               specs=[D.DegradationSpec("blur", beta=0.5).to_dict(),
+                      D.DegradationSpec("rain", beta=0.5).to_dict()],
+               prompt_single="Remove rain.",
+               prompt_two="There are blur, rain in the image. Remove rain.",
+               split="train", category="2-1")
+    rec.update(changes)
+    return rec
+
+
+@pytest.mark.parametrize("changes", [
+    dict(present=["blur"], removed=["blur"], category="1-1"),
+    dict(specs=[D.DegradationSpec("blur", beta=0.5).to_dict()]),
+    dict(specs=[D.DegradationSpec("blur", beta=0.5).to_dict()] * 2),
+    dict(specs=[D.DegradationSpec("rain", beta=0.5).to_dict()] * 2),
+], ids=["extra-spec", "missing-spec", "duplicate-spec", "duplicate-other-spec"])
+def test_record_spec_kinds_must_be_exactly_present(changes):
+    D.SampleRecord(**_record()).validate()
+    with pytest.raises(ValueError, match="record 7: spec kinds .* are not exactly present"):
+        D.SampleRecord(**_record(**changes)).validate()
+
+
+@pytest.mark.parametrize("line, what", [
+    ('{"id": 1,', "Expecting"),
+    ("[1, 2]", "expected a JSON object, got list"),
+    (json.dumps({k: v for k, v in _record().items() if k != "split"}),
+     r"missing keys \['split'\], unknown keys \[\]"),
+    (json.dumps(_record(extra=1)), r"missing keys \[\], unknown keys \['extra'\]"),
+    (json.dumps(_record(present=["blur"], removed=["blur"], category="1-1")),
+     "record 7: spec kinds"),
+    (json.dumps(_record(specs=[dict(kind="blur", beta=1.5), dict(kind="rain")])),
+     r"beta must be in \[0,1\], got 1.5"),
+    (json.dumps(_record(specs=[dict(kind="blur", sigma=2), dict(kind="rain")])),
+     "unexpected keyword argument 'sigma'"),
+], ids=["bad-json", "not-an-object", "missing-key", "unknown-key", "invalid-record",
+        "bad-spec-value", "unknown-spec-key"])
+def test_read_manifest_names_the_bad_line(tmp_path, line, what):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(json.dumps(_record()) + "\n\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"manifest\.jsonl:3: .*{what}"):
+        D.read_manifest(path)
 
 
 def test_build_dataset_from_source_dir(tmp_path):

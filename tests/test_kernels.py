@@ -13,10 +13,9 @@ import pytest
 
 from promptrestore import _kernels
 from promptrestore import tensor as T
-from promptrestore.gradcheck import check_gradients
 from promptrestore.tensor import Tape, Tensor
 
-from helpers import conv2d_oracle
+from helpers import check_gradients, conv2d_oracle
 
 SHAPES = [(1, 1, 1), (2, 1, 5), (3, 2, 3), (5, 6, 7), (4, 5, 1)]
 LAYOUTS = ["chw", "hwc_view"]

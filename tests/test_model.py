@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from promptrestore import tensor as T
-from promptrestore.gradcheck import check_gradients
 from promptrestore.model import (MICRO_CONFIG, TOY_CONFIG, CheckpointError,
                                  ConfigError, ModelConfig, RestorationModel,
                                  load_checkpoint, save_checkpoint)
 from promptrestore.tensor import Tensor
+
+from helpers import check_gradients
 
 
 def rng(seed=0):
@@ -96,11 +97,10 @@ def test_micro_model_end_to_end_gradients():
     def loss():
         out = model.restore(img, "Remove blur, haze.")
         l1 = T.mean_all(T.absolute(T.sub(out.restored, target)))
-        probs = T.sigmoid(out.logits)
-        bce = T.neg(T.sum_all(T.add(
-            T.mul(labels, T.log(T.clamp(probs, 1e-7, 1 - 1e-7))),
-            T.mul(T.sub(Tensor(np.ones(5)), labels),
-                  T.log(T.clamp(T.sub(Tensor(np.ones(5)), probs), 1e-7, 1 - 1e-7))))))
+        # BCE with logits: sum(log(1 + e^z) - y z)
+        z = out.logits
+        softplus = T.log(T.add(T.exp(z), Tensor(np.ones(5))))
+        bce = T.sum_all(T.sub(softplus, T.mul(labels, z)))
         return T.add(T.scale(l1, 3.0), T.scale(bce, 0.1))
 
     params = [p for _, p in model.named_parameters()]
@@ -119,7 +119,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for (na, a), (nb, b) in zip(model.named_parameters(), loaded.named_parameters()):
         assert na == nb
         np.testing.assert_array_equal(a.data, b.data)
-    assert (tmp_path / "model.ckpt.vocab.txt").exists()
+        assert b.data.dtype == np.float64 and b.data.flags.writeable
 
 
 def test_checkpoint_of_zeroed_model(tmp_path):
@@ -144,6 +144,23 @@ def test_checkpoint_corrupt_file(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"PRCK" + b"\x01\x00\x00\x00" + b"\x10\x00\x00\x00trunc")
     with pytest.raises((CheckpointError, ConfigError)):
+        load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes_raise(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(RestorationModel(MICRO_CONFIG, seed=23), path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(CheckpointError, match="trailing bytes after the last array"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_finite_parameter_raises_naming_it(tmp_path):
+    model = RestorationModel(MICRO_CONFIG, seed=24)
+    model.input_conv.weight.data[0, 1, 2, 0] = np.nan
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    with pytest.raises(CheckpointError, match=r"^parameter input_conv\.weight: non-finite"):
         load_checkpoint(path)
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from promptrestore import tensor as T
-from promptrestore.gradcheck import check_gradients
 from promptrestore.tensor import Tape, Tensor
 
-from helpers import adaptive_pool_oracle, conv2d_oracle, matmul_oracle, softmax_oracle
+from helpers import (adaptive_pool_oracle, check_gradients, conv2d_oracle, matmul_oracle,
+                     softmax_oracle)
 
 
 def rand(*shape, seed=0, lo=-1.0, hi=1.0):
@@ -266,10 +266,6 @@ def test_adaptive_pool_output_too_large():
 # elementwise suite
 
 
-def test_sigmoid_zero():
-    assert T.sigmoid(Tensor(np.zeros(3))).data[0] == 0.5
-
-
 def test_gelu_zero():
     assert T.gelu(Tensor(np.zeros(2))).data[0] == 0.0
 
@@ -339,7 +335,7 @@ def test_nan_detection_raises_and_can_be_disabled():
             T.add(bad, bad)
 
 
-@pytest.mark.parametrize("view", [lambda t: T.transpose(t), lambda t: T.reshape(t, (-1,))],
+@pytest.mark.parametrize("view", [lambda t: T.transpose(t, (1, 0)), lambda t: T.reshape(t, (-1,))],
                          ids=["transpose", "reshape"])
 def test_view_scans_unless_its_input_was_checked(view):
     bad = np.array([[1.0, np.inf], [2.0, 3.0]])
@@ -396,14 +392,14 @@ def test_backward_softmax_cross_entropy_vs_finite_differences():
 
     def loss():
         p = T.softmax(logits, axis=-1)
-        return T.neg(T.sum_all(T.mul(Tensor(target), T.log(p))))
+        return T.scale(T.sum_all(T.mul(Tensor(target), T.log(p))), -1.0)
 
     check_gradients(loss, [logits], rtol=1e-4, max_per_tensor=12, rng=rng)
 
 
 @pytest.mark.parametrize("op_name", [
     "conv", "grouped_conv", "depthwise", "layer_norm", "pool", "shuffle", "resize",
-    "sigmoid", "clamp", "concat", "abs", "bias", "linear", "embedding", "softmax_axis",
+    "concat", "abs", "bias", "linear", "embedding", "softmax_axis",
 ])
 def test_backward_each_op_vs_finite_differences(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -422,7 +418,7 @@ def test_backward_each_op_vs_finite_differences(op_name):
     elif op_name == "depthwise":
         x = Tensor(rng.uniform(-1, 1, (5, 6, 6)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (5, 1, 3, 3)), requires_grad=True)
-        fn = lambda: T.sum_all(T.sigmoid(T.conv2d(x, w, padding=1, groups=5)))
+        fn = lambda: T.sum_all(T.gelu(T.conv2d(x, w, padding=1, groups=5)))
         params = [x, w]
     elif op_name == "layer_norm":
         x = Tensor(rng.uniform(-1, 1, (4, 7)), requires_grad=True)
@@ -443,15 +439,7 @@ def test_backward_each_op_vs_finite_differences(op_name):
         params = [x]
     elif op_name == "resize":
         x = Tensor(rng.uniform(-1, 1, (4, 5, 2)), requires_grad=True)
-        fn = lambda: T.sum_all(T.sigmoid(T.bilinear_resize(x, 7, 3)))
-        params = [x]
-    elif op_name == "sigmoid":
-        x = Tensor(rng.uniform(-2, 2, (3, 3)), requires_grad=True)
-        fn = lambda: T.sum_all(T.mul(T.sigmoid(x), x))
-        params = [x]
-    elif op_name == "clamp":
-        x = Tensor(rng.uniform(-2, 2, 12), requires_grad=True)
-        fn = lambda: T.sum_all(T.mul(T.clamp(x, -0.5, 0.5), x))
+        fn = lambda: T.sum_all(T.gelu(T.bilinear_resize(x, 7, 3)))
         params = [x]
     elif op_name == "concat":
         a = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)

@@ -11,13 +11,6 @@ def test_vocab_sorted_deterministic():
     assert PAD in a.index and "<unk>" in a.index
 
 
-def test_vocab_round_trip_serialization():
-    v = Vocab()
-    w = Vocab.deserialize(v.serialize())
-    assert v.tokens == w.tokens
-    assert v.content_hash() == w.content_hash()
-
-
 def test_tokenize_example_prompt():
     v = Vocab()
     ids = tokenize("Remove rain, lowlight.", v, 8)
