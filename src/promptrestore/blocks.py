@@ -7,27 +7,13 @@ depthwise and strided convolutions are nn.Conv2d, which takes [H,W,C].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .attention import AgentSelfAttention, AttnConfig
+from .degradations import KINDS
 from .nn import Conv2d, LayerNorm, Linear, Module
 from .tensor import Tensor
-
-DEGRADATION_KINDS = ("blur", "rain", "haze", "lowlight", "snow")
-
-
-@dataclass
-class BlockConfig:
-    channels: int
-    heads: int
-    agent_h: int
-    agent_w: int
-    height: int
-    width: int
-    gdfn_expansion: float = 2.66
 
 
 class GatedDConvFFN(Module):
@@ -49,14 +35,12 @@ class GatedDConvFFN(Module):
 class ContextBlock(Module):
     """norm -> agent attention -> residual, then norm -> gated FFN -> residual."""
 
-    def __init__(self, cfg: BlockConfig, rng: np.random.Generator):
+    def __init__(self, cfg: AttnConfig, rng: np.random.Generator, expansion: float):
         c = cfg.channels
-        attn_cfg = AttnConfig(c, cfg.heads, cfg.agent_h, cfg.agent_w,
-                              cfg.height, cfg.width)
         self.norm1 = LayerNorm(c)
-        self.attn = AgentSelfAttention(attn_cfg, rng)
+        self.attn = AgentSelfAttention(cfg, rng)
         self.norm2 = LayerNorm(c)
-        self.ffn = GatedDConvFFN(c, rng, cfg.gdfn_expansion)
+        self.ffn = GatedDConvFFN(c, rng, expansion)
 
     def __call__(self, x: Tensor) -> Tensor:
         y = T.add(x, self.attn(self.norm1(x)))
@@ -96,13 +80,12 @@ class DegradationClassifier(Module):
     the loss / metrics).
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator,
-                 n_labels: int = len(DEGRADATION_KINDS)):
+    def __init__(self, channels: int, rng: np.random.Generator):
         self.conv = Conv2d(channels, channels, 3, rng, stride=2, padding=1)
         self.norm = LayerNorm(channels)
         self.fc1 = Linear(channels, max(1, channels // 2), rng)
         self.fc2 = Linear(max(1, channels // 2), max(1, channels // 4), rng)
-        self.fc3 = Linear(max(1, channels // 4), n_labels, rng)
+        self.fc3 = Linear(max(1, channels // 4), len(KINDS), rng)
 
     def compress(self, x: Tensor) -> Tensor:
         # [H,W,C] -> half-resolution [H',W',C] feature

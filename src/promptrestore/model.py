@@ -11,22 +11,26 @@ which degradations are present, independent of the prompt.
 from __future__ import annotations
 
 import io
+import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
 from .attention import AgentCrossAttention, AttnConfig
-from .blocks import (BlockConfig, ContextBlock, DegradationClassifier,
-                     Downsample, Upsample)
+from .blocks import ContextBlock, DegradationClassifier, Downsample, Upsample
+from .degradations import KINDS
 from .nn import Conv2d, Linear, Module, ModuleList
 from .tensor import Tensor
-from .text import PromptEncoder, TextEncoderConfig, Vocab, tokenize
+from .text import PROMPT_LEN, PromptEncoder, Vocab, tokenize
+
+HEADS = (1, 2, 4, 8)        # attention heads per stage of the channel ladder
+GDFN_EXPANSION = 2.66       # gated FFN hidden width over its channel count
 
 
 class ConfigError(ValueError):
-    """Checkpoint / model configuration mismatch."""
+    """Invalid model configuration, or a checkpoint config that differs from the requested one."""
 
 
 class CheckpointError(RuntimeError):
@@ -38,25 +42,21 @@ class ModelConfig:
     channels: int = 48
     stage_blocks: tuple[int, ...] = (4, 6, 6, 8)
     refinement_blocks: int = 4
-    heads: tuple[int, ...] = (1, 2, 4, 8)
     agent_h: int = 12
     agent_w: int = 12
-    gdfn_expansion: float = 2.66
-    prompt_len: int = 20
-    n_labels: int = 5
     base_resolution: int = 128
     text_embed_dim: int = 128
-    text_heads: int = 4
     text_layers: int = 2
 
     def __post_init__(self):
+        if not isinstance(self.stage_blocks, (tuple, list)) or len(self.stage_blocks) != 4:
+            raise ConfigError(f"stage_blocks must have 4 entries, got {self.stage_blocks!r}")
         self.stage_blocks = tuple(self.stage_blocks)
-        self.heads = tuple(self.heads)
-        if len(self.stage_blocks) != 4 or len(self.heads) != 4:
-            raise ConfigError("stage_blocks and heads must have 4 entries")
-        for h, c in zip(self.heads, self.ladder):
-            if c % h:
-                raise ConfigError(f"heads {h} does not divide {c} channels")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(type(v) is not int or v <= 0
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"{f.name} must be a positive int, got {value!r}")
         if self.base_resolution % 8:
             raise ConfigError("base_resolution must be divisible by 8")
 
@@ -65,32 +65,9 @@ class ModelConfig:
         c = self.channels
         return c, 2 * c, 4 * c, 8 * c
 
-    def serialize(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            lines.append(f"{f.name}={v}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def deserialize(cls, text: str) -> "ModelConfig":
-        kwargs = {}
-        types = {f.name: f.type for f in fields(cls)}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            key, _, raw = line.partition("=")
-            if key not in types:
-                raise ConfigError(f"unknown config key {key!r}")
-            if "tuple" in str(types[key]):
-                kwargs[key] = tuple(int(x) for x in raw.split(","))
-            elif key == "gdfn_expansion":
-                kwargs[key] = float(raw)
-            else:
-                kwargs[key] = int(raw)
-        return cls(**kwargs)
+    @property
+    def n_labels(self) -> int:
+        return len(KINDS)
 
 
 # preset small enough for end-to-end runs on a laptop CPU
@@ -114,10 +91,8 @@ class RestorationOutput:
 def _stage(cfg: ModelConfig, level: int, n_blocks: int, channels: int,
            heads: int, rng) -> ModuleList:
     res = cfg.base_resolution // (2 ** level)
-    bc = BlockConfig(channels=channels, heads=heads, agent_h=cfg.agent_h,
-                     agent_w=cfg.agent_w, height=res, width=res,
-                     gdfn_expansion=cfg.gdfn_expansion)
-    return ModuleList(ContextBlock(bc, rng) for _ in range(n_blocks))
+    attn = AttnConfig(channels, heads, cfg.agent_h, cfg.agent_w, res, res)
+    return ModuleList(ContextBlock(attn, rng, GDFN_EXPANSION) for _ in range(n_blocks))
 
 
 class RestorationModel(Module):
@@ -128,51 +103,45 @@ class RestorationModel(Module):
         self.vocab = Vocab()
         c0, c1, c2, c3 = config.ladder
         blocks = config.stage_blocks
-        heads = config.heads
         res = config.base_resolution
 
         self.input_conv = Conv2d(3, c0, 3, rng, padding=1)
-        self.enc0 = _stage(config, 0, blocks[0], c0, heads[0], rng)
+        self.enc0 = _stage(config, 0, blocks[0], c0, HEADS[0], rng)
         self.down0 = Downsample(c0, rng)
-        self.enc1 = _stage(config, 1, blocks[1], c1, heads[1], rng)
+        self.enc1 = _stage(config, 1, blocks[1], c1, HEADS[1], rng)
         self.down1 = Downsample(c1, rng)
-        self.enc2 = _stage(config, 2, blocks[2], c2, heads[2], rng)
+        self.enc2 = _stage(config, 2, blocks[2], c2, HEADS[2], rng)
         self.down2 = Downsample(c2, rng)
-        self.latent = _stage(config, 3, blocks[3], c3, heads[3], rng)
+        self.latent = _stage(config, 3, blocks[3], c3, HEADS[3], rng)
 
-        self.classifier = DegradationClassifier(c3, rng, config.n_labels)
+        self.classifier = DegradationClassifier(c3, rng)
 
         fuse_res = res // 8
         self.fuse_latent = AgentCrossAttention(
-            AttnConfig(c3, heads[3], config.agent_h, config.agent_w,
-                       fuse_res, fuse_res, text_len=config.prompt_len), rng)
+            AttnConfig(c3, HEADS[3], config.agent_h, config.agent_w,
+                       fuse_res, fuse_res, text_len=PROMPT_LEN), rng)
 
         self.up2 = Upsample(c3, rng)
         self.reduce2 = Linear(2 * c2, c2, rng)
         self.fuse_mid = AgentCrossAttention(
-            AttnConfig(c2, heads[2], config.agent_h, config.agent_w,
-                       res // 4, res // 4, text_len=config.prompt_len), rng)
-        self.dec2 = _stage(config, 2, blocks[2], c2, heads[2], rng)
+            AttnConfig(c2, HEADS[2], config.agent_h, config.agent_w,
+                       res // 4, res // 4, text_len=PROMPT_LEN), rng)
+        self.dec2 = _stage(config, 2, blocks[2], c2, HEADS[2], rng)
 
         self.up1 = Upsample(c2, rng)
         self.reduce1 = Linear(2 * c1, c1, rng)
-        self.dec1 = _stage(config, 1, blocks[1], c1, heads[1], rng)
+        self.dec1 = _stage(config, 1, blocks[1], c1, HEADS[1], rng)
 
         self.up0 = Upsample(c1, rng)
         # final level runs on the concat of the C-wide skip and C-wide
         # upsample output: 2C channels, no reduction
-        self.dec0 = _stage(config, 0, blocks[0], c1, heads[1], rng)
+        self.dec0 = _stage(config, 0, blocks[0], c1, HEADS[1], rng)
         self.refine = _stage(config, 0, config.refinement_blocks, c1,
-                             heads[1], rng)
+                             HEADS[1], rng)
         self.output_conv = Conv2d(c1, 3, 3, rng, padding=1, zero_init=True)
 
-        self.text_encoder = PromptEncoder(
-            TextEncoderConfig(vocab_size=len(self.vocab),
-                              length=config.prompt_len,
-                              embed_dim=config.text_embed_dim,
-                              heads=config.text_heads,
-                              layers=config.text_layers),
-            config.channels, rng)
+        self.text_encoder = PromptEncoder(config.channels, config.text_embed_dim,
+                                          config.text_layers, rng)
 
     # ------------------------------------------------------------------
     def encode(self, image: Tensor) -> tuple[Tensor, list[Tensor]]:
@@ -195,7 +164,7 @@ class RestorationModel(Module):
         return x, skips
 
     def encode_prompt(self, prompt: str) -> tuple[Tensor, Tensor]:
-        ids = tokenize(prompt, self.vocab, self.config.prompt_len)
+        ids = tokenize(prompt, self.vocab, PROMPT_LEN)
         return self.text_encoder(ids)
 
     def restore(self, image, prompt: str) -> RestorationOutput:
@@ -231,15 +200,15 @@ class RestorationModel(Module):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container: magic, version, config text, vocab sha256, f64 blobs
+# checkpoint container: magic, version, config JSON, vocab sha256, f64 blobs
 
 _MAGIC = b"PRCK"
-_VERSION = 1
+_VERSION = 2
 
 
 def save_checkpoint(model: RestorationModel, path) -> None:
     """Write parameters in declaration order plus config and vocab hash."""
-    cfg_blob = model.config.serialize().encode("utf-8")
+    cfg_blob = json.dumps(asdict(model.config)).encode("utf-8")
     arrays = model.state_arrays()
     buf = io.BytesIO()
     buf.write(_MAGIC)
@@ -262,12 +231,28 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
+def _config_from_json(blob: bytes) -> ModelConfig:
+    try:
+        record = json.loads(blob)
+        if not isinstance(record, dict):
+            raise ConfigError(f"expected a JSON object, got {type(record).__name__}")
+        keys = {f.name for f in fields(ModelConfig)}
+        missing, unknown = sorted(keys - record.keys()), sorted(record.keys() - keys)
+        if missing or unknown:
+            raise ConfigError(f"missing keys {missing}, unknown keys {unknown}")
+        return ModelConfig(**record)
+    except ValueError as e:       # JSONDecodeError, UnicodeDecodeError, ConfigError
+        raise CheckpointError(f"checkpoint config: {e}") from e
+
+
 def load_checkpoint(path, config: ModelConfig | None = None) -> RestorationModel:
     """Rebuild a model from a checkpoint.
 
     When config is given it must equal the stored one (guards against
-    loading weights into a differently shaped model). A non-finite
-    parameter, or bytes after the last array, raise CheckpointError.
+    loading weights into a differently shaped model). A config record that
+    is not a JSON object of exactly the ModelConfig fields with valid values,
+    a non-finite parameter, or bytes after the last array raise
+    CheckpointError.
     """
     with open(str(path), "rb") as fh:
         if _read_exact(fh, 4) != _MAGIC:
@@ -276,7 +261,7 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> RestorationModel
         if version != _VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        stored = ModelConfig.deserialize(_read_exact(fh, cfg_len).decode("utf-8"))
+        stored = _config_from_json(_read_exact(fh, cfg_len))
         if config is not None and stored != config:
             raise ConfigError("checkpoint config does not match requested config")
         vocab_hash = _read_exact(fh, 32)

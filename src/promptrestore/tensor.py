@@ -139,7 +139,6 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
         _tapes().append(self)
@@ -156,7 +155,6 @@ class Tape:
 
     def _record(self, out: Tensor, parents, backward) -> None:
         self._nodes.append(_Node(out, parents, backward))
-        self._produced.add(id(out))
 
     def backward(self, loss: Tensor) -> None:
         """Populate .grad of every requires_grad leaf reachable from loss.
@@ -166,28 +164,23 @@ class Tape:
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        leaves: dict[int, Tensor] = {}
-        if loss.requires_grad and id(loss) not in self._produced:
-            leaves[id(loss)] = loss
+        # id -> (tensor, grad so far); each node pops its output's complete
+        # grad, so what is left at the end belongs to tensors it did not make
+        grads: dict[int, tuple[Tensor, np.ndarray]] = {
+            id(loss): (loss, np.ones_like(loss.data))}
         for node in reversed(self._nodes):
-            g = grads.pop(id(node.out), None)
-            if g is None:
+            entry = grads.pop(id(node.out), None)
+            if entry is None:
                 continue
-            for parent, pg in zip(node.parents, node.backward(g)):
+            for parent, pg in zip(node.parents, node.backward(entry[1])):
                 if pg is None:
                     continue
-                key = id(parent)
-                acc = grads.get(key)
-                grads[key] = pg if acc is None else acc + pg
-                if parent.requires_grad and key not in self._produced:
-                    leaves[key] = parent
-        for key, leaf in leaves.items():
-            g = grads.get(key)
-            if g is None:
-                continue
-            g = g.reshape(leaf.data.shape)
-            leaf.grad = g if leaf.grad is None else leaf.grad + g
+                acc = grads.get(id(parent))
+                grads[id(parent)] = (parent, pg if acc is None else acc[1] + pg)
+        for leaf, g in grads.values():
+            if leaf.requires_grad:
+                g = g.reshape(leaf.data.shape)
+                leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def _as_tensor(x) -> Tensor:
@@ -544,32 +537,28 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     return m
 
 
+def _sandwich(x: Tensor, rows: np.ndarray, cols: np.ndarray, opname: str) -> Tensor:
+    # out[i,j,c] = sum_hw rows[i,h] cols[j,w] x[h,w,c]; backward is its adjoint
+    out = np.einsum("ih,jw,hwc->ijc", rows, cols, x.data, optimize=True)
+
+    def backward(g):
+        return (np.einsum("ih,jw,ijc->hwc", rows, cols, g, optimize=True),)
+
+    return _finish(out, (x,), backward, opname)
+
+
 def adaptive_avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Mean-pool x[H,W,C] onto an out_h x out_w grid (floor/ceil windows)."""
     h, w, _ = x.shape
     if out_h > h or out_w > w:
         raise ShapeError(f"adaptive_avg_pool: output {out_h}x{out_w} exceeds input {h}x{w}")
-    rh = _pool_matrix(h, out_h)
-    rw = _pool_matrix(w, out_w)
-    out = np.einsum("ih,jw,hwc->ijc", rh, rw, x.data, optimize=True)
-
-    def backward(g):
-        return (np.einsum("ih,jw,ijc->hwc", rh, rw, g, optimize=True),)
-
-    return _finish(out, (x,), backward, "adaptive_avg_pool")
+    return _sandwich(x, _pool_matrix(h, out_h), _pool_matrix(w, out_w), "adaptive_avg_pool")
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinearly resize x[H,W,C] to [out_h,out_w,C] (align-corners)."""
     h, w, _ = x.shape
-    bh = _resize_matrix(h, out_h)
-    bw = _resize_matrix(w, out_w)
-    out = np.einsum("ih,jw,hwc->ijc", bh, bw, x.data, optimize=True)
-
-    def backward(g):
-        return (np.einsum("ih,jw,ijc->hwc", bh, bw, g, optimize=True),)
-
-    return _finish(out, (x,), backward, "bilinear_resize")
+    return _sandwich(x, _resize_matrix(h, out_h), _resize_matrix(w, out_w), "bilinear_resize")
 
 
 # ---------------------------------------------------------------------------

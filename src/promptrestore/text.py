@@ -10,19 +10,20 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .attention import AttnConfig, VanillaSelfAttention
+from .degradations import KINDS
 from .nn import Linear, LayerNorm, Module, ModuleList, param
 from .tensor import Tensor
 
 PAD, UNK = "<pad>", "<unk>"
+PROMPT_LEN = 20         # token ids per prompt, padded or truncated
+TEXT_HEADS = 4          # attention heads of each encoder layer
 
 _TEMPLATE_WORDS = ("remove", "there", "are", "in", "the", "image")
-_KINDS = ("blur", "rain", "haze", "lowlight", "snow")
 _PUNCT = (",", ".")
 
 
@@ -30,7 +31,7 @@ class Vocab:
     """token -> id map; ids follow sorted token order for reproducibility."""
 
     def __init__(self):
-        self.tokens = sorted({PAD, UNK, *_TEMPLATE_WORDS, *_KINDS, *_PUNCT})
+        self.tokens = sorted({PAD, UNK, *_TEMPLATE_WORDS, *KINDS, *_PUNCT})
         self.index = {t: i for i, t in enumerate(self.tokens)}
         self.pad_id = self.index[PAD]
         self.unk_id = self.index[UNK]
@@ -74,15 +75,6 @@ def tokenize(prompt: str, vocab: Vocab, length: int) -> np.ndarray:
     return np.array(ids, dtype=np.int64)
 
 
-@dataclass
-class TextEncoderConfig:
-    vocab_size: int
-    length: int = 20
-    embed_dim: int = 128
-    heads: int = 4
-    layers: int = 2
-
-
 class _EncoderLayer(Module):
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         self.norm1 = LayerNorm(dim)
@@ -105,21 +97,19 @@ class PromptEncoder(Module):
     inference.
     """
 
-    def __init__(self, cfg: TextEncoderConfig, base_channels: int,
+    def __init__(self, base_channels: int, dim: int, layers: int,
                  rng: np.random.Generator):
-        self.cfg = cfg
-        dim = cfg.embed_dim
-        self.embed = param(rng.normal(0.0, 0.02, (cfg.vocab_size, dim)))
-        self.pos = param(rng.normal(0.0, 0.02, (cfg.length, dim)))
-        self.layers = ModuleList(_EncoderLayer(dim, cfg.heads, rng)
-                                 for _ in range(cfg.layers))
+        self.embed = param(rng.normal(0.0, 0.02, (len(Vocab()), dim)))
+        self.pos = param(rng.normal(0.0, 0.02, (PROMPT_LEN, dim)))
+        self.layers = ModuleList(_EncoderLayer(dim, TEXT_HEADS, rng)
+                                 for _ in range(layers))
         self.norm = LayerNorm(dim)
         self.head_wide = Linear(dim, 8 * base_channels, rng)
         self.head_mid = Linear(dim, 4 * base_channels, rng)
 
     def __call__(self, ids: np.ndarray) -> tuple[Tensor, Tensor]:
-        if len(ids) != self.cfg.length:
-            raise ValueError(f"expected {self.cfg.length} ids, got {len(ids)}")
+        if len(ids) != PROMPT_LEN:
+            raise ValueError(f"expected {PROMPT_LEN} ids, got {len(ids)}")
         x = T.add(T.embedding(self.embed, ids), self.pos)
         for layer in self.layers:
             x = layer(x)

@@ -8,8 +8,7 @@ tools/, or a string constant equal to it appears in perfbench/ (perfbench
 wraps ops by name).
 
 Matching is by bare name, so it is coarse: one use of a name covers every
-definition that shares it. `Vocab.deserialize`, for one, would hide behind
-`ModelConfig.deserialize`. The test catches names nothing calls at all; it
+definition that shares it. The test catches names nothing calls at all; it
 cannot prove that each definition is reached.
 """
 

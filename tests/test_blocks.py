@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from promptrestore import tensor as T
-from promptrestore.blocks import (BlockConfig, ContextBlock, DegradationClassifier,
-                                  Downsample, GatedDConvFFN, Upsample)
+from promptrestore.attention import AttnConfig
+from promptrestore.blocks import (ContextBlock, DegradationClassifier, Downsample,
+                                  GatedDConvFFN, Upsample)
 from promptrestore.tensor import Tensor
 
 from helpers import check_gradients
@@ -64,18 +65,17 @@ def test_gdfn_gradients():
 
 
 def toy_block_cfg(c=8):
-    return BlockConfig(channels=c, heads=2, agent_h=2, agent_w=2,
-                       height=4, width=4)
+    return AttnConfig(channels=c, heads=2, agent_h=2, agent_w=2, height=4, width=4)
 
 
 def test_context_block_shape():
-    m = ContextBlock(toy_block_cfg(), rng(8))
+    m = ContextBlock(toy_block_cfg(), rng(8), 2.66)
     out = m(Tensor(rng(9).normal(size=(4, 4, 8))))
     assert out.shape == (4, 4, 8)
 
 
 def test_context_block_zeroed_submodules_is_identity():
-    m = ContextBlock(toy_block_cfg(), rng(10))
+    m = ContextBlock(toy_block_cfg(), rng(10), 2.66)
     zero_module(m.attn)
     zero_module(m.ffn)
     x = rng(11).normal(size=(4, 4, 8))
@@ -84,7 +84,7 @@ def test_context_block_zeroed_submodules_is_identity():
 
 
 def test_context_block_gradients():
-    m = ContextBlock(toy_block_cfg(4), rng(12))
+    m = ContextBlock(toy_block_cfg(4), rng(12), 2.66)
     x = Tensor(rng(13).normal(size=(4, 4, 4)), requires_grad=True)
 
     def loss():

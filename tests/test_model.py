@@ -1,3 +1,7 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -108,6 +112,29 @@ def test_micro_model_end_to_end_gradients():
 
 
 # ---------------------------------------------------------------------------
+# initialisation
+
+
+# sha256 over (name, shape, little-endian f64 bytes) of named_parameters() at
+# seed 0. A change that moves a parameter, an init draw or the checkpoint
+# order changes it; a pure refactor must not.
+INIT_DIGESTS = {
+    "toy": "894d8e8fa14479b6a9abd946938b854ab6bc6f96b93015567efe1e7360efd66e",
+    "micro": "66390666aafb444794611b8e26ee9cad229902e41adbb74e9e4f3b0cf3027987",
+}
+
+
+@pytest.mark.parametrize("tag, config", [("toy", TOY_CONFIG), ("micro", MICRO_CONFIG)])
+def test_init_parameters_match_golden_digest(tag, config):
+    h = hashlib.sha256()
+    for name, p in RestorationModel(config, seed=0).named_parameters():
+        h.update(name.encode())
+        h.update(repr(p.shape).encode())
+        h.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    assert h.hexdigest() == INIT_DIGESTS[tag]
+
+
+# ---------------------------------------------------------------------------
 # checkpointing
 
 
@@ -142,7 +169,7 @@ def test_checkpoint_config_mismatch(tmp_path):
 
 def test_checkpoint_corrupt_file(tmp_path):
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"PRCK" + b"\x01\x00\x00\x00" + b"\x10\x00\x00\x00trunc")
+    path.write_bytes(b"PRCK" + b"\x02\x00\x00\x00" + b"\x10\x00\x00\x00trunc")
     with pytest.raises((CheckpointError, ConfigError)):
         load_checkpoint(path)
 
@@ -162,6 +189,60 @@ def test_checkpoint_non_finite_parameter_raises_naming_it(tmp_path):
     save_checkpoint(model, path)
     with pytest.raises(CheckpointError, match=r"^parameter input_conv\.weight: non-finite"):
         load_checkpoint(path)
+
+
+def test_checkpoint_version_1_is_unsupported(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(RestorationModel(MICRO_CONFIG, seed=25), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
+
+
+def _edit_record(record, **changes):
+    # the config record with keys set (value not None) or dropped (None)
+    out = dict(record, **changes)
+    return json.dumps({k: v for k, v in out.items() if v is not None}).encode()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda blob: blob.replace(b'"channels": 8', b'"channels": x'), "Expecting value"),
+    (lambda blob: b"[8, 1]", "expected a JSON object, got list"),
+    (lambda blob: _edit_record(json.loads(blob), extra=1),
+     r"missing keys \[\], unknown keys \['extra'\]"),
+    (lambda blob: _edit_record(json.loads(blob), channels=None),
+     r"missing keys \['channels'\], unknown keys \[\]"),
+    (lambda blob: _edit_record(json.loads(blob), channels="8"),
+     "channels must be a positive int, got '8'"),
+    (lambda blob: _edit_record(json.loads(blob), stage_blocks=[1, 1, 1]),
+     "stage_blocks must have 4 entries"),
+], ids=["bad-json", "not-an-object", "unknown-key", "missing-key", "mistyped-key",
+        "three-stages"])
+def test_checkpoint_bad_config_record_raises(tmp_path, edit, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(RestorationModel(MICRO_CONFIG, seed=26), path)
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 8)
+    record = edit(blob[12:12 + n])
+    path.write_bytes(blob[:8] + struct.pack("<I", len(record)) + record + blob[12 + n:])
+    with pytest.raises(CheckpointError, match=f"^checkpoint config: .*{message}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(channels=0), "channels must be a positive int, got 0"),
+    (dict(channels=8.0), "channels must be a positive int, got 8.0"),
+    (dict(agent_w=True), "agent_w must be a positive int, got True"),
+    (dict(stage_blocks=(1, 1, 0, 1)), r"stage_blocks must be a positive int, got \(1, 1, 0, 1\)"),
+    (dict(stage_blocks=(1, 1, 1)), "stage_blocks must have 4 entries"),
+    (dict(stage_blocks=4), "stage_blocks must have 4 entries"),
+    (dict(base_resolution=20), "base_resolution must be divisible by 8"),
+], ids=["zero", "float", "bool", "zero-stage", "three-stages", "int-stages",
+        "base-resolution"])
+def test_model_config_rejects_bad_values(changes, message):
+    with pytest.raises(ConfigError, match=message):
+        ModelConfig(**changes)
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from promptrestore.text import (PAD, PromptEncoder, TextEncoderConfig, Vocab,
-                                split_tokens, tokenize)
+from promptrestore.dataset import gen_prompt
+from promptrestore.degradations import KINDS
+from promptrestore.text import (PAD, PROMPT_LEN, PromptEncoder, Vocab, split_tokens,
+                                tokenize)
 
 
 def test_vocab_sorted_deterministic():
@@ -50,10 +54,22 @@ def test_split_keeps_punctuation_tokens():
         ["there", "are", "rain", ",", "snow", "in", "the", "image", "."]
 
 
-def make_encoder(c=48, length=20, seed=0):
+def test_every_dataset_prompt_tokenizes_in_vocab_and_length():
+    # the vocab's template words must cover what dataset.gen_prompt writes:
+    # every (present, removed) pair of 1-3 kinds, in both prompt styles
     v = Vocab()
-    cfg = TextEncoderConfig(vocab_size=len(v), length=length)
-    return v, PromptEncoder(cfg, c, np.random.default_rng(seed))
+    prompts = [gen_prompt(present, removed, style)
+               for k in range(1, 4) for present in itertools.combinations(KINDS, k)
+               for r in range(1, k + 1) for removed in itertools.combinations(present, r)
+               for style in ("single", "two")]
+    assert len(prompts) == 210
+    for prompt in prompts:
+        assert len(split_tokens(prompt)) <= PROMPT_LEN, prompt
+        assert v.unk_id not in tokenize(prompt, v, PROMPT_LEN), prompt
+
+
+def make_encoder(c=48, seed=0):
+    return Vocab(), PromptEncoder(c, 128, 2, np.random.default_rng(seed))
 
 
 def test_encoder_output_shapes_match_channel_ladder():
