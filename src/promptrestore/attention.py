@@ -103,7 +103,7 @@ class AgentSelfAttention(_AgentAttention):
         self.w_q = Linear(c, c, rng)
         self.w_k = Linear(c, c, rng)
         self.w_v = Linear(c, c, rng)
-        self.dwconv = Conv2d(c, c, 3, rng, padding=1, groups=c)
+        self.dwconv = Conv2d(c, c, rng, groups=c)
         self.w_out = Linear(c, c, rng)
         self._warned_clamp = False
 

@@ -23,8 +23,8 @@ class GatedDConvFFN(Module):
         h = max(1, round(channels * expansion))
         self.proj1 = Linear(channels, h, rng)
         self.proj2 = Linear(channels, h, rng)
-        self.dw1 = Conv2d(h, h, 3, rng, padding=1, groups=h)
-        self.dw2 = Conv2d(h, h, 3, rng, padding=1, groups=h)
+        self.dw1 = Conv2d(h, h, rng, groups=h)
+        self.dw2 = Conv2d(h, h, rng, groups=h)
         self.proj_out = Linear(h, channels, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -81,7 +81,7 @@ class DegradationClassifier(Module):
     """
 
     def __init__(self, channels: int, rng: np.random.Generator):
-        self.conv = Conv2d(channels, channels, 3, rng, stride=2, padding=1)
+        self.conv = Conv2d(channels, channels, rng, stride=2)
         self.norm = LayerNorm(channels)
         self.fc1 = Linear(channels, max(1, channels // 2), rng)
         self.fc2 = Linear(max(1, channels // 2), max(1, channels // 4), rng)

@@ -23,7 +23,7 @@ from .blocks import ContextBlock, DegradationClassifier, Downsample, Upsample
 from .degradations import KINDS
 from .nn import Conv2d, Linear, Module, ModuleList
 from .tensor import Tensor
-from .text import PROMPT_LEN, PromptEncoder, Vocab, tokenize
+from .text import PROMPT_LEN, TEXT_HEADS, PromptEncoder, Vocab, tokenize
 
 HEADS = (1, 2, 4, 8)        # attention heads per stage of the channel ladder
 GDFN_EXPANSION = 2.66       # gated FFN hidden width over its channel count
@@ -59,6 +59,13 @@ class ModelConfig:
                 raise ConfigError(f"{f.name} must be a positive int, got {value!r}")
         if self.base_resolution % 8:
             raise ConfigError("base_resolution must be divisible by 8")
+        r = self.base_resolution // 8     # the latent stage's grid side
+        if self.agent_h * self.agent_w > r * r:
+            raise ConfigError(f"agent_h x agent_w = {self.agent_h}x{self.agent_w} exceeds "
+                              f"the latent stage's {r}x{r} grid (base_resolution // 8)")
+        if self.text_embed_dim % TEXT_HEADS:
+            raise ConfigError(f"text_embed_dim {self.text_embed_dim} not divisible by "
+                              f"the {TEXT_HEADS} text encoder heads")
 
     @property
     def ladder(self) -> tuple[int, int, int, int]:
@@ -105,7 +112,7 @@ class RestorationModel(Module):
         blocks = config.stage_blocks
         res = config.base_resolution
 
-        self.input_conv = Conv2d(3, c0, 3, rng, padding=1)
+        self.input_conv = Conv2d(3, c0, rng)
         self.enc0 = _stage(config, 0, blocks[0], c0, HEADS[0], rng)
         self.down0 = Downsample(c0, rng)
         self.enc1 = _stage(config, 1, blocks[1], c1, HEADS[1], rng)
@@ -138,7 +145,7 @@ class RestorationModel(Module):
         self.dec0 = _stage(config, 0, blocks[0], c1, HEADS[1], rng)
         self.refine = _stage(config, 0, config.refinement_blocks, c1,
                              HEADS[1], rng)
-        self.output_conv = Conv2d(c1, 3, 3, rng, padding=1, zero_init=True)
+        self.output_conv = Conv2d(c1, 3, rng, zero_init=True)
 
         self.text_encoder = PromptEncoder(config.channels, config.text_embed_dim,
                                           config.text_layers, rng)
@@ -164,7 +171,7 @@ class RestorationModel(Module):
         return x, skips
 
     def encode_prompt(self, prompt: str) -> tuple[Tensor, Tensor]:
-        ids = tokenize(prompt, self.vocab, PROMPT_LEN)
+        ids = tokenize(prompt, self.vocab)
         return self.text_encoder(ids)
 
     def restore(self, image, prompt: str) -> RestorationOutput:

@@ -2,8 +2,8 @@
 
 Features are channels-last: Linear maps the last axis of any tensor, and
 Conv2d takes and returns [H,W,C]. Conv2d transposes to and from
-tensor.conv2d's [C,H,W] inside; it is the only place a feature visits
-that layout.
+tensor.conv2d's [C,H,W] inside, both free views; it is the only place a
+feature visits that layout.
 """
 
 from __future__ import annotations
@@ -88,25 +88,25 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """2-d convolution of a channels-last feature [H,W,C_in] -> [H',W',C_out];
-    weight stored [C_out, C_in/groups, k, k]."""
+    """3x3 conv, zero padding 1, of a channels-last feature [H,W,C_in] ->
+    [(H-1)//stride+1, (W-1)//stride+1, C_out]; weight [C_out, C_in/groups, 3, 3].
+    groups is 1 (dense) or C_in == C_out (depthwise, stride 1)."""
 
-    def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
-                 stride: int = 1, padding: int = 0, groups: int = 1,
-                 zero_init: bool = False):
-        fan_in = (c_in // groups) * kernel * kernel
-        fan_out = (c_out // groups) * kernel * kernel
-        shape = (c_out, c_in // groups, kernel, kernel)
+    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator,
+                 stride: int = 1, groups: int = 1, zero_init: bool = False):
+        fan_in = (c_in // groups) * 9
+        fan_out = (c_out // groups) * 9
+        shape = (c_out, c_in // groups, 3, 3)
         if zero_init:
             self.weight = param(np.zeros(shape))
         else:
             self.weight = xavier_uniform(rng, shape, fan_in, fan_out)
         self.bias = param(np.zeros(c_out))
-        self.stride, self.padding, self.groups = stride, padding, groups
+        self.stride, self.groups = stride, groups
 
     def __call__(self, x: Tensor) -> Tensor:
         y = T.conv2d(T.transpose(x, (2, 0, 1)), self.weight, self.bias,
-                     stride=self.stride, padding=self.padding, groups=self.groups)
+                     stride=self.stride, groups=self.groups)
         return T.transpose(y, (1, 2, 0))
 
 

@@ -1,7 +1,7 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The op set is exactly what the restoration model needs: matmul (a linear
-map of the last axis, or batched), conv2d (grouped/depthwise), softmax,
+map of the last axis, or batched), conv2d (3x3, dense or depthwise), softmax,
 layer norm, pixel shuffle / unshuffle, adaptive average pooling, bilinear
 resize, embedding lookup and a small elementwise suite. Forward ops never
 mutate their inputs; gradients are recorded on an explicit Tape and
@@ -14,8 +14,8 @@ their input, so they are not scanned again. A view of a leaf, or of an op
 output made under no_nan_checks, is scanned.
 
 Layout conventions:
-  * arrays are float64; op outputs are row-major, except depthwise conv2d,
-    which returns a [C,H,W] transposed view of a channels-last [H,W,C] array
+  * arrays are float64; op outputs are row-major, except conv2d, which
+    returns a [C,H,W] view of a channels-last array
   * every image op is channels-last [H,W,C] (pixel shuffle / unshuffle,
     adaptive pooling, bilinear resize) except conv2d, which takes [C,H,W];
     nn.Conv2d is the one caller that transposes to and from it
@@ -30,7 +30,6 @@ import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import _kernels
 
@@ -402,72 +401,61 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 # convolution
 
 
-def _conv_windows(xp: np.ndarray, kh: int, kw: int, stride: int,
-                  ho: int, wo: int) -> np.ndarray:
-    s0, s1, s2 = xp.strides
-    return as_strided(xp, (xp.shape[0], kh, kw, ho, wo),
-                      (s0, s1, s2, s1 * stride, s2 * stride))
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1) -> Tensor:
+    """3x3 cross-correlation of x[C_in,H,W] with w[C_out,C_in/groups,3,3],
+    zero padding 1, plus bias[C_out]: out[C_out, (H-1)//stride+1, (W-1)//stride+1].
 
-
-def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """Cross-correlation of x[C_in,H,W] with w[C_out,C_in/groups,kh,kw].
-
-    Zero padding; output size (H + 2p - kh)//stride + 1. Two compute paths,
-    chosen from the shapes: a depthwise 3x3 (groups == C_in == C_out,
-    stride 1, padding 1) runs the _kernels depthwise kernels; every other
-    conv is a grouped im2col matmul, with groups == 1 as a batch of one.
+    The shapes choose one of the model's two convs: depthwise (groups == C_in
+    == C_out, stride 1) runs the _kernels kernels; dense (groups == 1) sums
+    one GEMM per tap of strided windows of the padded channels-last input.
+    Both return a [C,H,W] view of a fresh channels-last array. Any other
+    kernel size or grouping raises ShapeError.
     """
     cin, h, wdt = x.shape
     cout, cg, kh, kw = w.shape
-    if cin % groups or cout % groups:
-        raise ShapeError(f"conv2d: groups={groups} must divide C_in={cin} and C_out={cout}")
-    if cg != cin // groups:
-        raise ShapeError(f"conv2d: weight expects {cg} channels/group, input gives {cin // groups}")
-    hp, wp = h + 2 * padding, wdt + 2 * padding
-    if kh > hp or kw > wp:
-        raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}")
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    depthwise = groups == cin and cg == 1 and cout == cin and kh == 3 and kw == 3 \
-        and stride == 1 and padding == 1
+    dense = groups == 1 and cg == cin
+    if (kh, kw) != (3, 3) or not (dense or groups == cin == cout and cg == 1 and stride == 1):
+        raise ShapeError(f"conv2d: w {w.shape} on x {x.shape} with stride={stride}, groups="
+                         f"{groups} is neither a dense nor a stride-1 depthwise 3x3 conv")
+    if bias.shape != (cout,):
+        raise ShapeError(f"conv2d: bias shape {bias.shape}, expected ({cout},)")
     wd = w.data
-    if depthwise:
-        out = _kernels.depthwise3x3(x.data, wd.reshape(cin, 3, 3))
+    if dense:
+        ho, wo = (h - 1) // stride + 1, (wdt - 1) // stride + 1
+        xp = np.zeros((h + 2, wdt + 2, cin))
+        xp[1:-1, 1:-1] = x.data.transpose(1, 2, 0)
+        # tap t = 3i + j reads the padded input at rows i::stride, cols j::stride
+        wins = [(slice(i, i + (ho - 1) * stride + 1, stride),
+                 slice(j, j + (wo - 1) * stride + 1, stride))
+                for i in range(3) for j in range(3)]
+        wt = wd.transpose(2, 3, 1, 0).reshape(9, cin, cout)     # a copy, per tap contiguous
+        acc, buf = np.zeros((ho, wo, cout)), np.empty((ho, wo, cout))
+        for t, win in enumerate(wins):
+            acc += np.matmul(xp[win], wt[t], out=buf)
+        acc += bias.data
+        out = acc.transpose(2, 0, 1)
     else:
-        xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) \
-            if padding else x.data
-        wg = wd.reshape(groups, cout // groups, cg * kh * kw)
-        cols = _conv_windows(xp, kh, kw, stride, ho, wo).reshape(groups, cg * kh * kw, ho * wo)
-        out = np.matmul(wg, cols).reshape(cout, ho, wo)
-    if bias is not None:
+        out = _kernels.depthwise3x3(x.data, wd.reshape(cin, 3, 3))
         out += bias.data[:, None, None]  # out is the kernel's fresh array
 
     def backward(g):
-        if depthwise:
+        if dense:
+            gh = g.transpose(1, 2, 0)
+            gwt, gxp = np.empty_like(wt), np.zeros_like(xp)
+            for t, win in enumerate(wins):
+                # window^T g per output row, summed over the rows
+                gwt[t] = np.matmul(xp[win].transpose(0, 2, 1), gh).sum(axis=0)
+                # the tap's input gradient, scattered onto the positions it read
+                gxp[win] += np.matmul(gh, wt[t].T)
+            gx = gxp[1:-1, 1:-1].transpose(2, 0, 1)
+            gw = gwt.reshape(3, 3, cin, cout).transpose(3, 2, 0, 1)
+        else:
             w3 = wd.reshape(cin, 3, 3)
             gx = _kernels.depthwise3x3_grad_input(g, w3)
             gw = _kernels.depthwise3x3_grad_weight(x.data, g).reshape(w.shape)
-        else:
-            g3 = g.reshape(groups, cout // groups, ho * wo)
-            cols = _conv_windows(xp, kh, kw, stride, ho, wo).reshape(groups, cg * kh * kw, ho * wo)
-            gw = np.matmul(g3, cols.swapaxes(1, 2)).reshape(w.shape)
-            # per tap a contiguous [G, C_g, C_out/G], so matmul takes the BLAS path
-            wt = np.ascontiguousarray(
-                wd.reshape(groups, cout // groups, cg, kh, kw).transpose(3, 4, 0, 2, 1))
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    # tap (i, j) scattered onto the strided input positions it read
-                    tap = np.matmul(wt[i, j], g3).reshape(cin, ho, wo)
-                    gxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += tap
-            gx = gxp[:, padding:hp - padding, padding:wp - padding] if padding else gxp
-        if bias is None:
-            return gx, gw
         return gx, gw, g.sum(axis=(1, 2))
 
-    parents = (x, w) if bias is None else (x, w, bias)
-    return _finish(out, parents, backward, "conv2d")
+    return _finish(out, (x, w, bias), backward, "conv2d")
 
 
 # ---------------------------------------------------------------------------

@@ -64,14 +64,14 @@ def split_tokens(prompt: str) -> list[str]:
     return out
 
 
-def tokenize(prompt: str, vocab: Vocab, length: int) -> np.ndarray:
-    """Token ids padded/truncated to a fixed length."""
+def tokenize(prompt: str, vocab: Vocab) -> np.ndarray:
+    """PROMPT_LEN token ids: the prompt's, padded or truncated."""
     toks = split_tokens(prompt)
-    if len(toks) > length:
-        warnings.warn(f"prompt truncated from {len(toks)} to {length} tokens")
-        toks = toks[:length]
+    if len(toks) > PROMPT_LEN:
+        warnings.warn(f"prompt truncated from {len(toks)} to {PROMPT_LEN} tokens")
+        toks = toks[:PROMPT_LEN]
     ids = [vocab.id_of(t) for t in toks]
-    ids += [vocab.pad_id] * (length - len(ids))
+    ids += [vocab.pad_id] * (PROMPT_LEN - len(ids))
     return np.array(ids, dtype=np.int64)
 
 

@@ -217,8 +217,13 @@ def _edit_record(record, **changes):
      "channels must be a positive int, got '8'"),
     (lambda blob: _edit_record(json.loads(blob), stage_blocks=[1, 1, 1]),
      "stage_blocks must have 4 entries"),
+    # MICRO_CONFIG's latent stage is 2x2 and its 2x2 agent grid fills it
+    (lambda blob: _edit_record(json.loads(blob), agent_h=3),
+     r"agent_h x agent_w = 3x2 exceeds the latent stage's 2x2 grid"),
+    (lambda blob: _edit_record(json.loads(blob), text_embed_dim=30),
+     "text_embed_dim 30 not divisible by the 4 text encoder heads"),
 ], ids=["bad-json", "not-an-object", "unknown-key", "missing-key", "mistyped-key",
-        "three-stages"])
+        "three-stages", "agent-grid", "text-heads"])
 def test_checkpoint_bad_config_record_raises(tmp_path, edit, message):
     path = tmp_path / "model.ckpt"
     save_checkpoint(RestorationModel(MICRO_CONFIG, seed=26), path)
@@ -238,8 +243,11 @@ def test_checkpoint_bad_config_record_raises(tmp_path, edit, message):
     (dict(stage_blocks=(1, 1, 1)), "stage_blocks must have 4 entries"),
     (dict(stage_blocks=4), "stage_blocks must have 4 entries"),
     (dict(base_resolution=20), "base_resolution must be divisible by 8"),
+    (dict(base_resolution=64, agent_w=11),
+     r"agent_h x agent_w = 12x11 exceeds the latent stage's 8x8 grid"),
+    (dict(text_embed_dim=126), "text_embed_dim 126 not divisible by the 4 text encoder heads"),
 ], ids=["zero", "float", "bool", "zero-stage", "three-stages", "int-stages",
-        "base-resolution"])
+        "base-resolution", "agent-grid", "text-heads"])
 def test_model_config_rejects_bad_values(changes, message):
     with pytest.raises(ConfigError, match=message):
         ModelConfig(**changes)

@@ -69,45 +69,55 @@ def test_matmul_batched_matches_per_slice():
 # conv2d
 
 
-def test_conv2d_1x1_identity():
-    x = rand(1, 5, 5, seed=6)
-    w = np.ones((1, 1, 1, 1))
-    out = T.conv2d(Tensor(x), Tensor(w))
-    np.testing.assert_array_equal(out.data, x)
-
-
 def test_conv2d_ones_kernel_constant_image():
     c = 0.7
     x = np.full((1, 6, 6), c)
     w = np.ones((1, 1, 3, 3))
-    out = T.conv2d(Tensor(x), Tensor(w), padding=1).data
+    out = T.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(1))).data
     np.testing.assert_allclose(out[0, 1:-1, 1:-1], 9 * c, atol=1e-12)
 
 
-@pytest.mark.parametrize("stride,padding,groups,cin,cout", [
-    (1, 0, 1, 3, 4),
-    (2, 1, 1, 4, 6),
-    (1, 1, 2, 4, 6),
-    (1, 1, 5, 5, 5),   # depthwise
+@pytest.mark.parametrize("stride,groups,cin,cout", [
+    (1, 1, 3, 4),      # dense
+    (2, 1, 4, 6),      # dense, stride 2 over an odd (7) and an even (8) extent
+    (1, 5, 5, 5),      # depthwise
 ])
-def test_conv2d_vs_nested_loop(stride, padding, groups, cin, cout):
+def test_conv2d_vs_nested_loop(stride, groups, cin, cout):
     x = rand(cin, 7, 8, seed=7)
     w = rand(cout, cin // groups, 3, 3, seed=8)
     b = rand(cout, seed=9)
-    out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
-                   padding=padding, groups=groups)
-    ref = conv2d_oracle(x, w, b, stride=stride, padding=padding, groups=groups)
+    out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, groups=groups)
+    ref = conv2d_oracle(x, w, b, stride=stride, padding=1, groups=groups)
+    assert out.shape == ref.shape
     assert np.abs(out.data - ref).max() < 1e-12
 
 
+NOT_A_MODEL_CONV = "neither a dense nor a stride-1 depthwise 3x3 conv"
+
+
 def test_conv2d_invalid_groups():
-    with pytest.raises(T.ShapeError):
-        T.conv2d(Tensor(rand(3, 4, 4)), Tensor(rand(4, 1, 3, 3)), groups=2)
+    # groups is 1 (dense) or a stride-1 depthwise conv; nothing in between
+    with pytest.raises(T.ShapeError, match=NOT_A_MODEL_CONV):
+        T.conv2d(Tensor(rand(4, 5, 5)), Tensor(rand(6, 2, 3, 3)), Tensor(rand(6)), groups=2)
+    with pytest.raises(T.ShapeError, match=NOT_A_MODEL_CONV):
+        T.conv2d(Tensor(rand(3, 6, 6)), Tensor(rand(3, 1, 3, 3)), Tensor(rand(3)),
+                 stride=2, groups=3)
+    with pytest.raises(T.ShapeError, match=NOT_A_MODEL_CONV):   # 3 input channels, w wants 2
+        T.conv2d(Tensor(rand(3, 4, 4)), Tensor(rand(4, 2, 3, 3)), Tensor(rand(4)))
 
 
 def test_conv2d_kernel_too_large():
-    with pytest.raises(T.ShapeError):
-        T.conv2d(Tensor(rand(1, 2, 2)), Tensor(rand(1, 1, 5, 5)))
+    with pytest.raises(T.ShapeError, match=NOT_A_MODEL_CONV):
+        T.conv2d(Tensor(rand(1, 6, 6)), Tensor(rand(1, 1, 5, 5)), Tensor(rand(1)))
+
+
+@pytest.mark.parametrize("groups", [1, 4])
+def test_conv2d_bias_must_match_output_channels(groups):
+    # a (1,) bias would otherwise broadcast over all four channels
+    x, w = Tensor(rand(4, 5, 5)), Tensor(rand(4, 4 // groups, 3, 3))
+    for bias in (rand(1), rand(3), rand(4, 1)):
+        with pytest.raises(T.ShapeError, match=r"bias shape"):
+            T.conv2d(x, w, Tensor(bias), groups=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +321,7 @@ def test_forward_ops_do_not_mutate_inputs():
     x = rand(3, 6, 6, seed=21)
     w = rand(4, 3, 3, 3, seed=22)
     xc, wc = x.copy(), w.copy()
-    T.conv2d(Tensor(x), Tensor(w), padding=1)
+    T.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(4)))
     np.testing.assert_array_equal(x, xc)
     np.testing.assert_array_equal(w, wc)
 
@@ -398,7 +408,7 @@ def test_backward_softmax_cross_entropy_vs_finite_differences():
 
 
 @pytest.mark.parametrize("op_name", [
-    "conv", "grouped_conv", "depthwise", "layer_norm", "pool", "shuffle", "resize",
+    "conv", "conv_stride1", "depthwise", "layer_norm", "pool", "shuffle", "resize",
     "concat", "abs", "bias", "linear", "embedding", "softmax_axis",
 ])
 def test_backward_each_op_vs_finite_differences(op_name):
@@ -407,19 +417,20 @@ def test_backward_each_op_vs_finite_differences(op_name):
         x = Tensor(rng.uniform(-1, 1, (3, 6, 6)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, 4), requires_grad=True)
-        fn = lambda: T.sum_all(T.gelu(T.conv2d(x, w, b, stride=2, padding=1)))
+        fn = lambda: T.sum_all(T.gelu(T.conv2d(x, w, b, stride=2)))
         params = [x, w, b]
-    elif op_name == "grouped_conv":
-        x = Tensor(rng.uniform(-1, 1, (4, 7, 7)), requires_grad=True)
-        w = Tensor(rng.uniform(-1, 1, (6, 2, 3, 3)), requires_grad=True)
-        b = Tensor(rng.uniform(-1, 1, 6), requires_grad=True)
-        fn = lambda: T.sum_all(T.gelu(T.conv2d(x, w, b, stride=2, padding=1, groups=2)))
+    elif op_name == "conv_stride1":
+        x = Tensor(rng.uniform(-1, 1, (4, 5, 7)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (3, 4, 3, 3)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+        fn = lambda: T.sum_all(T.gelu(T.conv2d(x, w, b)))
         params = [x, w, b]
     elif op_name == "depthwise":
         x = Tensor(rng.uniform(-1, 1, (5, 6, 6)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (5, 1, 3, 3)), requires_grad=True)
-        fn = lambda: T.sum_all(T.gelu(T.conv2d(x, w, padding=1, groups=5)))
-        params = [x, w]
+        b = Tensor(rng.uniform(-1, 1, 5), requires_grad=True)
+        fn = lambda: T.sum_all(T.gelu(T.conv2d(x, w, b, groups=5)))
+        params = [x, w, b]
     elif op_name == "layer_norm":
         x = Tensor(rng.uniform(-1, 1, (4, 7)), requires_grad=True)
         g = Tensor(rng.uniform(0.5, 1.5, 7), requires_grad=True)

@@ -17,36 +17,38 @@ def test_vocab_sorted_deterministic():
 
 def test_tokenize_example_prompt():
     v = Vocab()
-    ids = tokenize("Remove rain, lowlight.", v, 8)
+    ids = tokenize("Remove rain, lowlight.", v)
     words = [v.tokens[i] for i in ids]
     assert words[:5] == ["remove", "rain", ",", "lowlight", "."]
-    assert words[5:] == [PAD] * 3
+    assert words[5:] == [PAD] * (PROMPT_LEN - 5)
 
 
 def test_tokenize_empty_is_all_pad():
     v = Vocab()
-    ids = tokenize("", v, 6)
+    ids = tokenize("", v)
+    assert ids.shape == (PROMPT_LEN,)
     assert (ids == v.pad_id).all()
 
 
 def test_tokenize_deterministic():
     v = Vocab()
-    a = tokenize("Remove haze.", v, 10)
-    b = tokenize("Remove haze.", v, 10)
+    a = tokenize("Remove haze.", v)
+    b = tokenize("Remove haze.", v)
     np.testing.assert_array_equal(a, b)
 
 
 def test_tokenize_unknown_word_maps_to_unk():
     v = Vocab()
-    ids = tokenize("Remove gremlins.", v, 5)
+    ids = tokenize("Remove gremlins.", v)
     assert ids[1] == v.unk_id
 
 
 def test_tokenize_truncates_with_warning():
     v = Vocab()
     with pytest.warns(UserWarning, match="truncated"):
-        ids = tokenize("remove " * 30, v, 10)
-    assert len(ids) == 10
+        ids = tokenize("remove " * 30, v)
+    assert len(ids) == PROMPT_LEN
+    assert (ids == v.id_of("remove")).all()
 
 
 def test_split_keeps_punctuation_tokens():
@@ -65,7 +67,7 @@ def test_every_dataset_prompt_tokenizes_in_vocab_and_length():
     assert len(prompts) == 210
     for prompt in prompts:
         assert len(split_tokens(prompt)) <= PROMPT_LEN, prompt
-        assert v.unk_id not in tokenize(prompt, v, PROMPT_LEN), prompt
+        assert v.unk_id not in tokenize(prompt, v), prompt
 
 
 def make_encoder(c=48, seed=0):
@@ -74,15 +76,15 @@ def make_encoder(c=48, seed=0):
 
 def test_encoder_output_shapes_match_channel_ladder():
     v, enc = make_encoder(c=48)
-    ids = tokenize("Remove blur.", v, 20)
+    ids = tokenize("Remove blur.", v)
     wide, mid = enc(ids)
-    assert wide.shape == (20, 384)
-    assert mid.shape == (20, 192)
+    assert wide.shape == (PROMPT_LEN, 384)
+    assert mid.shape == (PROMPT_LEN, 192)
 
 
 def test_encoder_deterministic_for_all_pad():
     v, enc = make_encoder(c=16)
-    ids = tokenize("", v, 20)
+    ids = tokenize("", v)
     a = enc(ids)[0].data
     b = enc(ids)[0].data
     np.testing.assert_array_equal(a, b)
@@ -91,8 +93,8 @@ def test_encoder_deterministic_for_all_pad():
 def test_encoder_distinguishes_prompts():
     # one-token difference must change the encoding even before training
     v, enc = make_encoder(c=16)
-    a = enc(tokenize("Remove rain.", v, 20))[0].data
-    b = enc(tokenize("Remove snow.", v, 20))[0].data
+    a = enc(tokenize("Remove rain.", v))[0].data
+    b = enc(tokenize("Remove snow.", v))[0].data
     assert np.abs(a - b).max() > 1e-6
 
 
@@ -104,6 +106,6 @@ def test_encoder_rejects_bad_length():
 
 def test_encoder_rejects_out_of_range_id():
     v, enc = make_encoder(c=16)
-    ids = np.full(20, len(v), dtype=np.int64)
+    ids = np.full(PROMPT_LEN, len(v), dtype=np.int64)
     with pytest.raises(IndexError):
         enc(ids)
