@@ -1,11 +1,10 @@
 """Hot inner loops: depthwise 3x3 convolution (stride 1, zero pad 1) and GELU.
 
-One numpy implementation per kernel. The depthwise kernels take [C,H,W]
-arrays, but every caller hands them transposed views of channels-last
-[H,W,C] features, so they compute channels-last and return the result as a
-transposed [C,H,W] view of a fresh [H,W,C] array. No padded copy is made:
-each of the 9 taps accumulates a shifted slice, a block of rows at a time.
-The contract tests compare every kernel against an independent oracle.
+One numpy implementation per kernel. The depthwise kernels take
+channels-last [H,W,C] arrays (any strides) and return fresh contiguous
+[H,W,C] arrays. No padded copy is made: each of the 9 taps accumulates a
+shifted slice, a block of rows at a time. The contract tests compare every
+kernel against an independent oracle.
 
 All kernels are dtype-generic: they inherit the input array's dtype.
 """
@@ -19,11 +18,6 @@ _HAVE_NUMBA = False
 
 _GELU_K = 0.7978845608028654  # sqrt(2/pi)
 _GELU_C = 0.044715
-
-
-def _hwc(x):
-    # [C,H,W] -> contiguous [H,W,C]; free for a transposed channels-last view
-    return np.ascontiguousarray(x.transpose(1, 2, 0))
 
 
 # rows per pass of the forward correlation: a block this size stays in L2
@@ -49,9 +43,9 @@ def _taps(h, w, c, r0=0, r1=None):
 
 
 def _correlate3x3(x, w):
-    # out[c,y,x] = sum_ij w[c,i,j] * x[c, y+i-1, x+j-1], computed channels-last
-    c, h, wd = x.shape
-    x2 = _hwc(x).reshape(h, wd * c)
+    # out[y,x,c] = sum_ij w[c,i,j] * x[y+i-1, x+j-1, c]
+    h, wd, c = x.shape
+    x2 = x.reshape(h, wd * c)       # a copy only when x is a strided view
     # per-tap weights tiled along a row: wt[i, j, x*C + ch] = w[ch, i, j]
     wt = np.tile(w.astype(x.dtype, copy=False).transpose(1, 2, 0), (1, 1, wd))
     out = np.empty_like(x2)
@@ -65,11 +59,11 @@ def _correlate3x3(x, w):
             buf = scratch[:xs.shape[0], :xs.shape[1]]
             np.multiply(xs, wt[i, j, dst[1]], out=buf)
             out[dst] += buf
-    return out.reshape(h, wd, c).transpose(2, 0, 1)
+    return out.reshape(h, wd, c)
 
 
 def depthwise3x3(x, w):
-    """Depthwise 3x3 cross-correlation of x[C,H,W] with w[C,3,3]."""
+    """Depthwise 3x3 cross-correlation of x[H,W,C] with w[C,3,3]."""
     return _correlate3x3(x, w)
 
 
@@ -79,13 +73,12 @@ def depthwise3x3_grad_input(g, w):
 
 
 def depthwise3x3_grad_weight(x, g):
-    """Gradient of depthwise3x3 in w: gw[c,i,j] = sum_yx g[c,y,x] x[c,y+i-1,x+j-1]."""
-    c, h, wd = g.shape
-    x3, g3 = _hwc(x), _hwc(g)
+    """Gradient of depthwise3x3 in w: gw[c,i,j] = sum_yx g[y,x,c] x[y+i-1,x+j-1,c]."""
+    h, wd, c = g.shape
     gw = np.zeros((c, 3, 3), dtype=g.dtype)
-    gw[:, 1, 1] = np.einsum("hwc,hwc->c", g3, x3)
+    gw[:, 1, 1] = np.einsum("hwc,hwc->c", g, x)
     for i, j, dst, src in _taps(h, wd, 1):
-        gw[:, i, j] = np.einsum("hwc,hwc->c", g3[dst], x3[src])
+        gw[:, i, j] = np.einsum("hwc,hwc->c", g[dst], x[src])
     return gw
 
 

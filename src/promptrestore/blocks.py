@@ -15,12 +15,15 @@ from .degradations import KINDS
 from .nn import Conv2d, LayerNorm, Linear, Module
 from .tensor import Tensor
 
+GDFN_EXPANSION = 2.66       # gated FFN width over its channels (Restormer, arXiv 2111.09881)
+
 
 class GatedDConvFFN(Module):
-    """Two 1x1-conv + depthwise-3x3 paths; GELU(path1) gates path2."""
+    """Two 1x1-conv + depthwise-3x3 paths of GDFN_EXPANSION times the
+    channels; GELU(path1) gates path2."""
 
-    def __init__(self, channels: int, rng: np.random.Generator, expansion: float):
-        h = max(1, round(channels * expansion))
+    def __init__(self, channels: int, rng: np.random.Generator):
+        h = max(1, round(channels * GDFN_EXPANSION))
         self.proj1 = Linear(channels, h, rng)
         self.proj2 = Linear(channels, h, rng)
         self.dw1 = Conv2d(h, h, rng, groups=h)
@@ -35,12 +38,12 @@ class GatedDConvFFN(Module):
 class ContextBlock(Module):
     """norm -> agent attention -> residual, then norm -> gated FFN -> residual."""
 
-    def __init__(self, cfg: AttnConfig, rng: np.random.Generator, expansion: float):
+    def __init__(self, cfg: AttnConfig, rng: np.random.Generator):
         c = cfg.channels
         self.norm1 = LayerNorm(c)
         self.attn = AgentSelfAttention(cfg, rng)
         self.norm2 = LayerNorm(c)
-        self.ffn = GatedDConvFFN(c, rng, expansion)
+        self.ffn = GatedDConvFFN(c, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         y = T.add(x, self.attn(self.norm1(x)))

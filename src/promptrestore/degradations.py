@@ -51,6 +51,17 @@ class DegradationSpec:
             raise ValueError(f"unknown degradation kind {self.kind!r}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0,1], got {self.beta}")
+        # alpha, rng_stream and a haze gamma seed numpy generators, which take
+        # only non-negative integers; blur and rain gammas are signed angles
+        for name in ("alpha", "rng_stream"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                raise ValueError(f"{name} must be a non-negative int, got {v!r}")
+        g = self.gamma
+        if self.kind == "haze" and (isinstance(g, bool) or not isinstance(g, (int, float))
+                                    or isinstance(g, float) and not g.is_integer() or g < 0):
+            raise ValueError(f"haze gamma (its blob seed) must be a non-negative "
+                             f"whole number, got {g!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -23,10 +23,9 @@ from .blocks import ContextBlock, DegradationClassifier, Downsample, Upsample
 from .degradations import KINDS
 from .nn import Conv2d, Linear, Module, ModuleList
 from .tensor import Tensor
-from .text import PROMPT_LEN, TEXT_HEADS, PromptEncoder, Vocab, tokenize
+from .text import PROMPT_LEN, TEXT_HEADS, VOCAB_SHA256, PromptEncoder, tokenize
 
 HEADS = (1, 2, 4, 8)        # attention heads per stage of the channel ladder
-GDFN_EXPANSION = 2.66       # gated FFN hidden width over its channel count
 
 
 class ConfigError(ValueError):
@@ -99,7 +98,7 @@ def _stage(cfg: ModelConfig, level: int, n_blocks: int, channels: int,
            heads: int, rng) -> ModuleList:
     res = cfg.base_resolution // (2 ** level)
     attn = AttnConfig(channels, heads, cfg.agent_h, cfg.agent_w, res, res)
-    return ModuleList(ContextBlock(attn, rng, GDFN_EXPANSION) for _ in range(n_blocks))
+    return ModuleList(ContextBlock(attn, rng) for _ in range(n_blocks))
 
 
 class RestorationModel(Module):
@@ -107,7 +106,6 @@ class RestorationModel(Module):
         config = config or ModelConfig()
         rng = np.random.default_rng(seed)
         self.config = config
-        self.vocab = Vocab()
         c0, c1, c2, c3 = config.ladder
         blocks = config.stage_blocks
         res = config.base_resolution
@@ -171,7 +169,7 @@ class RestorationModel(Module):
         return x, skips
 
     def encode_prompt(self, prompt: str) -> tuple[Tensor, Tensor]:
-        ids = tokenize(prompt, self.vocab)
+        ids = tokenize(prompt)
         return self.text_encoder(ids)
 
     def restore(self, image, prompt: str) -> RestorationOutput:
@@ -222,7 +220,7 @@ def save_checkpoint(model: RestorationModel, path) -> None:
     buf.write(struct.pack("<I", _VERSION))
     buf.write(struct.pack("<I", len(cfg_blob)))
     buf.write(cfg_blob)
-    buf.write(model.vocab.content_hash())
+    buf.write(VOCAB_SHA256)
     buf.write(struct.pack("<Q", len(arrays)))
     for a in arrays:
         buf.write(struct.pack("<Q", a.size))
@@ -271,10 +269,9 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> RestorationModel
         stored = _config_from_json(_read_exact(fh, cfg_len))
         if config is not None and stored != config:
             raise ConfigError("checkpoint config does not match requested config")
-        vocab_hash = _read_exact(fh, 32)
-        model = RestorationModel(stored)
-        if model.vocab.content_hash() != vocab_hash:
+        if _read_exact(fh, 32) != VOCAB_SHA256:
             raise ConfigError("checkpoint vocab hash does not match")
+        model = RestorationModel(stored)
         (n_arrays,) = struct.unpack("<Q", _read_exact(fh, 8))
         params = list(model.named_parameters())
         if n_arrays != len(params):

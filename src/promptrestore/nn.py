@@ -1,9 +1,9 @@
 """Parameter containers and the basic trainable layers.
 
 Features are channels-last: Linear maps the last axis of any tensor, and
-Conv2d takes and returns [H,W,C]. Conv2d transposes to and from
-tensor.conv2d's [C,H,W] inside, both free views; it is the only place a
-feature visits that layout.
+Conv2d takes and returns [H,W,C]. Conv2d transposes to and from the [C,H,W]
+signature of tensor.conv2d, which computes channels-last, so both transposes
+are free views; it is the only place a feature visits that layout.
 """
 
 from __future__ import annotations

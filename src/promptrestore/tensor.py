@@ -14,11 +14,12 @@ their input, so they are not scanned again. A view of a leaf, or of an op
 output made under no_nan_checks, is scanned.
 
 Layout conventions:
-  * arrays are float64; op outputs are row-major, except conv2d, which
-    returns a [C,H,W] view of a channels-last array
+  * arrays are float64; op outputs are row-major, except conv2d's
   * every image op is channels-last [H,W,C] (pixel shuffle / unshuffle,
-    adaptive pooling, bilinear resize) except conv2d, which takes [C,H,W];
-    nn.Conv2d is the one caller that transposes to and from it
+    adaptive pooling, bilinear resize, the _kernels depthwise kernels).
+    conv2d is the only op that takes [C,H,W]: it transposes to [H,W,C]
+    once, computes there and returns a [C,H,W] view of the fresh result, so
+    nn.Conv2d, its one caller, transposes to and from it with free views
   * pixel_unshuffle packs sub-pixels row-major: output [y, x, c*r*r + i*r + j]
     holds input pixel [y*r + i, x*r + j, c]
 """
@@ -182,10 +183,6 @@ class Tape:
                 leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _finish(out_data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
             opname: str, checked: bool = False) -> Tensor:
     # checked: out_data holds values already known finite (a view of a
@@ -208,21 +205,18 @@ def _finish(out_data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} vs {b.shape}")
     return _finish(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"sub: shapes {a.shape} vs {b.shape}")
     return _finish(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
@@ -266,13 +260,6 @@ def absolute(x: Tensor) -> Tensor:
     return _finish(np.abs(xd), (x,), lambda g: (g * np.sign(xd),), "abs")
 
 
-def sum_all(x: Tensor) -> Tensor:
-    shape = x.shape
-    return _finish(np.asarray(x.data.sum()), (x,),
-                   lambda g: (np.broadcast_to(g, shape).copy() if shape else g,),
-                   "sum")
-
-
 def mean_all(x: Tensor) -> Tensor:
     n = x.size
     shape = x.shape
@@ -299,7 +286,6 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     bounds = np.cumsum(sizes)[:-1]
@@ -407,9 +393,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
 
     The shapes choose one of the model's two convs: depthwise (groups == C_in
     == C_out, stride 1) runs the _kernels kernels; dense (groups == 1) sums
-    one GEMM per tap of strided windows of the padded channels-last input.
-    Both return a [C,H,W] view of a fresh channels-last array. Any other
-    kernel size or grouping raises ShapeError.
+    one GEMM per tap of strided windows of the padded input. Both compute
+    channels-last and return a [C,H,W] view of a fresh [H,W,C] array. Any
+    other kernel size or grouping raises ShapeError.
     """
     cin, h, wdt = x.shape
     cout, cg, kh, kw = w.shape
@@ -420,42 +406,40 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bias.shape}, expected ({cout},)")
     wd = w.data
+    xh = x.data.transpose(1, 2, 0)      # free for nn.Conv2d's transposed input
     if dense:
         ho, wo = (h - 1) // stride + 1, (wdt - 1) // stride + 1
         xp = np.zeros((h + 2, wdt + 2, cin))
-        xp[1:-1, 1:-1] = x.data.transpose(1, 2, 0)
+        xp[1:-1, 1:-1] = xh
         # tap t = 3i + j reads the padded input at rows i::stride, cols j::stride
         wins = [(slice(i, i + (ho - 1) * stride + 1, stride),
                  slice(j, j + (wo - 1) * stride + 1, stride))
                 for i in range(3) for j in range(3)]
         wt = wd.transpose(2, 3, 1, 0).reshape(9, cin, cout)     # a copy, per tap contiguous
-        acc, buf = np.zeros((ho, wo, cout)), np.empty((ho, wo, cout))
+        out, buf = np.zeros((ho, wo, cout)), np.empty((ho, wo, cout))
         for t, win in enumerate(wins):
-            acc += np.matmul(xp[win], wt[t], out=buf)
-        acc += bias.data
-        out = acc.transpose(2, 0, 1)
+            out += np.matmul(xp[win], wt[t], out=buf)
     else:
-        out = _kernels.depthwise3x3(x.data, wd.reshape(cin, 3, 3))
-        out += bias.data[:, None, None]  # out is the kernel's fresh array
+        out = _kernels.depthwise3x3(xh, wd.reshape(cin, 3, 3))
+    out += bias.data                    # out is a fresh array on both paths
 
     def backward(g):
+        gh = g.transpose(1, 2, 0)
         if dense:
-            gh = g.transpose(1, 2, 0)
             gwt, gxp = np.empty_like(wt), np.zeros_like(xp)
             for t, win in enumerate(wins):
                 # window^T g per output row, summed over the rows
                 gwt[t] = np.matmul(xp[win].transpose(0, 2, 1), gh).sum(axis=0)
                 # the tap's input gradient, scattered onto the positions it read
                 gxp[win] += np.matmul(gh, wt[t].T)
-            gx = gxp[1:-1, 1:-1].transpose(2, 0, 1)
+            gxh = gxp[1:-1, 1:-1]
             gw = gwt.reshape(3, 3, cin, cout).transpose(3, 2, 0, 1)
         else:
-            w3 = wd.reshape(cin, 3, 3)
-            gx = _kernels.depthwise3x3_grad_input(g, w3)
-            gw = _kernels.depthwise3x3_grad_weight(x.data, g).reshape(w.shape)
-        return gx, gw, g.sum(axis=(1, 2))
+            gxh = _kernels.depthwise3x3_grad_input(gh, wd.reshape(cin, 3, 3))
+            gw = _kernels.depthwise3x3_grad_weight(xh, gh).reshape(w.shape)
+        return gxh.transpose(2, 0, 1), gw, g.sum(axis=(1, 2))
 
-    return _finish(out, (x, w, bias), backward, "conv2d")
+    return _finish(out.transpose(2, 0, 1), (x, w, bias), backward, "conv2d")
 
 
 # ---------------------------------------------------------------------------

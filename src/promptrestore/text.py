@@ -4,6 +4,9 @@ The prompt grammar is tiny (two templates over five degradation names), so
 the default encoder is a small two-layer transformer trained jointly with
 the restoration model. Two linear heads project the encoded sequence to the
 channel widths consumed by the two fusion points (8C and 4C).
+
+The token table is fixed: TOKENS (id = position, sorted) and VOCAB_SHA256,
+its digest, which checkpoints store so weights never load under another one.
 """
 
 from __future__ import annotations
@@ -27,27 +30,9 @@ _TEMPLATE_WORDS = ("remove", "there", "are", "in", "the", "image")
 _PUNCT = (",", ".")
 
 
-class Vocab:
-    """token -> id map; ids follow sorted token order for reproducibility."""
-
-    def __init__(self):
-        self.tokens = sorted({PAD, UNK, *_TEMPLATE_WORDS, *KINDS, *_PUNCT})
-        self.index = {t: i for i, t in enumerate(self.tokens)}
-        self.pad_id = self.index[PAD]
-        self.unk_id = self.index[UNK]
-
-    def __len__(self):
-        return len(self.tokens)
-
-    def id_of(self, token: str) -> int:
-        return self.index.get(token, self.unk_id)
-
-    def serialize(self) -> str:
-        # one token per line, line index = id
-        return "\n".join(self.tokens) + "\n"
-
-    def content_hash(self) -> bytes:
-        return hashlib.sha256(self.serialize().encode("utf-8")).digest()
+TOKENS = tuple(sorted({PAD, UNK, *_TEMPLATE_WORDS, *KINDS, *_PUNCT}))
+_IDS = {t: i for i, t in enumerate(TOKENS)}
+VOCAB_SHA256 = hashlib.sha256(("\n".join(TOKENS) + "\n").encode("utf-8")).digest()
 
 
 def split_tokens(prompt: str) -> list[str]:
@@ -64,14 +49,15 @@ def split_tokens(prompt: str) -> list[str]:
     return out
 
 
-def tokenize(prompt: str, vocab: Vocab) -> np.ndarray:
-    """PROMPT_LEN token ids: the prompt's, padded or truncated."""
+def tokenize(prompt: str) -> np.ndarray:
+    """PROMPT_LEN token ids: the prompt's, padded or truncated; a word
+    outside TOKENS maps to UNK."""
     toks = split_tokens(prompt)
     if len(toks) > PROMPT_LEN:
         warnings.warn(f"prompt truncated from {len(toks)} to {PROMPT_LEN} tokens")
         toks = toks[:PROMPT_LEN]
-    ids = [vocab.id_of(t) for t in toks]
-    ids += [vocab.pad_id] * (PROMPT_LEN - len(ids))
+    ids = [_IDS.get(t, _IDS[UNK]) for t in toks]
+    ids += [_IDS[PAD]] * (PROMPT_LEN - len(ids))
     return np.array(ids, dtype=np.int64)
 
 
@@ -99,7 +85,7 @@ class PromptEncoder(Module):
 
     def __init__(self, base_channels: int, dim: int, layers: int,
                  rng: np.random.Generator):
-        self.embed = param(rng.normal(0.0, 0.02, (len(Vocab()), dim)))
+        self.embed = param(rng.normal(0.0, 0.02, (len(TOKENS), dim)))
         self.pos = param(rng.normal(0.0, 0.02, (PROMPT_LEN, dim)))
         self.layers = ModuleList(_EncoderLayer(dim, TEXT_HEADS, rng)
                                  for _ in range(layers))

@@ -8,6 +8,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from promptrestore import tensor as T
 from promptrestore.tensor import Tape, Tensor
 
 
@@ -155,6 +156,12 @@ def clean_image_oracle(rng, size):
 
 # ---------------------------------------------------------------------------
 # central-difference gradient checking against the tape
+
+
+def sum_all(x: Tensor) -> Tensor:
+    """The gradient tests' scalar loss: the sum of x, as its mean scaled back
+    up, so that gradients do not shrink toward check_gradients' atol."""
+    return T.scale(T.mean_all(x), x.size)
 
 
 def numeric_grad(f: Callable[[], float], x: Tensor, index: int,

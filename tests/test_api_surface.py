@@ -22,8 +22,6 @@ PACKAGE = ROOT / "src" / "promptrestore"
 ALLOWED = {
     "model.save_checkpoint": "how trained weights leave a process; no trainer calls it yet",
     "model.load_checkpoint": "how trained weights come back; no trainer or evaluator calls it yet",
-    "tensor.sum_all": "the reduction of the gradient tests; mean_all would shrink their "
-                      "gradients toward check_gradients' atol",
 }
 
 

@@ -8,7 +8,7 @@ from promptrestore.attention import (AgentCrossAttention, AgentSelfAttention,
                                      AttnConfig, VanillaSelfAttention, _attend)
 from promptrestore.tensor import Tensor
 
-from helpers import attention_oracle, check_gradients
+from helpers import attention_oracle, check_gradients, sum_all
 
 
 def rng(seed=0):
@@ -110,7 +110,7 @@ def test_mhasa_gradients():
     params = [x] + list(m.parameters())
 
     def loss():
-        return T.sum_all(T.gelu(m(x)))
+        return sum_all(T.gelu(m(x)))
 
     check_gradients(loss, params, rtol=1e-4, max_per_tensor=3, rng=rng(13))
 
@@ -174,7 +174,7 @@ def test_mhaca_gradients():
     params = [f_img, f_txt] + list(m.parameters())
 
     def loss():
-        return T.sum_all(T.gelu(m(f_img, f_txt)))
+        return sum_all(T.gelu(m(f_img, f_txt)))
 
     check_gradients(loss, params, rtol=1e-4, max_per_tensor=3, rng=rng(32))
 

@@ -7,7 +7,7 @@ from promptrestore.blocks import (ContextBlock, DegradationClassifier, Downsampl
                                   GatedDConvFFN, Upsample)
 from promptrestore.tensor import Tensor
 
-from helpers import check_gradients
+from helpers import check_gradients, sum_all
 
 
 def rng(seed=0):
@@ -24,13 +24,13 @@ def zero_module(m):
 
 
 def test_gdfn_shape_preserved():
-    m = GatedDConvFFN(48, rng(1), 2.66)
+    m = GatedDConvFFN(48, rng(1))
     out = m(Tensor(rng(2).normal(size=(16, 16, 48))))
     assert out.shape == (16, 16, 48)
 
 
 def test_gdfn_zero_input_zero_bias_gives_zero():
-    m = GatedDConvFFN(8, rng(3), 2.66)
+    m = GatedDConvFFN(8, rng(3))
     for lin in (m.proj1, m.proj2, m.proj_out):
         lin.bias.data = np.zeros_like(lin.bias.data)
     m.dw1.bias.data = np.zeros_like(m.dw1.bias.data)
@@ -42,7 +42,7 @@ def test_gdfn_zero_input_zero_bias_gives_zero():
 def test_gdfn_param_count_formula():
     c = 48
     h = round(2.66 * c)
-    m = GatedDConvFFN(c, rng(4), 2.66)
+    m = GatedDConvFFN(c, rng(4))
     weights = 2 * c * h + 2 * 9 * h + h * c
     biases = 2 * h + 2 * h + c
     assert m.proj1.weight.shape == (c, h)
@@ -50,11 +50,11 @@ def test_gdfn_param_count_formula():
 
 
 def test_gdfn_gradients():
-    m = GatedDConvFFN(4, rng(5), 2.66)
+    m = GatedDConvFFN(4, rng(5))
     x = Tensor(rng(6).normal(size=(3, 3, 4)), requires_grad=True)
 
     def loss():
-        return T.sum_all(T.gelu(m(x)))
+        return sum_all(T.gelu(m(x)))
 
     check_gradients(loss, [x] + list(m.parameters()), rtol=1e-4,
                     max_per_tensor=3, rng=rng(7))
@@ -69,13 +69,13 @@ def toy_block_cfg(c=8):
 
 
 def test_context_block_shape():
-    m = ContextBlock(toy_block_cfg(), rng(8), 2.66)
+    m = ContextBlock(toy_block_cfg(), rng(8))
     out = m(Tensor(rng(9).normal(size=(4, 4, 8))))
     assert out.shape == (4, 4, 8)
 
 
 def test_context_block_zeroed_submodules_is_identity():
-    m = ContextBlock(toy_block_cfg(), rng(10), 2.66)
+    m = ContextBlock(toy_block_cfg(), rng(10))
     zero_module(m.attn)
     zero_module(m.ffn)
     x = rng(11).normal(size=(4, 4, 8))
@@ -84,11 +84,11 @@ def test_context_block_zeroed_submodules_is_identity():
 
 
 def test_context_block_gradients():
-    m = ContextBlock(toy_block_cfg(4), rng(12), 2.66)
+    m = ContextBlock(toy_block_cfg(4), rng(12))
     x = Tensor(rng(13).normal(size=(4, 4, 4)), requires_grad=True)
 
     def loss():
-        return T.sum_all(T.gelu(m(x)))
+        return sum_all(T.gelu(m(x)))
 
     check_gradients(loss, [x] + list(m.parameters()), rtol=1e-4,
                     max_per_tensor=2, rng=rng(14))
@@ -167,7 +167,7 @@ def test_mdp_gradients():
     x = Tensor(rng(32).normal(size=(4, 4, 8)), requires_grad=True)
 
     def loss():
-        return T.sum_all(T.gelu(m(x)))
+        return sum_all(T.gelu(m(x)))
 
     check_gradients(loss, [x] + list(m.parameters()), rtol=1e-4,
                     max_per_tensor=3, rng=rng(33))

@@ -178,8 +178,25 @@ def test_record_spec_kinds_must_be_exactly_present(changes):
      r"beta must be in \[0,1\], got 1.5"),
     (json.dumps(_record(specs=[dict(kind="blur", sigma=2), dict(kind="rain")])),
      "unexpected keyword argument 'sigma'"),
+    (json.dumps(_record(present=["blur", "snow"], removed=["snow"],
+                        specs=[dict(kind="blur"), dict(kind="snow", beta=0.5, alpha=-1)])),
+     "alpha must be a non-negative int, got -1"),
+    (json.dumps(_record(specs=[dict(kind="blur", alpha=2.0), dict(kind="rain")])),
+     "alpha must be a non-negative int, got 2.0"),
+    (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="rain", rng_stream=True)])),
+     "rng_stream must be a non-negative int, got True"),
+    (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="rain", rng_stream=-5)])),
+     "rng_stream must be a non-negative int, got -5"),
+    (json.dumps(_record(present=["blur", "haze"], removed=["haze"],
+                        specs=[dict(kind="blur"), dict(kind="haze", beta=0.5, gamma=-3.0)])),
+     r"haze gamma \(its blob seed\) must be a non-negative whole number, got -3.0"),
+    (json.dumps(_record(present=["blur", "haze"], removed=["haze"],
+                        specs=[dict(kind="blur"), dict(kind="haze", beta=0.5, gamma=2.5)])),
+     "haze gamma .* got 2.5"),
 ], ids=["bad-json", "not-an-object", "missing-key", "unknown-key", "invalid-record",
-        "bad-spec-value", "unknown-spec-key"])
+        "bad-spec-value", "unknown-spec-key", "negative-alpha", "float-alpha",
+        "bool-rng-stream", "negative-rng-stream", "negative-haze-gamma",
+        "fractional-haze-gamma"])
 def test_read_manifest_names_the_bad_line(tmp_path, line, what):
     path = tmp_path / "manifest.jsonl"
     path.write_text(json.dumps(_record()) + "\n\n" + line + "\n", encoding="utf-8")

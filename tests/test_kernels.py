@@ -1,9 +1,14 @@
 """Contract tests for the numpy kernels in promptrestore._kernels.
 
-The depthwise kernels are checked against the brute-force convolution
-oracle and against loop-form adjoints, for contiguous [C,H,W] inputs and for
-the transposed channels-last views every caller passes. GELU is checked
-against its closed form and its slope against central differences.
+The depthwise kernels take and return channels-last [H,W,C] arrays. They
+are checked against the brute-force convolution oracle and against
+loop-form adjoints (all written for [C,H,W], so applied through transposes),
+for both layouts tensor.conv2d hands them. Each layout is named by the
+[C,H,W] argument conv2d receives: "chw", a contiguous [C,H,W] array, gives
+the kernel a non-contiguous [H,W,C] view; "hwc_view", nn.Conv2d's transposed
+view of a channels-last feature, gives it a contiguous [H,W,C] array. GELU
+is checked against its closed form and its slope against central
+differences.
 """
 
 import math
@@ -15,23 +20,31 @@ from promptrestore import _kernels
 from promptrestore import tensor as T
 from promptrestore.tensor import Tape, Tensor
 
-from helpers import check_gradients, conv2d_oracle
+from helpers import check_gradients, conv2d_oracle, sum_all
 
-SHAPES = [(1, 1, 1), (2, 1, 5), (3, 2, 3), (5, 6, 7), (4, 5, 1)]
+SHAPES = [(1, 1, 1), (1, 5, 2), (2, 3, 3), (6, 7, 5), (5, 1, 4)]    # [H,W,C]
 LAYOUTS = ["chw", "hwc_view"]
 
 
 def make(shape, seed, layout, dtype=np.float64):
-    """A [C,H,W] array, either contiguous or a transposed [H,W,C] array."""
-    c, h, w = shape
+    """An [H,W,C] array: a transposed contiguous [C,H,W] array, or contiguous."""
+    h, w, c = shape
     r = np.random.default_rng(seed)
     if layout == "chw":
-        return r.uniform(-1, 1, (c, h, w)).astype(dtype)
-    return r.uniform(-1, 1, (h, w, c)).astype(dtype).transpose(2, 0, 1)
+        return r.uniform(-1, 1, (c, h, w)).astype(dtype).transpose(1, 2, 0)
+    return r.uniform(-1, 1, (h, w, c)).astype(dtype)
 
 
 def weights(c, seed, dtype=np.float64):
     return np.random.default_rng(seed).uniform(-1, 1, (c, 3, 3)).astype(dtype)
+
+
+def chw(a):
+    return a.transpose(2, 0, 1)
+
+
+def hwc(a):
+    return a.transpose(1, 2, 0)
 
 
 def grad_input_oracle(g, w):
@@ -70,10 +83,11 @@ def grad_weight_oracle(x, g):
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_depthwise3x3_vs_conv_oracle(shape, layout):
-    x, w = make(shape, 1, layout), weights(shape[0], 2)
+    c = shape[2]
+    x, w = make(shape, 1, layout), weights(c, 2)
     xc, wc = x.copy(), w.copy()
     out = _kernels.depthwise3x3(x, w)
-    ref = conv2d_oracle(x, w[:, None], padding=1, groups=shape[0])
+    ref = hwc(conv2d_oracle(chw(x), w[:, None], padding=1, groups=c))
     assert out.shape == shape
     assert np.abs(out - ref).max() <= 1e-12
     assert not np.may_share_memory(out, x)   # conv2d adds its bias in place
@@ -84,10 +98,10 @@ def test_depthwise3x3_vs_conv_oracle(shape, layout):
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_depthwise3x3_grad_input_vs_adjoint(shape, layout):
-    g, w = make(shape, 3, layout), weights(shape[0], 4)
+    g, w = make(shape, 3, layout), weights(shape[2], 4)
     gx = _kernels.depthwise3x3_grad_input(g, w)
     assert gx.shape == shape
-    assert np.abs(gx - grad_input_oracle(g, w)).max() <= 1e-12
+    assert np.abs(gx - hwc(grad_input_oracle(chw(g), w))).max() <= 1e-12
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -95,24 +109,25 @@ def test_depthwise3x3_grad_input_vs_adjoint(shape, layout):
 def test_depthwise3x3_grad_weight_vs_loops(shape, layout):
     x, g = make(shape, 5, layout), make(shape, 6, layout)
     gw = _kernels.depthwise3x3_grad_weight(x, g)
-    assert gw.shape == (shape[0], 3, 3)
-    assert np.abs(gw - grad_weight_oracle(x, g)).max() <= 1e-12
+    assert gw.shape == (shape[2], 3, 3)
+    assert np.abs(gw - grad_weight_oracle(chw(x), chw(g))).max() <= 1e-12
 
 
 @pytest.mark.parametrize("rows", [1, 2, 4])
 def test_depthwise3x3_row_blocks(monkeypatch, rows):
     # blocks of `rows` rows, so 7 rows end in a partial block
-    shape = (3, 7, 5)
+    shape = (7, 5, 3)
     monkeypatch.setattr(_kernels, "_BLOCK_BYTES", rows * 5 * 3 * 8)
     x, w = make(shape, 7, "hwc_view"), weights(3, 8)
-    ref = conv2d_oracle(x, w[:, None], padding=1, groups=3)
+    ref = hwc(conv2d_oracle(chw(x), w[:, None], padding=1, groups=3))
     assert np.abs(_kernels.depthwise3x3(x, w) - ref).max() <= 1e-12
     g = make(shape, 14, "hwc_view")
-    assert np.abs(_kernels.depthwise3x3_grad_input(g, w) - grad_input_oracle(g, w)).max() <= 1e-12
+    assert np.abs(_kernels.depthwise3x3_grad_input(g, w)
+                  - hwc(grad_input_oracle(chw(g), w))).max() <= 1e-12
 
 
 def test_kernels_keep_float32():
-    x, g = make((3, 4, 5), 9, "hwc_view", np.float32), make((3, 4, 5), 10, "chw", np.float32)
+    x, g = make((4, 5, 3), 9, "hwc_view", np.float32), make((4, 5, 3), 10, "chw", np.float32)
     w = weights(3, 11, np.float32)
     assert _kernels.depthwise3x3(x, w).dtype == np.float32
     assert _kernels.depthwise3x3_grad_input(g, w).dtype == np.float32
@@ -163,5 +178,5 @@ def test_gelu_slope_only_when_taped(monkeypatch):
     with Tape():
         y = T.gelu(leaf)
     assert asked[-1] is True and y.requires_grad
-    check_gradients(lambda: T.sum_all(T.mul(T.gelu(leaf), const)), [leaf],
+    check_gradients(lambda: sum_all(T.mul(T.gelu(leaf), const)), [leaf],
                     rtol=1e-6, max_per_tensor=12, rng=r)

@@ -11,7 +11,7 @@ from promptrestore.model import (MICRO_CONFIG, TOY_CONFIG, CheckpointError,
                                  load_checkpoint, save_checkpoint)
 from promptrestore.tensor import Tensor
 
-from helpers import check_gradients
+from helpers import check_gradients, sum_all
 
 
 def rng(seed=0):
@@ -104,7 +104,7 @@ def test_micro_model_end_to_end_gradients():
         # BCE with logits: sum(log(1 + e^z) - y z)
         z = out.logits
         softplus = T.log(T.add(T.exp(z), Tensor(np.ones(5))))
-        bce = T.sum_all(T.sub(softplus, T.mul(labels, z)))
+        bce = sum_all(T.sub(softplus, T.mul(labels, z)))
         return T.add(T.scale(l1, 3.0), T.scale(bce, 0.1))
 
     params = [p for _, p in model.named_parameters()]
@@ -197,6 +197,22 @@ def test_checkpoint_version_1_is_unsupported(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
     with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_vocab_mismatch_raises_before_building(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(RestorationModel(MICRO_CONFIG, seed=27), path)
+    blob = bytearray(path.read_bytes())
+    (n,) = struct.unpack_from("<I", blob, 8)
+    blob[12 + n] ^= 1                            # first byte of the vocab sha256
+    path.write_bytes(bytes(blob))
+
+    def build(*args, **kwargs):
+        raise AssertionError("model built before the vocab check")
+
+    monkeypatch.setattr(RestorationModel, "__init__", build)
+    with pytest.raises(ConfigError, match="checkpoint vocab hash does not match"):
         load_checkpoint(path)
 
 

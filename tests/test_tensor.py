@@ -7,7 +7,7 @@ from promptrestore import tensor as T
 from promptrestore.tensor import Tape, Tensor
 
 from helpers import (adaptive_pool_oracle, check_gradients, conv2d_oracle, matmul_oracle,
-                     softmax_oracle)
+                     softmax_oracle, sum_all)
 
 
 def rand(*shape, seed=0, lo=-1.0, hi=1.0):
@@ -369,7 +369,7 @@ def test_view_scans_unless_its_input_was_checked(view):
 def test_backward_square():
     x = Tensor(np.array([3.0]), requires_grad=True)
     with Tape() as tape:
-        loss = T.sum_all(T.mul(x, x))
+        loss = sum_all(T.mul(x, x))
         tape.backward(loss)
     np.testing.assert_allclose(x.grad, [6.0], atol=1e-12)
 
@@ -389,7 +389,7 @@ def test_backward_matmul_chain_vs_finite_differences():
     c = Tensor(rng.uniform(-1, 1, (5, 2)), requires_grad=True)
 
     def loss():
-        return T.sum_all(T.gelu(T.matmul(T.matmul(a, b), c)))
+        return sum_all(T.gelu(T.matmul(T.matmul(a, b), c)))
 
     check_gradients(loss, [a, b, c], rtol=1e-4, max_per_tensor=6, rng=rng)
 
@@ -402,7 +402,7 @@ def test_backward_softmax_cross_entropy_vs_finite_differences():
 
     def loss():
         p = T.softmax(logits, axis=-1)
-        return T.scale(T.sum_all(T.mul(Tensor(target), T.log(p))), -1.0)
+        return T.scale(sum_all(T.mul(Tensor(target), T.log(p))), -1.0)
 
     check_gradients(loss, [logits], rtol=1e-4, max_per_tensor=12, rng=rng)
 
@@ -417,71 +417,71 @@ def test_backward_each_op_vs_finite_differences(op_name):
         x = Tensor(rng.uniform(-1, 1, (3, 6, 6)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, 4), requires_grad=True)
-        fn = lambda: T.sum_all(T.gelu(T.conv2d(x, w, b, stride=2)))
+        fn = lambda: sum_all(T.gelu(T.conv2d(x, w, b, stride=2)))
         params = [x, w, b]
     elif op_name == "conv_stride1":
         x = Tensor(rng.uniform(-1, 1, (4, 5, 7)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (3, 4, 3, 3)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
-        fn = lambda: T.sum_all(T.gelu(T.conv2d(x, w, b)))
+        fn = lambda: sum_all(T.gelu(T.conv2d(x, w, b)))
         params = [x, w, b]
     elif op_name == "depthwise":
         x = Tensor(rng.uniform(-1, 1, (5, 6, 6)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (5, 1, 3, 3)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, 5), requires_grad=True)
-        fn = lambda: T.sum_all(T.gelu(T.conv2d(x, w, b, groups=5)))
+        fn = lambda: sum_all(T.gelu(T.conv2d(x, w, b, groups=5)))
         params = [x, w, b]
     elif op_name == "layer_norm":
         x = Tensor(rng.uniform(-1, 1, (4, 7)), requires_grad=True)
         g = Tensor(rng.uniform(0.5, 1.5, 7), requires_grad=True)
         b = Tensor(rng.uniform(-0.5, 0.5, 7), requires_grad=True)
-        fn = lambda: T.sum_all(T.gelu(T.layer_norm(x, g, b)))
+        fn = lambda: sum_all(T.gelu(T.layer_norm(x, g, b)))
         params = [x, g, b]
     elif op_name == "pool":
         x = Tensor(rng.uniform(-1, 1, (5, 7, 2)), requires_grad=True)
-        fn = lambda: T.sum_all(T.gelu(T.adaptive_avg_pool(x, 2, 3)))
+        fn = lambda: sum_all(T.gelu(T.adaptive_avg_pool(x, 2, 3)))
         params = [x]
     elif op_name == "shuffle":
         x = Tensor(rng.uniform(-1, 1, (4, 6, 3)), requires_grad=True)
         # a position-dependent weight between the two, so neither backward
         # can hide behind the round trip being the identity
         c = Tensor(rng.uniform(0.5, 1.5, (2, 3, 12)))
-        fn = lambda: T.sum_all(T.gelu(T.pixel_shuffle(T.mul(T.pixel_unshuffle(x, 2), c), 2)))
+        fn = lambda: sum_all(T.gelu(T.pixel_shuffle(T.mul(T.pixel_unshuffle(x, 2), c), 2)))
         params = [x]
     elif op_name == "resize":
         x = Tensor(rng.uniform(-1, 1, (4, 5, 2)), requires_grad=True)
-        fn = lambda: T.sum_all(T.gelu(T.bilinear_resize(x, 7, 3)))
+        fn = lambda: sum_all(T.gelu(T.bilinear_resize(x, 7, 3)))
         params = [x]
     elif op_name == "concat":
         a = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
-        fn = lambda: T.sum_all(T.gelu(T.concat([a, b], axis=1)))
+        fn = lambda: sum_all(T.gelu(T.concat([a, b], axis=1)))
         params = [a, b]
     elif op_name == "abs":
         x = Tensor(rng.uniform(0.1, 2, 9), requires_grad=True)  # keep away from kink
-        fn = lambda: T.sum_all(T.absolute(T.mul(x, x)))
+        fn = lambda: sum_all(T.absolute(T.mul(x, x)))
         params = [x]
     elif op_name == "bias":
         x = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
-        fn = lambda: T.sum_all(T.gelu(T.add_bias(x, b)))
+        fn = lambda: sum_all(T.gelu(T.add_bias(x, b)))
         params = [x, b]
     elif op_name == "linear":
         x = Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, 5), requires_grad=True)
-        fn = lambda: T.sum_all(T.gelu(T.add_bias(T.matmul(x, w), b)))
+        fn = lambda: sum_all(T.gelu(T.add_bias(T.matmul(x, w), b)))
         params = [x, w, b]
     elif op_name == "softmax_axis":
         x = Tensor(rng.uniform(-2, 2, (2, 5, 4)), requires_grad=True)
         # columns of a softmax over axis -2 sum to 1, so weight them
         c = Tensor(rng.uniform(0.5, 1.5, (2, 5, 4)))
-        fn = lambda: T.sum_all(T.mul(T.softmax(x, axis=-2), c))
+        fn = lambda: sum_all(T.mul(T.softmax(x, axis=-2), c))
         params = [x]
     else:  # embedding
         w = Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
         ids = np.array([0, 2, 2, 5])
-        fn = lambda: T.sum_all(T.gelu(T.embedding(w, ids)))
+        fn = lambda: sum_all(T.gelu(T.embedding(w, ids)))
         params = [w]
     check_gradients(fn, params, rtol=1e-4, max_per_tensor=6, rng=rng)
 
@@ -490,7 +490,7 @@ def test_grad_accumulates_across_tapes():
     x = Tensor(np.array([2.0]), requires_grad=True)
     for _ in range(3):
         with Tape() as tape:
-            tape.backward(T.sum_all(T.mul(x, x)))
+            tape.backward(sum_all(T.mul(x, x)))
     np.testing.assert_allclose(x.grad, [12.0], atol=1e-12)
 
 
