@@ -49,8 +49,9 @@ class DegradationSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown degradation kind {self.kind!r}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0,1], got {self.beta}")
+        b = self.beta
+        if isinstance(b, bool) or not isinstance(b, (int, float)) or not 0.0 <= b <= 1.0:
+            raise ValueError(f"beta must be in [0,1], got {b!r}")
         # alpha, rng_stream and a haze gamma seed numpy generators, which take
         # only non-negative integers; blur and rain gammas are signed angles
         for name in ("alpha", "rng_stream"):

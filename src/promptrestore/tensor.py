@@ -7,6 +7,13 @@ resize, embedding lookup and a small elementwise suite. Forward ops never
 mutate their inputs; gradients are recorded on an explicit Tape and
 replayed in reverse.
 
+What a tape holds: per taped op, its backward closure and a reference to
+each parent that needs a gradient, nothing else. A parent made on the same
+tape is referred to by its node's index, any other (a leaf, or a tensor made
+on another tape) by the Tensor itself. Op outputs are not held: an
+activation lives as long as the caller keeps it or a closure that reads it
+in backward, and each closure captures only the arrays its backward reads.
+
 Non-finite checks: with checks on (the default; see no_nan_checks) every op
 scans its output for NaN/Inf in `_finish` and raises NonFiniteError, except
 reshape and transpose of a checked tensor: those hold the same values as
@@ -88,10 +95,11 @@ class Tensor:
     """A dense float64 array that can participate in gradient recording.
 
     `checked` is True when the values are known finite: the op that made the
-    tensor scanned them, or it is a view of a tensor that was.
+    tensor scanned them, or it is a view of a tensor that was. A taped op's
+    output records the tape and node index that made it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "checked")
+    __slots__ = ("data", "requires_grad", "grad", "checked", "_tape", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=DTYPE)
@@ -99,6 +107,8 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self.checked = False
+        self._tape: Optional[Tape] = None
+        self._node = -1
 
     @property
     def shape(self):
@@ -119,26 +129,36 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-class _Node:
-    __slots__ = ("out", "parents", "backward")
-
-    def __init__(self, out, parents, backward):
-        self.out = out
-        self.parents = parents
-        self.backward = backward
+def _accumulate(acc, owned: bool, pg: np.ndarray):
+    # -> (sum so far, whether backward allocated it). The first contribution
+    # is kept as given, the second allocates acc + pg, later ones add in
+    # place: a pg may be shared (add returns one g for both parents), so only
+    # an array backward allocated itself is ever written to
+    if acc is None:
+        return pg, False
+    if not owned:
+        return acc + pg, True
+    acc += pg
+    return acc, True
 
 
 class Tape:
     """Ordered record of ops for one backward pass.
 
+    A node is (parent refs, backward closure). A parent ref is the index of
+    the node that made the parent when this tape made it, else the parent
+    Tensor itself (a leaf, or a tensor made on another tape), or None when
+    the parent needs no gradient. The tape holds no op output, so an
+    activation no closure reads is freed as soon as the caller drops it.
+
     Nodes are appended in construction order, which is topological by
     definition (an op's inputs exist before the op). backward() walks the
-    list once in reverse. A Tape is single-owner; independent tapes on
-    different threads do not interact.
+    list once in reverse and may be called again. A Tape is single-owner;
+    independent tapes on different threads do not interact.
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple[tuple, Callable]] = []
 
     def __enter__(self) -> "Tape":
         _tapes().append(self)
@@ -154,33 +174,47 @@ class Tape:
         return len(self._nodes)
 
     def _record(self, out: Tensor, parents, backward) -> None:
-        self._nodes.append(_Node(out, parents, backward))
+        refs = tuple(p._node if p._tape is self else p if p.requires_grad else None
+                     for p in parents)
+        out._tape, out._node = self, len(self._nodes)
+        self._nodes.append((refs, backward))
 
     def backward(self, loss: Tensor) -> None:
         """Populate .grad of every requires_grad leaf reachable from loss.
 
-        Grads accumulate (+=) into leaves, so calling backward for several
-        losses (e.g. per-sample in a batch) sums their gradients.
+        Grads accumulate into leaves, so calling backward for several
+        losses (e.g. per-sample in a batch) sums their gradients. Each
+        leaf's .grad is an array that leaf alone owns.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        # id -> (tensor, grad so far); each node pops its output's complete
-        # grad, so what is left at the end belongs to tensors it did not make
-        grads: dict[int, tuple[Tensor, np.ndarray]] = {
-            id(loss): (loss, np.ones_like(loss.data))}
-        for node in reversed(self._nodes):
-            entry = grads.pop(id(node.out), None)
-            if entry is None:
+        seed = np.ones_like(loss.data)
+        # grads[i] is the gradient so far of node i's output, owned[i] whether
+        # backward allocated it; leaves maps a leaf Tensor to (grad, owned)
+        grads: list = [None] * len(self._nodes)
+        owned = [False] * len(self._nodes)
+        leaves: dict[Tensor, tuple] = {}
+        if loss._tape is self:
+            grads[loss._node] = seed
+        else:
+            leaves[loss] = (seed, True)
+        for i in range(len(self._nodes) - 1, -1, -1):
+            g = grads[i]
+            if g is None:
                 continue
-            for parent, pg in zip(node.parents, node.backward(entry[1])):
-                if pg is None:
+            grads[i] = None
+            refs, backward = self._nodes[i]
+            for ref, pg in zip(refs, backward(g)):
+                if ref is None or pg is None:
                     continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = (parent, pg if acc is None else acc[1] + pg)
-        for leaf, g in grads.values():
+                if type(ref) is int:
+                    grads[ref], owned[ref] = _accumulate(grads[ref], owned[ref], pg)
+                else:
+                    leaves[ref] = _accumulate(*leaves.get(ref, (None, False)), pg)
+        for leaf, (g, own) in leaves.items():
             if leaf.requires_grad:
                 g = g.reshape(leaf.data.shape)
-                leaf.grad = g if leaf.grad is None else leaf.grad + g
+                leaf.grad = (g if own else g.copy()) if leaf.grad is None else leaf.grad + g
 
 
 def _finish(out_data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
@@ -310,12 +344,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: inner dims {ad.shape} vs {bd.shape}")
     if bd.ndim == 2:
-        a2 = ad.reshape(-1, ad.shape[-1])
-        out = np.matmul(a2, bd).reshape(*ad.shape[:-1], bd.shape[1])
+        a_shape = ad.shape
+        a2 = ad.reshape(-1, a_shape[-1])
+        out = np.matmul(a2, bd).reshape(*a_shape[:-1], bd.shape[1])
 
         def backward(g):
             g2 = g.reshape(-1, bd.shape[1])
-            return np.matmul(g2, bd.T).reshape(ad.shape), np.matmul(a2.T, g2)
+            return np.matmul(g2, bd.T).reshape(a_shape), np.matmul(a2.T, g2)
 
         return _finish(out, (a, b), backward, "matmul")
     if ad.shape[:-2] != bd.shape[:-2]:
@@ -353,7 +388,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     gamma/beta are 1-d with the normalized extent. eps = 1e-6 sits inside
     the sqrt denominator.
     """
-    xd = x.data
+    xd, gd = x.data, gamma.data
     n = xd.shape[-1]
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ShapeError("layer_norm: gamma/beta must match normalized extent")
@@ -365,13 +400,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     xhat = x2 - (x2 @ np.full(n, 1.0 / n, dtype=x2.dtype))[:, None]
     inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + _LN_EPS)[:, None]
     xhat *= inv
-    out = xhat * gamma.data if taped else np.multiply(xhat, gamma.data, out=xhat)
+    out = xhat * gd if taped else np.multiply(xhat, gd, out=xhat)
     out += beta.data
     xhat = xhat.reshape(xd.shape)
     inv = inv.reshape(*xd.shape[:-1], 1)
 
     def backward(g):
-        gxh = g * gamma.data
+        gxh = g * gd
         s1 = gxh.sum(axis=-1, keepdims=True)
         s2 = (gxh * xhat).sum(axis=-1, keepdims=True)
         dx = (gxh - s1 / n - xhat * s2 / n) * inv
@@ -405,8 +440,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
                          f"{groups} is neither a dense nor a stride-1 depthwise 3x3 conv")
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bias.shape}, expected ({cout},)")
-    wd = w.data
     xh = x.data.transpose(1, 2, 0)      # free for nn.Conv2d's transposed input
+    # each path's backward captures only what it reads: the padded copy on
+    # the dense path, the input view on the depthwise one
     if dense:
         ho, wo = (h - 1) // stride + 1, (wdt - 1) // stride + 1
         xp = np.zeros((h + 2, wdt + 2, cin))
@@ -415,29 +451,31 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
         wins = [(slice(i, i + (ho - 1) * stride + 1, stride),
                  slice(j, j + (wo - 1) * stride + 1, stride))
                 for i in range(3) for j in range(3)]
-        wt = wd.transpose(2, 3, 1, 0).reshape(9, cin, cout)     # a copy, per tap contiguous
+        wt = w.data.transpose(2, 3, 1, 0).reshape(9, cin, cout)  # a copy, per tap contiguous
         out, buf = np.zeros((ho, wo, cout)), np.empty((ho, wo, cout))
         for t, win in enumerate(wins):
             out += np.matmul(xp[win], wt[t], out=buf)
-    else:
-        out = _kernels.depthwise3x3(xh, wd.reshape(cin, 3, 3))
-    out += bias.data                    # out is a fresh array on both paths
 
-    def backward(g):
-        gh = g.transpose(1, 2, 0)
-        if dense:
+        def backward(g):
+            gh = g.transpose(1, 2, 0)
             gwt, gxp = np.empty_like(wt), np.zeros_like(xp)
             for t, win in enumerate(wins):
                 # window^T g per output row, summed over the rows
                 gwt[t] = np.matmul(xp[win].transpose(0, 2, 1), gh).sum(axis=0)
                 # the tap's input gradient, scattered onto the positions it read
                 gxp[win] += np.matmul(gh, wt[t].T)
-            gxh = gxp[1:-1, 1:-1]
             gw = gwt.reshape(3, 3, cin, cout).transpose(3, 2, 0, 1)
-        else:
-            gxh = _kernels.depthwise3x3_grad_input(gh, wd.reshape(cin, 3, 3))
-            gw = _kernels.depthwise3x3_grad_weight(xh, gh).reshape(w.shape)
-        return gxh.transpose(2, 0, 1), gw, g.sum(axis=(1, 2))
+            return gxp[1:-1, 1:-1].transpose(2, 0, 1), gw, g.sum(axis=(1, 2))
+    else:
+        wk, w_shape = w.data.reshape(cin, 3, 3), w.shape
+        out = _kernels.depthwise3x3(xh, wk)
+
+        def backward(g):
+            gh = g.transpose(1, 2, 0)
+            gxh = _kernels.depthwise3x3_grad_input(gh, wk)
+            gw = _kernels.depthwise3x3_grad_weight(xh, gh).reshape(w_shape)
+            return gxh.transpose(2, 0, 1), gw, g.sum(axis=(1, 2))
+    out += bias.data                    # out is a fresh array on both paths
 
     return _finish(out.transpose(2, 0, 1), (x, w, bias), backward, "conv2d")
 
@@ -544,9 +582,10 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= v):
         raise IndexError(f"embedding: id out of range 0..{v - 1}")
     out = weight.data[ids]
+    w_shape = weight.shape
 
     def backward(g):
-        gw = np.zeros_like(weight.data)
+        gw = np.zeros(w_shape)
         np.add.at(gw, ids, g)
         return (gw,)
 

@@ -176,6 +176,10 @@ def test_record_spec_kinds_must_be_exactly_present(changes):
      "record 7: spec kinds"),
     (json.dumps(_record(specs=[dict(kind="blur", beta=1.5), dict(kind="rain")])),
      r"beta must be in \[0,1\], got 1.5"),
+    (json.dumps(_record(specs=[dict(kind="blur", beta=True), dict(kind="rain")])),
+     r"beta must be in \[0,1\], got True"),
+    (json.dumps(_record(specs=[dict(kind="blur", beta="0.5"), dict(kind="rain")])),
+     r"beta must be in \[0,1\], got '0.5'"),
     (json.dumps(_record(specs=[dict(kind="blur", sigma=2), dict(kind="rain")])),
      "unexpected keyword argument 'sigma'"),
     (json.dumps(_record(present=["blur", "snow"], removed=["snow"],
@@ -194,8 +198,8 @@ def test_record_spec_kinds_must_be_exactly_present(changes):
                         specs=[dict(kind="blur"), dict(kind="haze", beta=0.5, gamma=2.5)])),
      "haze gamma .* got 2.5"),
 ], ids=["bad-json", "not-an-object", "missing-key", "unknown-key", "invalid-record",
-        "bad-spec-value", "unknown-spec-key", "negative-alpha", "float-alpha",
-        "bool-rng-stream", "negative-rng-stream", "negative-haze-gamma",
+        "bad-spec-value", "bool-beta", "string-beta", "unknown-spec-key", "negative-alpha",
+        "float-alpha", "bool-rng-stream", "negative-rng-stream", "negative-haze-gamma",
         "fractional-haze-gamma"])
 def test_read_manifest_names_the_bad_line(tmp_path, line, what):
     path = tmp_path / "manifest.jsonl"

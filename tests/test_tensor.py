@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -498,3 +499,100 @@ def test_no_tape_means_no_graph():
     x = Tensor(np.ones(3), requires_grad=True)
     y = T.mul(x, x)
     assert not y.requires_grad and y.grad is None
+
+
+def test_leaf_grads_do_not_alias():
+    # add hands one g to both parents; each leaf must still own its .grad
+    x = Tensor(rand(3, 4, seed=40), requires_grad=True)
+    y = Tensor(rand(3, 4, seed=41), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(sum_all(T.add(x, y)))
+    assert not np.shares_memory(x.grad, y.grad)
+    x.grad *= 0.5
+    np.testing.assert_array_equal(y.grad, np.ones((3, 4)))
+
+
+def test_tape_holds_no_output_backward_does_not_read():
+    # add, reshape and add_bias read nothing in backward, so once the caller
+    # drops the intermediates only the last output is left (a tape pinning
+    # every output retains 4x the array: the add and add_bias outputs)
+    x = Tensor(np.ones((1024, 1024)), requires_grad=True)      # 8 MiB
+    b = Tensor(np.ones(512), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            h = x
+            for _ in range(2):
+                h = T.add(h, x)
+                h = T.reshape(h, (2048, 512))
+                h = T.add_bias(h, b)
+                h = T.reshape(h, (1024, 1024))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 8
+    assert retained < 3 * x.data.nbytes, retained / x.data.nbytes
+    with tape:
+        loss = sum_all(h)             # h = 3x + 2b
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, np.full((1024, 1024), 3.0))
+    np.testing.assert_array_equal(b.grad, np.full(512, 2 * 2048.0))
+
+
+def test_fan_out_gradients_are_exact():
+    # values on a 1/4 grid keep every sum exact, so the gradients compare bit for bit
+    x = Tensor(np.arange(-6, 6).reshape(3, 4) / 4, requires_grad=True)
+    y = Tensor(np.arange(12).reshape(3, 4) / 4, requires_grad=True)
+    with Tape() as tape:
+        h = T.scale(x, 2.0)                         # a non-leaf used by three ops
+        a = T.add(T.mul(h, y), T.scale(h, 3.0))
+        loss = sum_all(T.add(T.add(a, h), T.add(T.add(y, y), y)))   # y: three uses
+        tape.backward(loss)
+    # d/dh = y + 3 + 1 and h = 2x; d/dy = h + 3
+    np.testing.assert_array_equal(x.grad, 2 * (y.data + 4))
+    np.testing.assert_array_equal(y.grad, 2 * x.data + 3)
+
+
+def test_backward_mutates_no_array_a_closure_returned(monkeypatch):
+    returned = []
+    record = Tape._record
+
+    def spying_record(self, out, parents, backward):
+        def spy(g):
+            pgs = backward(g)
+            returned.extend((pg, pg.copy()) for pg in pgs if pg is not None)
+            return pgs
+        record(self, out, parents, spy)
+
+    monkeypatch.setattr(Tape, "_record", spying_record)
+    x = Tensor(rand(2, 3, seed=42), requires_grad=True)
+    with Tape() as tape:
+        h = T.add(x, x)
+        loss = sum_all(T.add(T.add(T.add(h, h), T.mul(h, x)), T.gelu(h)))
+        tape.backward(loss)
+    assert len(returned) == 13
+    for pg, snapshot in returned:
+        np.testing.assert_array_equal(pg, snapshot)
+
+
+def test_outer_tape_tensor_is_a_leaf_of_the_inner_tape():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    with Tape() as outer:
+        h = T.scale(x, 3.0)
+        with Tape() as inner:
+            loss = sum_all(T.mul(h, h))
+        inner.backward(loss)
+        np.testing.assert_array_equal(h.grad, 2 * h.data)
+        assert x.grad is None
+        outer.backward(sum_all(h))
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+
+def test_second_backward_on_the_same_tape():
+    x = Tensor(np.array([2.0]), requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(T.mul(x, x))
+    tape.backward(loss)
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [8.0])
