@@ -127,6 +127,18 @@ class SampleRecord:
     category: str
 
     def validate(self) -> None:
+        if type(self.id) is not int or self.id < 0:
+            raise ValueError(f"id must be a non-negative int, got {self.id!r}")
+        for name in ("clean_path", "degraded_path", "gt_path", "prompt_single",
+                     "prompt_two", "split", "category"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"record {self.id}: {name} must be a str, "
+                                 f"got {getattr(self, name)!r}")
+        for name, item in (("present", str), ("removed", str), ("specs", dict)):
+            value = getattr(self, name)
+            if not isinstance(value, list) or not all(isinstance(v, item) for v in value):
+                raise ValueError(f"record {self.id}: {name} must be a list of "
+                                 f"{item.__name__}, got {value!r}")
         if not set(self.removed) <= set(self.present) or not self.removed:
             raise ValueError(f"record {self.id}: removed must be a non-empty "
                              "subset of present")
@@ -140,6 +152,11 @@ class SampleRecord:
         if sorted(kinds) != sorted(self.present) or len(set(kinds)) != len(kinds):
             raise ValueError(f"record {self.id}: spec kinds {kinds} are not "
                              f"exactly present {self.present}")
+        for style in ("single", "two"):
+            prompt = getattr(self, f"prompt_{style}")
+            if prompt != gen_prompt(self.present, self.removed, style):
+                raise ValueError(f"record {self.id}: prompt_{style} {prompt!r} does not "
+                                 f"match present {self.present}, removed {self.removed}")
 
     def spec_objects(self) -> list[DegradationSpec]:
         return [DegradationSpec.from_dict(d) for d in self.specs]

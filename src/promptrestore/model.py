@@ -10,9 +10,8 @@ which degradations are present, independent of the prompt.
 
 from __future__ import annotations
 
-import io
 import json
-import struct
+import zipfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -36,7 +35,7 @@ class CheckpointError(RuntimeError):
     """Malformed or truncated checkpoint file."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     channels: int = 48
     stage_blocks: tuple[int, ...] = (4, 6, 6, 8)
@@ -50,7 +49,7 @@ class ModelConfig:
     def __post_init__(self):
         if not isinstance(self.stage_blocks, (tuple, list)) or len(self.stage_blocks) != 4:
             raise ConfigError(f"stage_blocks must have 4 entries, got {self.stage_blocks!r}")
-        self.stage_blocks = tuple(self.stage_blocks)
+        object.__setattr__(self, "stage_blocks", tuple(self.stage_blocks))
         for f in fields(self):
             value = getattr(self, f.name)
             if any(type(v) is not int or v <= 0
@@ -205,38 +204,36 @@ class RestorationModel(Module):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container: magic, version, config JSON, vocab sha256, f64 blobs
+# checkpoint: an uncompressed npz archive, members read back by name
 
-_MAGIC = b"PRCK"
-_VERSION = 2
+_VERSION = 3
+# not an intact npz archive: BadZipFile includes a failed CRC-32, RuntimeError
+# a set encryption flag and (as NotImplementedError) an unknown compression
+_UNREADABLE = (zipfile.BadZipFile, OSError, ValueError, EOFError, RuntimeError)
 
 
 def save_checkpoint(model: RestorationModel, path) -> None:
-    """Write parameters in declaration order plus config and vocab hash."""
-    cfg_blob = json.dumps(asdict(model.config)).encode("utf-8")
-    arrays = model.state_arrays()
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<I", _VERSION))
-    buf.write(struct.pack("<I", len(cfg_blob)))
-    buf.write(cfg_blob)
-    buf.write(VOCAB_SHA256)
-    buf.write(struct.pack("<Q", len(arrays)))
-    for a in arrays:
-        buf.write(struct.pack("<Q", a.size))
-        buf.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    with open(str(path), "wb") as fh:
-        fh.write(buf.getvalue())
+    """Write an uncompressed npz archive of the members version, config (JSON),
+    vocab (VOCAB_SHA256 as uint8) and one array per named_parameters() path.
+    Its zip entries carry a fixed date, so one model always saves to the same bytes."""
+    with open(str(path), "wb") as fh:       # a file handle: savez appends no .npz
+        np.savez(fh, version=np.array(_VERSION),
+                 config=np.array(json.dumps(asdict(model.config))),
+                 vocab=np.frombuffer(VOCAB_SHA256, dtype=np.uint8),
+                 **{name: p.data for name, p in model.named_parameters()})
 
 
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError("truncated checkpoint file")
-    return data
+def _member(archive, name: str) -> np.ndarray:
+    try:
+        value = archive[name]
+    except (KeyError, *_UNREADABLE) as e:      # KeyError: no such member
+        raise CheckpointError(f"member {name}: {e}") from e
+    if not isinstance(value, np.ndarray):
+        raise CheckpointError(f"member {name}: not an .npy array")
+    return value
 
 
-def _config_from_json(blob: bytes) -> ModelConfig:
+def _config_from_json(blob: str) -> ModelConfig:
     try:
         record = json.loads(blob)
         if not isinstance(record, dict):
@@ -246,46 +243,47 @@ def _config_from_json(blob: bytes) -> ModelConfig:
         if missing or unknown:
             raise ConfigError(f"missing keys {missing}, unknown keys {unknown}")
         return ModelConfig(**record)
-    except ValueError as e:       # JSONDecodeError, UnicodeDecodeError, ConfigError
+    except ValueError as e:       # JSONDecodeError, ConfigError
         raise CheckpointError(f"checkpoint config: {e}") from e
 
 
 def load_checkpoint(path, config: ModelConfig | None = None) -> RestorationModel:
-    """Rebuild a model from a checkpoint.
+    """Rebuild a model from a checkpoint, reading one parameter at a time by name.
 
-    When config is given it must equal the stored one (guards against
-    loading weights into a differently shaped model). A config record that
-    is not a JSON object of exactly the ModelConfig fields with valid values,
-    a non-finite parameter, or bytes after the last array raise
-    CheckpointError.
+    When config is given it must equal the stored one (guards against loading
+    weights into a differently shaped model); the vocab hash is checked before
+    the model is built. A file that is not an intact npz archive (a failed
+    CRC-32 included), another version, a config record that is not a JSON
+    object of exactly the ModelConfig fields with valid values, or a missing,
+    unknown, misshapen, non-float64 or non-finite member raise
+    CheckpointError, naming the member.
     """
     with open(str(path), "rb") as fh:
-        if _read_exact(fh, 4) != _MAGIC:
-            raise CheckpointError("not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != _VERSION:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+        except _UNREADABLE as e:
+            raise CheckpointError(f"not a checkpoint archive: {e}") from e
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise CheckpointError("not a checkpoint archive: a bare .npy array")
+        version = _member(archive, "version")
+        if version.shape != () or version.dtype.kind != "i" or version != _VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        stored = _config_from_json(_read_exact(fh, cfg_len))
+        stored = _config_from_json(str(_member(archive, "config")))
         if config is not None and stored != config:
             raise ConfigError("checkpoint config does not match requested config")
-        if _read_exact(fh, 32) != VOCAB_SHA256:
+        if _member(archive, "vocab").tobytes() != VOCAB_SHA256:
             raise ConfigError("checkpoint vocab hash does not match")
         model = RestorationModel(stored)
-        (n_arrays,) = struct.unpack("<Q", _read_exact(fh, 8))
-        params = list(model.named_parameters())
-        if n_arrays != len(params):
-            raise CheckpointError(
-                f"checkpoint has {n_arrays} arrays, model expects {len(params)}")
-        for name, p in params:
-            (numel,) = struct.unpack("<Q", _read_exact(fh, 8))
-            if numel != p.size:
-                raise CheckpointError(f"parameter {name}: stored size {numel} != {p.size}")
-            raw = _read_exact(fh, numel * 8)
-            p.data = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape) \
-                .astype(T.DTYPE)
-            if not np.isfinite(p.data).all():
+        params = dict(model.named_parameters())
+        unknown = sorted(set(archive.files) - params.keys() - {"version", "config", "vocab"})
+        if unknown:
+            raise CheckpointError(f"checkpoint has unknown members {unknown}")
+        for name, p in params.items():
+            value = _member(archive, name)
+            if value.shape != p.shape or value.dtype != T.DTYPE:
+                raise CheckpointError(f"parameter {name}: stored {value.dtype} {value.shape}, "
+                                      f"expected float64 {p.shape}")
+            if not np.isfinite(value).all():
                 raise CheckpointError(f"parameter {name}: non-finite values")
-        if fh.read(1):
-            raise CheckpointError("trailing bytes after the last array")
+            p.data = value
     return model

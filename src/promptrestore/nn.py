@@ -20,8 +20,10 @@ class Module:
     """Holds named parameters and submodules in declaration order.
 
     Assigning a requires_grad Tensor registers a parameter; assigning a
-    Module (or ModuleList) registers a child. Declaration order defines the
-    checkpoint layout, so field order in __init__ is part of the format.
+    Module (or ModuleList) registers a child. named_parameters() gives each
+    parameter its dotted path, the name a checkpoint stores it under.
+    Declaration order fixes the order of the init draws, not the checkpoint
+    format.
     """
 
     def __setattr__(self, name, value):
@@ -44,9 +46,6 @@ class Module:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.grad = None
-
-    def state_arrays(self) -> list[np.ndarray]:
-        return [p.data for _, p in self.named_parameters()]
 
 
 class ModuleList(Module):

@@ -1,9 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The op set is exactly what the restoration model needs: matmul (a linear
-map of the last axis, or batched), conv2d (3x3, dense or depthwise), softmax,
-layer norm, pixel shuffle / unshuffle, adaptive average pooling, bilinear
-resize, embedding lookup and a small elementwise suite. Forward ops never
+The op set is what the restoration model needs: matmul (a linear map of the
+last axis, or batched), conv2d (3x3, dense or depthwise), softmax, layer norm,
+pixel shuffle / unshuffle, adaptive average pooling, bilinear resize, embedding
+lookup and a small elementwise suite, plus sub, exp, log, absolute and
+mean_all, which serve only the L1 + BCE training loss. Forward ops never
 mutate their inputs; gradients are recorded on an explicit Tape and
 replayed in reverse.
 

@@ -197,10 +197,33 @@ def test_record_spec_kinds_must_be_exactly_present(changes):
     (json.dumps(_record(present=["blur", "haze"], removed=["haze"],
                         specs=[dict(kind="blur"), dict(kind="haze", beta=0.5, gamma=2.5)])),
      "haze gamma .* got 2.5"),
+    (json.dumps(_record(prompt_single="Remove blur.")),
+     r"record 7: prompt_single 'Remove blur\.' does not match present \['blur', 'rain'\], "
+     r"removed \['rain'\]"),
+    (json.dumps(_record(prompt_two="There are rain in the image. Remove rain.")),
+     "record 7: prompt_two 'There are rain in the image. Remove rain.' does not match"),
+    (json.dumps(_record(id="7")), "id must be a non-negative int, got '7'"),
+    (json.dumps(_record(id=True)), "id must be a non-negative int, got True"),
+    (json.dumps(_record(id=-1)), "id must be a non-negative int, got -1"),
+    (json.dumps(_record(clean_path=None)), "record 7: clean_path must be a str, got None"),
+    (json.dumps(_record(degraded_path=5)), "record 7: degraded_path must be a str, got 5"),
+    (json.dumps(_record(gt_path=["g"])), r"record 7: gt_path must be a str, got \['g'\]"),
+    (json.dumps(_record(present="blur rain")),
+     "record 7: present must be a list of str, got 'blur rain'"),
+    (json.dumps(_record(removed=[1])), r"record 7: removed must be a list of str, got \[1\]"),
+    (json.dumps(_record(specs=["blur", "rain"])),
+     r"record 7: specs must be a list of dict, got \['blur', 'rain'\]"),
+    (json.dumps(_record(prompt_single=1)), "record 7: prompt_single must be a str, got 1"),
+    (json.dumps(_record(prompt_two=None)), "record 7: prompt_two must be a str, got None"),
+    (json.dumps(_record(split=0)), "record 7: split must be a str, got 0"),
+    (json.dumps(_record(category=2.1)), "record 7: category must be a str, got 2.1"),
 ], ids=["bad-json", "not-an-object", "missing-key", "unknown-key", "invalid-record",
         "bad-spec-value", "bool-beta", "string-beta", "unknown-spec-key", "negative-alpha",
         "float-alpha", "bool-rng-stream", "negative-rng-stream", "negative-haze-gamma",
-        "fractional-haze-gamma"])
+        "fractional-haze-gamma", "prompt-single-mismatch", "prompt-two-mismatch",
+        "string-id", "bool-id", "negative-id", "null-clean-path", "int-degraded-path",
+        "list-gt-path", "string-present", "int-removed", "string-specs", "int-prompt-single",
+        "null-prompt-two", "int-split", "float-category"])
 def test_read_manifest_names_the_bad_line(tmp_path, line, what):
     path = tmp_path / "manifest.jsonl"
     path.write_text(json.dumps(_record()) + "\n\n" + line + "\n", encoding="utf-8")

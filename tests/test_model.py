@@ -1,6 +1,10 @@
+import dataclasses
 import hashlib
+import io
 import json
 import struct
+import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from promptrestore.model import (MICRO_CONFIG, TOY_CONFIG, CheckpointError,
                                  ConfigError, ModelConfig, RestorationModel,
                                  load_checkpoint, save_checkpoint)
 from promptrestore.tensor import Tensor
+from promptrestore.text import VOCAB_SHA256
 
 from helpers import check_gradients, sum_all
 
@@ -138,15 +143,42 @@ def test_init_parameters_match_golden_digest(tag, config):
 # checkpointing
 
 
+def _saved(tmp_path, seed):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(RestorationModel(MICRO_CONFIG, seed=seed), path)
+    return path
+
+
+def _rewrite(path, **members):
+    # write the archive at path back with members replaced, or dropped (None)
+    with np.load(path) as archive:
+        out = {name: archive[name] for name in archive.files}
+    out.update(members)
+    with open(path, "wb") as fh:
+        np.savez(fh, **{name: a for name, a in out.items() if a is not None})
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     model = RestorationModel(MICRO_CONFIG, seed=18)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
+    with np.load(path) as archive:
+        assert archive.files == ["version", "config", "vocab"] + [
+            name for name, _ in model.named_parameters()]
     loaded = load_checkpoint(path)
     for (na, a), (nb, b) in zip(model.named_parameters(), loaded.named_parameters()):
         assert na == nb
         np.testing.assert_array_equal(a.data, b.data)
         assert b.data.dtype == np.float64 and b.data.flags.writeable
+
+
+def test_checkpoint_saves_are_byte_identical(tmp_path, monkeypatch):
+    model = RestorationModel(MICRO_CONFIG, seed=29)
+    save_checkpoint(model, tmp_path / "a.ckpt")
+    now = time.time()
+    monkeypatch.setattr(time, "time", lambda: now + 86400.0)   # the entries carry no save time
+    save_checkpoint(model, tmp_path / "b.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 def test_checkpoint_of_zeroed_model(tmp_path):
@@ -168,17 +200,38 @@ def test_checkpoint_config_mismatch(tmp_path):
 
 
 def test_checkpoint_corrupt_file(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"PRCK" + b"\x02\x00\x00\x00" + b"\x10\x00\x00\x00trunc")
-    with pytest.raises((CheckpointError, ConfigError)):
+    path = _saved(tmp_path, 22)
+    path.write_bytes(path.read_bytes()[:-100])          # cuts the central directory
+    with pytest.raises(CheckpointError, match="^not a checkpoint archive: File is not a zip"):
         load_checkpoint(path)
 
 
-def test_checkpoint_trailing_bytes_raise(tmp_path):
+def test_checkpoint_flipped_parameter_byte_raises(tmp_path):
+    model = RestorationModel(MICRO_CONFIG, seed=23)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(RestorationModel(MICRO_CONFIG, seed=23), path)
-    path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(CheckpointError, match="trailing bytes after the last array"):
+    save_checkpoint(model, path)
+    blob = bytearray(path.read_bytes())
+    data = model.input_conv.weight.data.tobytes()
+    at = blob.find(data)
+    assert at >= 0
+    blob[at + len(data) // 2] ^= 1                      # a low mantissa bit of one weight
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=r"^member input_conv\.weight: Bad CRC-32"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("offset, value, message", [
+    (8, 0x01, "is encrypted"),                          # general-purpose flag bit 0
+    (10, 99, "compression method is not supported"),
+], ids=["encrypted-flag", "unknown-compression"])
+def test_checkpoint_corrupt_directory_entry_raises(tmp_path, offset, value, message):
+    path = _saved(tmp_path, 30)
+    with zipfile.ZipFile(path) as zf:
+        entry = zf.start_dir                            # the first entry: version.npy
+    blob = bytearray(path.read_bytes())
+    blob[entry + offset] = value
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=f"^member version: .*{message}"):
         load_checkpoint(path)
 
 
@@ -191,22 +244,74 @@ def test_checkpoint_non_finite_parameter_raises_naming_it(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_version_1_is_unsupported(tmp_path):
+@pytest.mark.parametrize("members, message", [
+    ({"input_conv.weight": None}, r"^member input_conv\.weight: .*not a file in the archive"),
+    ({"vocab": None}, "^member vocab: .*not a file in the archive"),
+    ({"input_conv.scale": np.ones(8)}, r"^checkpoint has unknown members \['input_conv\.scale'\]"),
+    ({"input_conv.bias": np.zeros(7)},
+     r"^parameter input_conv\.bias: stored float64 \(7,\), expected float64 \(8,\)"),
+    ({"input_conv.bias": np.zeros(8, np.float32)}, r"^parameter input_conv\.bias: stored float32"),
+], ids=["missing", "missing-vocab", "extra", "misshapen", "float32"])
+def test_checkpoint_member_mismatch_raises_naming_it(tmp_path, members, message):
+    path = _saved(tmp_path, 31)
+    _rewrite(path, **members)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_member_that_is_not_npy_raises(tmp_path):
+    path = _saved(tmp_path, 33)
+    with zipfile.ZipFile(path) as zf:
+        members = {info.filename: zf.read(info) for info in zf.infolist()}
+    members["vocab.npy"] = VOCAB_SHA256                 # the right bytes, but not an .npy
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+    with pytest.raises(CheckpointError, match=r"^member vocab: not an \.npy array"):
+        load_checkpoint(path)
+
+
+def _version_2_bytes():
+    # the byte container version 3 replaced: magic, version, length-prefixed
+    # config JSON, vocab sha256, array count, size-prefixed float64 blobs
+    model = RestorationModel(MICRO_CONFIG, seed=32)
+    cfg = json.dumps(dataclasses.asdict(model.config)).encode()
+    arrays = [p.data for p in model.parameters()]
+    return (b"PRCK" + struct.pack("<II", 2, len(cfg)) + cfg + VOCAB_SHA256
+            + struct.pack("<Q", len(arrays))
+            + b"".join(struct.pack("<Q", a.size) + a.astype("<f8").tobytes() for a in arrays))
+
+
+def _npy_bytes():
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("contents, message", [
+    (bytes, "No data left in file"),
+    (_npy_bytes, "a bare .npy array"),
+    (_version_2_bytes, "pickled"),
+], ids=["empty", "bare-npy", "version-2-bytes"])
+def test_checkpoint_not_an_archive_raises(tmp_path, contents, message):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(RestorationModel(MICRO_CONFIG, seed=25), path)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    path.write_bytes(contents())
+    with pytest.raises(CheckpointError, match=f"^not a checkpoint archive: .*{message}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_version_1_is_unsupported(tmp_path):
+    path = _saved(tmp_path, 25)
+    _rewrite(path, version=np.array(1))
     with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
         load_checkpoint(path)
 
 
 def test_checkpoint_vocab_mismatch_raises_before_building(tmp_path, monkeypatch):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(RestorationModel(MICRO_CONFIG, seed=27), path)
-    blob = bytearray(path.read_bytes())
-    (n,) = struct.unpack_from("<I", blob, 8)
-    blob[12 + n] ^= 1                            # first byte of the vocab sha256
-    path.write_bytes(bytes(blob))
+    path = _saved(tmp_path, 27)
+    vocab = np.frombuffer(VOCAB_SHA256, dtype=np.uint8).copy()
+    vocab[0] ^= 1
+    _rewrite(path, vocab=vocab)
 
     def build(*args, **kwargs):
         raise AssertionError("model built before the vocab check")
@@ -219,34 +324,32 @@ def test_checkpoint_vocab_mismatch_raises_before_building(tmp_path, monkeypatch)
 def _edit_record(record, **changes):
     # the config record with keys set (value not None) or dropped (None)
     out = dict(record, **changes)
-    return json.dumps({k: v for k, v in out.items() if v is not None}).encode()
+    return json.dumps({k: v for k, v in out.items() if v is not None})
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda blob: blob.replace(b'"channels": 8', b'"channels": x'), "Expecting value"),
-    (lambda blob: b"[8, 1]", "expected a JSON object, got list"),
-    (lambda blob: _edit_record(json.loads(blob), extra=1),
+    (lambda text: text.replace('"channels": 8', '"channels": x'), "Expecting value"),
+    (lambda text: "[8, 1]", "expected a JSON object, got list"),
+    (lambda text: _edit_record(json.loads(text), extra=1),
      r"missing keys \[\], unknown keys \['extra'\]"),
-    (lambda blob: _edit_record(json.loads(blob), channels=None),
+    (lambda text: _edit_record(json.loads(text), channels=None),
      r"missing keys \['channels'\], unknown keys \[\]"),
-    (lambda blob: _edit_record(json.loads(blob), channels="8"),
+    (lambda text: _edit_record(json.loads(text), channels="8"),
      "channels must be a positive int, got '8'"),
-    (lambda blob: _edit_record(json.loads(blob), stage_blocks=[1, 1, 1]),
+    (lambda text: _edit_record(json.loads(text), stage_blocks=[1, 1, 1]),
      "stage_blocks must have 4 entries"),
     # MICRO_CONFIG's latent stage is 2x2 and its 2x2 agent grid fills it
-    (lambda blob: _edit_record(json.loads(blob), agent_h=3),
+    (lambda text: _edit_record(json.loads(text), agent_h=3),
      r"agent_h x agent_w = 3x2 exceeds the latent stage's 2x2 grid"),
-    (lambda blob: _edit_record(json.loads(blob), text_embed_dim=30),
+    (lambda text: _edit_record(json.loads(text), text_embed_dim=30),
      "text_embed_dim 30 not divisible by the 4 text encoder heads"),
 ], ids=["bad-json", "not-an-object", "unknown-key", "missing-key", "mistyped-key",
         "three-stages", "agent-grid", "text-heads"])
 def test_checkpoint_bad_config_record_raises(tmp_path, edit, message):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(RestorationModel(MICRO_CONFIG, seed=26), path)
-    blob = path.read_bytes()
-    (n,) = struct.unpack_from("<I", blob, 8)
-    record = edit(blob[12:12 + n])
-    path.write_bytes(blob[:8] + struct.pack("<I", len(record)) + record + blob[12 + n:])
+    path = _saved(tmp_path, 26)
+    with np.load(path) as archive:
+        record = edit(str(archive["config"]))
+    _rewrite(path, config=np.array(record))
     with pytest.raises(CheckpointError, match=f"^checkpoint config: .*{message}"):
         load_checkpoint(path)
 
@@ -269,10 +372,16 @@ def test_model_config_rejects_bad_values(changes, message):
         ModelConfig(**changes)
 
 
+def test_model_config_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TOY_CONFIG.channels = 0
+    assert TOY_CONFIG.channels == 16
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" * 10)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="^not a checkpoint archive: .*pickled"):
         load_checkpoint(path)
 
 
