@@ -6,7 +6,10 @@ carries its own stream id, so regenerating a dataset or re-rendering one
 ground truth is byte-identical regardless of order or parallelism.
 
 Images are stored as binary PPM (P6, maxval 255); the manifest is UTF-8
-JSON lines, one record per line.
+JSON lines, one record per line. A line holds only the sample's id, its
+degradation specs, the kinds its prompt removes and its split; the present
+kinds, the category, both prompts and the three image paths are derived
+from those (see SampleRecord).
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ def read_ppm(path) -> np.ndarray:
 
 
 def canonical_order(kinds) -> list[str]:
-    return [k for k in KINDS if k in set(kinds)]
+    kinds = set(kinds)
+    return [k for k in KINDS if k in kinds]
 
 
 def gen_prompt(present, removed, style: str) -> str:
@@ -112,57 +116,76 @@ def gen_prompt(present, removed, style: str) -> str:
 # records / manifest
 
 
+def _image_path(sample_id: int, tag: str) -> str:
+    """Path of one of a sample's images, relative to the dataset directory."""
+    return f"images/{sample_id:05d}_{tag}.ppm"
+
+
 @dataclass
 class SampleRecord:
+    """One manifest line: the sample id, its degradation specs (one dict per
+    kind, as DegradationSpec.to_dict writes it), the kinds its prompt
+    removes and its split. The rest is derived from these and cannot
+    disagree with them: the present kinds, the category "<present>-<removed>",
+    both prompt styles, and the clean, degraded and gt image paths."""
     id: int
-    clean_path: str
-    degraded_path: str
-    gt_path: str
-    present: list[str]
-    removed: list[str]
     specs: list[dict]
-    prompt_single: str
-    prompt_two: str
+    removed: list[str]
     split: str
-    category: str
 
     def validate(self) -> None:
         if type(self.id) is not int or self.id < 0:
             raise ValueError(f"id must be a non-negative int, got {self.id!r}")
-        for name in ("clean_path", "degraded_path", "gt_path", "prompt_single",
-                     "prompt_two", "split", "category"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"record {self.id}: {name} must be a str, "
-                                 f"got {getattr(self, name)!r}")
-        for name, item in (("present", str), ("removed", str), ("specs", dict)):
+        for name, item in (("removed", str), ("specs", dict)):
             value = getattr(self, name)
             if not isinstance(value, list) or not all(isinstance(v, item) for v in value):
                 raise ValueError(f"record {self.id}: {name} must be a list of "
                                  f"{item.__name__}, got {value!r}")
-        if not set(self.removed) <= set(self.present) or not self.removed:
-            raise ValueError(f"record {self.id}: removed must be a non-empty "
-                             "subset of present")
-        expect = f"{len(self.present)}-{len(self.removed)}"
-        if self.category != expect:
-            raise ValueError(f"record {self.id}: category {self.category} "
-                             f"inconsistent with sets ({expect})")
+        kinds = [s.kind for s in self.spec_objects()]
+        if not kinds or len(set(kinds)) != len(kinds):
+            raise ValueError(f"record {self.id}: spec kinds {kinds} must be "
+                             "non-empty and distinct")
+        removed = set(self.removed)
+        if not removed or len(removed) != len(self.removed) or not removed <= set(kinds):
+            raise ValueError(f"record {self.id}: removed {self.removed} must be distinct "
+                             f"kinds, a non-empty subset of the spec kinds {kinds}")
         if self.split not in SPLITS:
             raise ValueError(f"record {self.id}: bad split {self.split!r}")
-        kinds = [s.kind for s in self.spec_objects()]
-        if sorted(kinds) != sorted(self.present) or len(set(kinds)) != len(kinds):
-            raise ValueError(f"record {self.id}: spec kinds {kinds} are not "
-                             f"exactly present {self.present}")
-        for style in ("single", "two"):
-            prompt = getattr(self, f"prompt_{style}")
-            if prompt != gen_prompt(self.present, self.removed, style):
-                raise ValueError(f"record {self.id}: prompt_{style} {prompt!r} does not "
-                                 f"match present {self.present}, removed {self.removed}")
+
+    @property
+    def present(self) -> list[str]:
+        return canonical_order(d["kind"] for d in self.specs)
+
+    @property
+    def category(self) -> str:
+        return f"{len(self.specs)}-{len(self.removed)}"
+
+    @property
+    def prompt_single(self) -> str:
+        return gen_prompt(self.present, self.removed, "single")
+
+    @property
+    def prompt_two(self) -> str:
+        return gen_prompt(self.present, self.removed, "two")
+
+    @property
+    def clean_path(self) -> str:
+        return _image_path(self.id, "clean")
+
+    @property
+    def degraded_path(self) -> str:
+        return _image_path(self.id, "degraded")
+
+    @property
+    def gt_path(self) -> str:
+        return _image_path(self.id, "gt")
 
     def spec_objects(self) -> list[DegradationSpec]:
         return [DegradationSpec.from_dict(d) for d in self.specs]
 
     def labels(self) -> np.ndarray:
-        return np.array([1.0 if k in self.present else 0.0 for k in KINDS])
+        present = self.present
+        return np.array([1.0 if k in present else 0.0 for k in KINDS])
 
 
 def write_manifest(records, path) -> None:
@@ -233,23 +256,6 @@ def generate_clean_image(rng: np.random.Generator, size: int) -> np.ndarray:
     return img
 
 
-def load_clean_pool(source_dir, size: int) -> list[np.ndarray]:
-    """Every .ppm image in source_dir, in name order; each must be
-    [size, size, 3], else ValueError names the file."""
-    pool = []
-    for name in sorted(os.listdir(source_dir)):
-        if name.endswith(".ppm"):
-            path = os.path.join(source_dir, name)
-            img = read_ppm(path)
-            if img.shape != (size, size, 3):
-                raise ValueError(f"{path}: pool image has shape {img.shape}, "
-                                 f"expected ({size}, {size}, 3)")
-            pool.append(img)
-    if not pool:
-        raise FileNotFoundError(f"no .ppm images in {source_dir}")
-    return pool
-
-
 # ---------------------------------------------------------------------------
 # dataset construction
 
@@ -259,7 +265,6 @@ class DatasetConfig:
     count: int = 500
     image_size: int = 64
     seed: int = 0
-    source_dir: str | None = None   # optional pool of clean .ppm images
 
 
 def _largest_remainder(total: int, fractions) -> list[int]:
@@ -322,36 +327,18 @@ def build_dataset(cfg: DatasetConfig, out_dir) -> str:
     out_dir = str(out_dir)
     img_dir = os.path.join(out_dir, "images")
     os.makedirs(img_dir, exist_ok=True)
-    pool = load_clean_pool(cfg.source_dir, cfg.image_size) if cfg.source_dir else None
     records = []
     for sample_id, (category, split) in enumerate(_assignments(cfg)):
         rng = np.random.default_rng((cfg.seed, sample_id))
-        if pool is None:
-            clean = generate_clean_image(rng, cfg.image_size)
-        else:
-            clean = pool[int(rng.integers(len(pool)))]
+        clean = generate_clean_image(rng, cfg.image_size)
         specs, removed = _sample_specs(rng, category)
-        present = [s.kind for s in specs]
         degraded, gt = compose_sample(clean, specs, removed)
-        paths = {}
-        for tag, img in (("clean", clean), ("degraded", degraded), ("gt", gt)):
-            rel = os.path.join("images", f"{sample_id:05d}_{tag}.ppm")
-            write_ppm(os.path.join(out_dir, rel), img)
-            paths[tag] = rel
-        rec = SampleRecord(
-            id=sample_id,
-            clean_path=paths["clean"],
-            degraded_path=paths["degraded"],
-            gt_path=paths["gt"],
-            present=canonical_order(present),
-            removed=canonical_order(removed),
-            specs=[s.to_dict() for s in specs],
-            prompt_single=gen_prompt(present, removed, "single"),
-            prompt_two=gen_prompt(present, removed, "two"),
-            split=split,
-            category=category,
-        )
+        rec = SampleRecord(id=sample_id, specs=[s.to_dict() for s in specs],
+                           removed=removed, split=split)
         rec.validate()
+        for rel, img in ((rec.clean_path, clean), (rec.degraded_path, degraded),
+                         (rec.gt_path, gt)):
+            write_ppm(os.path.join(out_dir, rel), img)
         records.append(rec)
     manifest = os.path.join(out_dir, "manifest.jsonl")
     write_manifest(records, manifest)

@@ -21,6 +21,7 @@ the rest of the image as it was.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -59,8 +60,10 @@ class DegradationSpec:
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise ValueError(f"{name} must be a non-negative int, got {v!r}")
         g = self.gamma
-        if self.kind == "haze" and (isinstance(g, bool) or not isinstance(g, (int, float))
-                                    or isinstance(g, float) and not g.is_integer() or g < 0):
+        if (isinstance(g, bool) or not isinstance(g, (int, float))
+                or isinstance(g, float) and not math.isfinite(g)):
+            raise ValueError(f"gamma must be a finite number, got {g!r}")
+        if self.kind == "haze" and (isinstance(g, float) and not g.is_integer() or g < 0):
             raise ValueError(f"haze gamma (its blob seed) must be a non-negative "
                              f"whole number, got {g!r}")
 

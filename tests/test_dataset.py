@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -119,51 +120,76 @@ def test_category_and_split_counts_sum_exactly():
         assert {s for _, s in pairs} <= set(D.SPLITS)
 
 
+def test_canonical_order_reads_an_iterator_once():
+    assert D.canonical_order(iter(["rain", "blur"])) == ["blur", "rain"]
+    assert D.canonical_order(k for k in ["snow", "haze"]) == ["haze", "snow"]
+
+
 def test_manifest_round_trip(tmp_path):
     records = [
-        D.SampleRecord(id=0, clean_path="images/00000_clean.ppm",
-                       degraded_path="images/00000_degraded.ppm", gt_path="images/00000_gt.ppm",
-                       present=["blur", "snow"], removed=["snow"],
-                       specs=[D.DegradationSpec("blur", beta=0.4, gamma=12.5, rng_stream=3).to_dict(),
-                              D.DegradationSpec("snow", alpha=9, beta=0.7).to_dict()],
-                       prompt_single="Remove snow.",
-                       prompt_two="There are blur, snow in the image. Remove snow.",
-                       split="val", category="2-1"),
-        D.SampleRecord(id=1, clean_path="a", degraded_path="b", gt_path="c",
-                       present=["haze"], removed=["haze"],
-                       specs=[D.DegradationSpec("haze", beta=1.0, gamma=2 ** 31 - 2).to_dict()],
-                       prompt_single="Remove haze.", prompt_two="There are haze in the image. Remove haze.",
-                       split="test", category="1-1"),
+        D.SampleRecord(id=0, specs=[D.DegradationSpec("blur", beta=0.4, gamma=12.5, rng_stream=3).to_dict(),
+                                    D.DegradationSpec("snow", alpha=9, beta=0.7).to_dict()],
+                       removed=["snow"], split="val"),
+        D.SampleRecord(id=1, specs=[D.DegradationSpec("haze", beta=1.0, gamma=2 ** 31 - 2).to_dict()],
+                       removed=["haze"], split="test"),
     ]
     path = tmp_path / "manifest.jsonl"
     D.write_manifest(records, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [list(json.loads(line)) for line in lines] == [["id", "specs", "removed", "split"]] * 2
     back = D.read_manifest(path)
     assert back == records
     assert [r.spec_objects() for r in back] == [r.spec_objects() for r in records]
+    rec = back[0]
+    assert (rec.present, rec.category) == (["blur", "snow"], "2-1")
+    assert rec.prompt_single == "Remove snow."
+    assert rec.prompt_two == "There are blur, snow in the image. Remove snow."
+    assert (rec.clean_path, rec.degraded_path, rec.gt_path) == (
+        "images/00000_clean.ppm", "images/00000_degraded.ppm", "images/00000_gt.ppm")
+    assert back[1].labels().tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+
+
+def test_build_dataset_records_name_the_files_it_writes(tmp_path):
+    manifest = D.build_dataset(D.DatasetConfig(count=6, image_size=16, seed=5), tmp_path)
+    records = D.read_manifest(manifest)
+    paths = [p for rec in records for p in (rec.clean_path, rec.degraded_path, rec.gt_path)]
+    assert sorted(paths) == sorted(f"images/{name}" for name in os.listdir(tmp_path / "images"))
+    counts = Counter(rec.category for rec in records)
+    assert counts == {cat: n for cat, n in D.category_counts(6).items() if n}
 
 
 def _record(**changes):
-    rec = dict(id=7, clean_path="c", degraded_path="d", gt_path="g",
-               present=["blur", "rain"], removed=["rain"],
-               specs=[D.DegradationSpec("blur", beta=0.5).to_dict(),
-                      D.DegradationSpec("rain", beta=0.5).to_dict()],
-               prompt_single="Remove rain.",
-               prompt_two="There are blur, rain in the image. Remove rain.",
-               split="train", category="2-1")
+    rec = dict(id=7, specs=[D.DegradationSpec("blur", beta=0.5).to_dict(),
+                            D.DegradationSpec("rain", beta=0.5).to_dict()],
+               removed=["rain"], split="train")
     rec.update(changes)
     return rec
 
 
-@pytest.mark.parametrize("changes", [
-    dict(present=["blur"], removed=["blur"], category="1-1"),
-    dict(specs=[D.DegradationSpec("blur", beta=0.5).to_dict()]),
-    dict(specs=[D.DegradationSpec("blur", beta=0.5).to_dict()] * 2),
-    dict(specs=[D.DegradationSpec("rain", beta=0.5).to_dict()] * 2),
-], ids=["extra-spec", "missing-spec", "duplicate-spec", "duplicate-other-spec"])
-def test_record_spec_kinds_must_be_exactly_present(changes):
+@pytest.mark.parametrize("changes, what", [
+    (dict(specs=[]), r"spec kinds \[\] must be non-empty"),
+    (dict(specs=[D.DegradationSpec("blur", beta=0.5).to_dict()]),
+     r"removed \['rain'\] must be distinct kinds, a non-empty subset of the spec kinds \['blur'\]"),
+    (dict(specs=[D.DegradationSpec("blur", beta=0.5).to_dict()] * 2),
+     r"spec kinds \['blur', 'blur'\] must be non-empty and distinct"),
+    (dict(specs=[D.DegradationSpec("rain", beta=0.5).to_dict()] * 2),
+     r"spec kinds \['rain', 'rain'\] must be non-empty and distinct"),
+], ids=["no-specs", "missing-spec", "duplicate-spec", "duplicate-other-spec"])
+def test_record_spec_kinds_must_be_exactly_present(changes, what):
     D.SampleRecord(**_record()).validate()
-    with pytest.raises(ValueError, match="record 7: spec kinds .* are not exactly present"):
+    with pytest.raises(ValueError, match=f"record 7: {what}"):
         D.SampleRecord(**_record(**changes)).validate()
+
+
+def _unknown(*keys):
+    return rf"missing keys \[\], unknown keys \[{', '.join(repr(k) for k in keys)}\]"
+
+
+# the seven keys an eleven-key line of the earlier format added to _record()
+_ELEVEN_KEY_EXTRAS = dict(
+    clean_path="images/00007_clean.ppm", degraded_path="images/00007_degraded.ppm",
+    gt_path="images/00007_gt.ppm", present=["blur", "rain"], category="2-1",
+    prompt_single="Remove rain.", prompt_two="There are blur, rain in the image. Remove rain.")
 
 
 @pytest.mark.parametrize("line, what", [
@@ -172,8 +198,11 @@ def test_record_spec_kinds_must_be_exactly_present(changes):
     (json.dumps({k: v for k, v in _record().items() if k != "split"}),
      r"missing keys \['split'\], unknown keys \[\]"),
     (json.dumps(_record(extra=1)), r"missing keys \[\], unknown keys \['extra'\]"),
-    (json.dumps(_record(present=["blur"], removed=["blur"], category="1-1")),
-     "record 7: spec kinds"),
+    (json.dumps(_record(removed=["haze"])),
+     r"record 7: removed \['haze'\] must be distinct kinds, a non-empty subset"),
+    (json.dumps(_record(removed=[])), r"record 7: removed \[\] must be distinct kinds"),
+    (json.dumps(_record(removed=["rain", "rain"])),
+     r"record 7: removed \['rain', 'rain'\] must be distinct kinds"),
     (json.dumps(_record(specs=[dict(kind="blur", beta=1.5), dict(kind="rain")])),
      r"beta must be in \[0,1\], got 1.5"),
     (json.dumps(_record(specs=[dict(kind="blur", beta=True), dict(kind="rain")])),
@@ -182,8 +211,8 @@ def test_record_spec_kinds_must_be_exactly_present(changes):
      r"beta must be in \[0,1\], got '0.5'"),
     (json.dumps(_record(specs=[dict(kind="blur", sigma=2), dict(kind="rain")])),
      "unexpected keyword argument 'sigma'"),
-    (json.dumps(_record(present=["blur", "snow"], removed=["snow"],
-                        specs=[dict(kind="blur"), dict(kind="snow", beta=0.5, alpha=-1)])),
+    (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="snow", beta=0.5, alpha=-1)],
+                        removed=["snow"])),
      "alpha must be a non-negative int, got -1"),
     (json.dumps(_record(specs=[dict(kind="blur", alpha=2.0), dict(kind="rain")])),
      "alpha must be a non-negative int, got 2.0"),
@@ -191,78 +220,61 @@ def test_record_spec_kinds_must_be_exactly_present(changes):
      "rng_stream must be a non-negative int, got True"),
     (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="rain", rng_stream=-5)])),
      "rng_stream must be a non-negative int, got -5"),
-    (json.dumps(_record(present=["blur", "haze"], removed=["haze"],
-                        specs=[dict(kind="blur"), dict(kind="haze", beta=0.5, gamma=-3.0)])),
+    (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="haze", beta=0.5, gamma=-3.0)],
+                        removed=["haze"])),
      r"haze gamma \(its blob seed\) must be a non-negative whole number, got -3.0"),
-    (json.dumps(_record(present=["blur", "haze"], removed=["haze"],
-                        specs=[dict(kind="blur"), dict(kind="haze", beta=0.5, gamma=2.5)])),
+    (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="haze", beta=0.5, gamma=2.5)],
+                        removed=["haze"])),
      "haze gamma .* got 2.5"),
-    (json.dumps(_record(prompt_single="Remove blur.")),
-     r"record 7: prompt_single 'Remove blur\.' does not match present \['blur', 'rain'\], "
-     r"removed \['rain'\]"),
-    (json.dumps(_record(prompt_two="There are rain in the image. Remove rain.")),
-     "record 7: prompt_two 'There are rain in the image. Remove rain.' does not match"),
+    (json.dumps(_record(specs=[dict(kind="blur", gamma=float("inf")), dict(kind="rain")])),
+     "gamma must be a finite number, got inf"),
+    (json.dumps(_record(specs=[dict(kind="blur", gamma=float("nan")), dict(kind="rain")])),
+     "gamma must be a finite number, got nan"),
+    (json.dumps(_record(specs=[dict(kind="blur", gamma="x"), dict(kind="rain")])),
+     "gamma must be a finite number, got 'x'"),
+    (json.dumps(_record(specs=[dict(kind="blur", gamma=None), dict(kind="rain")])),
+     "gamma must be a finite number, got None"),
+    (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="rain", gamma=float("nan"))])),
+     "gamma must be a finite number, got nan"),
+    (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="rain", gamma=False)])),
+     "gamma must be a finite number, got False"),
     (json.dumps(_record(id="7")), "id must be a non-negative int, got '7'"),
     (json.dumps(_record(id=True)), "id must be a non-negative int, got True"),
     (json.dumps(_record(id=-1)), "id must be a non-negative int, got -1"),
-    (json.dumps(_record(clean_path=None)), "record 7: clean_path must be a str, got None"),
-    (json.dumps(_record(degraded_path=5)), "record 7: degraded_path must be a str, got 5"),
-    (json.dumps(_record(gt_path=["g"])), r"record 7: gt_path must be a str, got \['g'\]"),
-    (json.dumps(_record(present="blur rain")),
-     "record 7: present must be a list of str, got 'blur rain'"),
     (json.dumps(_record(removed=[1])), r"record 7: removed must be a list of str, got \[1\]"),
     (json.dumps(_record(specs=["blur", "rain"])),
      r"record 7: specs must be a list of dict, got \['blur', 'rain'\]"),
-    (json.dumps(_record(prompt_single=1)), "record 7: prompt_single must be a str, got 1"),
-    (json.dumps(_record(prompt_two=None)), "record 7: prompt_two must be a str, got None"),
-    (json.dumps(_record(split=0)), "record 7: split must be a str, got 0"),
-    (json.dumps(_record(category=2.1)), "record 7: category must be a str, got 2.1"),
+    (json.dumps(_record(split=0)), "record 7: bad split 0"),
+    # a key derived from the four stored ones is unknown, whatever its value:
+    # an image path that leaves the dataset directory, a prompt that
+    # disagrees with the removed kinds, a mistyped copy, or a whole line of
+    # the earlier eleven-key format
+    (json.dumps(_record(clean_path="/etc/hostname")), _unknown("clean_path")),
+    (json.dumps(_record(degraded_path="../../x.ppm")), _unknown("degraded_path")),
+    (json.dumps(_record(prompt_single="Remove blur.")), _unknown("prompt_single")),
+    (json.dumps(_record(prompt_two="There are rain in the image. Remove rain.")),
+     _unknown("prompt_two")),
+    (json.dumps(_record(clean_path=None)), _unknown("clean_path")),
+    (json.dumps(_record(degraded_path=5)), _unknown("degraded_path")),
+    (json.dumps(_record(gt_path=["g"])), _unknown("gt_path")),
+    (json.dumps(_record(present="blur rain")), _unknown("present")),
+    (json.dumps(_record(prompt_single=1)), _unknown("prompt_single")),
+    (json.dumps(_record(prompt_two=None)), _unknown("prompt_two")),
+    (json.dumps(_record(category=2.1)), _unknown("category")),
+    (json.dumps(_record(**_ELEVEN_KEY_EXTRAS)), _unknown(*sorted(_ELEVEN_KEY_EXTRAS))),
 ], ids=["bad-json", "not-an-object", "missing-key", "unknown-key", "invalid-record",
-        "bad-spec-value", "bool-beta", "string-beta", "unknown-spec-key", "negative-alpha",
-        "float-alpha", "bool-rng-stream", "negative-rng-stream", "negative-haze-gamma",
-        "fractional-haze-gamma", "prompt-single-mismatch", "prompt-two-mismatch",
-        "string-id", "bool-id", "negative-id", "null-clean-path", "int-degraded-path",
-        "list-gt-path", "string-present", "int-removed", "string-specs", "int-prompt-single",
-        "null-prompt-two", "int-split", "float-category"])
+        "empty-removed", "duplicate-removed", "bad-spec-value", "bool-beta", "string-beta",
+        "unknown-spec-key", "negative-alpha", "float-alpha", "bool-rng-stream",
+        "negative-rng-stream", "negative-haze-gamma", "fractional-haze-gamma", "inf-blur-gamma",
+        "nan-blur-gamma", "string-blur-gamma", "null-blur-gamma", "nan-rain-gamma",
+        "bool-rain-gamma", "string-id", "bool-id", "negative-id", "int-removed", "string-specs",
+        "int-split", "absolute-clean-path", "climbing-degraded-path", "prompt-single-mismatch",
+        "prompt-two-mismatch", "null-clean-path", "int-degraded-path", "list-gt-path",
+        "string-present", "int-prompt-single", "null-prompt-two", "float-category",
+        "eleven-key-line"])
 def test_read_manifest_names_the_bad_line(tmp_path, line, what):
     path = tmp_path / "manifest.jsonl"
     path.write_text(json.dumps(_record()) + "\n\n" + line + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"manifest\.jsonl:3: .*{what}"):
         D.read_manifest(path)
 
-
-def test_build_dataset_from_source_dir(tmp_path):
-    src = tmp_path / "pool"
-    src.mkdir()
-    rng = np.random.default_rng(4)
-    for k in range(3):
-        write_ppm(src / f"scene{k}.ppm", rng.uniform(0.0, 1.0, (16, 16, 3)))
-    (src / "notes.txt").write_text("not an image")
-    pool = {(src / f"scene{k}.ppm").read_bytes() for k in range(3)}
-    out = tmp_path / "out"
-    manifest = D.build_dataset(D.DatasetConfig(count=4, image_size=16, seed=1, source_dir=str(src)), out)
-    records = D.read_manifest(manifest)
-    assert len(records) == 4
-    for rec in records:
-        rec.validate()
-        assert (out / rec.clean_path).read_bytes() in pool
-        assert read_ppm(out / rec.degraded_path).shape == (16, 16, 3)
-
-
-def test_build_dataset_rejects_pool_image_of_another_size(tmp_path):
-    src = tmp_path / "pool"
-    src.mkdir()
-    write_ppm(src / "a_square.ppm", np.full((16, 16, 3), 0.5))
-    write_ppm(src / "wide.ppm", np.full((24, 40, 3), 0.5))
-    cfg = D.DatasetConfig(count=4, image_size=16, seed=1, source_dir=str(src))
-    with pytest.raises(ValueError, match=r"wide\.ppm: pool image has shape \(24, 40, 3\)"):
-        D.build_dataset(cfg, tmp_path / "out")
-    assert not (tmp_path / "out" / "manifest.jsonl").exists()
-
-
-def test_load_clean_pool_without_ppm_files_raises(tmp_path):
-    with pytest.raises(FileNotFoundError, match="no .ppm images"):
-        D.load_clean_pool(tmp_path, 16)
-    (tmp_path / "notes.txt").write_text("not an image")
-    with pytest.raises(FileNotFoundError, match="no .ppm images"):
-        D.load_clean_pool(tmp_path, 16)

@@ -5,14 +5,18 @@ suite rather than only a traced benchmark run; a small traced restore run
 through the benchmark's coverage check does the same for a layer the
 restore path stops reaching (e.g. a conv that bypasses tensor.conv2d), and a
 small traced build_dataset run does it for a renderer that stops going
-through degradations.apply_<kind>."""
+through degradations.apply_<kind>. The train_64 and datagen_128 workloads
+also run untraced in-process, so every record attribute they read stays
+covered by the suite."""
 
 import ast
 import importlib
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,10 +29,10 @@ def _run_modules():
     raise AssertionError("perfbench/run.py defines no MODULES")
 
 
-def _perfbench():
+def _perfbench(names=("layers", "tracer")):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return importlib.import_module("layers"), importlib.import_module("tracer")
+        return tuple(importlib.import_module(name) for name in names)
     finally:
         sys.path.remove(str(PERFBENCH))
 
@@ -101,3 +105,14 @@ def test_traced_datagen_passes_coverage_check(tmp_path):
         return layers.resolve(name, loop, {}, tracer, 1, {})
 
     layers.check_coverage("datagen_128", value)
+
+
+@pytest.mark.parametrize("name", ["train_64", "datagen_128"])
+def test_workload_set_up_and_operations_pass_their_checks(tmp_path, name):
+    # one set-up, then two operations and their checks, as perfbench/run.py
+    # drives them but with no timing or tracing
+    (workloads,) = _perfbench(("workloads",))
+    wl = workloads.WORKLOADS[name](_package(), 1, str(tmp_path))
+    wl.setup()
+    for i in range(2):
+        wl.check(i, wl.op(i, lambda _name: nullcontext()))
