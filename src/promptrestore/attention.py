@@ -33,7 +33,7 @@ class AttnConfig:
     def __post_init__(self):
         if self.channels % self.heads:
             raise ValueError(f"channels {self.channels} not divisible by heads {self.heads}")
-        if self.agent_h * self.agent_w > self.height * self.width:
+        if self.agent_h > self.height or self.agent_w > self.width:
             raise ValueError("agent grid larger than spatial grid")
 
 

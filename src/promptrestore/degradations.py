@@ -66,6 +66,8 @@ class DegradationSpec:
         if self.kind == "haze" and (isinstance(g, float) and not g.is_integer() or g < 0):
             raise ValueError(f"haze gamma (its blob seed) must be a non-negative "
                              f"whole number, got {g!r}")
+        if self.kind in ("blur", "rain") and isinstance(g, int) and not -2**63 <= g < 2**63:
+            raise ValueError(f"{self.kind} gamma (an angle) must fit in int64, got {g!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

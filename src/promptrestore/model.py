@@ -55,10 +55,13 @@ class ModelConfig:
             if any(type(v) is not int or v <= 0
                    for v in (value if isinstance(value, tuple) else (value,))):
                 raise ConfigError(f"{f.name} must be a positive int, got {value!r}")
+        if self.channels % 2:
+            raise ConfigError(f"channels must be even (the first Downsample halves it), "
+                              f"got {self.channels}")
         if self.base_resolution % 8:
             raise ConfigError("base_resolution must be divisible by 8")
         r = self.base_resolution // 8     # the latent stage's grid side
-        if self.agent_h * self.agent_w > r * r:
+        if self.agent_h > r or self.agent_w > r:
             raise ConfigError(f"agent_h x agent_w = {self.agent_h}x{self.agent_w} exceeds "
                               f"the latent stage's {r}x{r} grid (base_resolution // 8)")
         if self.text_embed_dim % TEXT_HEADS:
@@ -155,6 +158,10 @@ class RestorationModel(Module):
             raise T.ShapeError(f"expected [H,W,3] image, got {image.shape}")
         if h % 8 or w % 8:
             raise T.ShapeError(f"spatial size {h}x{w} not divisible by 8")
+        finite = np.isfinite(image.data)
+        if not finite.all():      # input validation, so no_nan_checks does not skip it
+            raise T.NonFiniteError(f"image: {image.size - finite.sum()} of {image.size} "
+                                   "values are not finite")
         x = self.input_conv(image)
         skips = []
         for blocks, down in ((self.enc0, self.down0), (self.enc1, self.down1),

@@ -17,9 +17,8 @@ in backward, and each closure captures only the arrays its backward reads.
 
 Non-finite checks: with checks on (the default; see no_nan_checks) every op
 scans its output for NaN/Inf in `_finish` and raises NonFiniteError, except
-reshape and transpose of a checked tensor: those hold the same values as
-their input, so they are not scanned again. A view of a leaf, or of an op
-output made under no_nan_checks, is scanned.
+reshape and transpose: a view holds its input's values, and the first
+computing op on it scans them.
 
 Layout conventions:
   * arrays are float64; op outputs are row-major, except conv2d's
@@ -73,13 +72,10 @@ def active_tape() -> Optional["Tape"]:
 class no_nan_checks:
     """Context manager that disables non-finite output detection in its block.
 
-    Checks are on by default, the debug/test behaviour: any op whose output
-    contains NaN/Inf raises NonFiniteError. Every op scans its output, but
-    reshape and transpose skip the scan when their input was itself checked
-    (its `checked` is True). Inside the block NaN/Inf propagate silently
-    (release behaviour for long training runs) and outputs stay unchecked,
-    so a view of one is scanned once checks are back on. The switch is per
-    thread.
+    Checks are on by default, the debug/test behaviour: any op but a view
+    (reshape, transpose) whose output contains NaN/Inf raises
+    NonFiniteError. Inside the block NaN/Inf propagate silently (release
+    behaviour for long training runs). The switch is per thread.
     """
 
     def __enter__(self):
@@ -95,19 +91,16 @@ class no_nan_checks:
 class Tensor:
     """A dense float64 array that can participate in gradient recording.
 
-    `checked` is True when the values are known finite: the op that made the
-    tensor scanned them, or it is a view of a tensor that was. A taped op's
-    output records the tape and node index that made it.
+    A taped op's output records the tape and node index that made it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "checked", "_tape", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=DTYPE)
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
-        self.checked = False
         self._tape: Optional[Tape] = None
         self._node = -1
 
@@ -218,18 +211,20 @@ class Tape:
                 leaf.grad = (g if own else g.copy()) if leaf.grad is None else leaf.grad + g
 
 
-def _finish(out_data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
-            opname: str, checked: bool = False) -> Tensor:
-    # checked: out_data holds values already known finite (a view of a
-    # checked input), so the scan is skipped
-    if not checked and getattr(_state, "nan_checks", True):
-        if not np.all(np.isfinite(out_data)):
-            raise NonFiniteError(f"{opname} produced non-finite values")
-        checked = True
-    out = Tensor(out_data)
-    out.checked = checked
+def _taped(parents: Sequence[Tensor]) -> Optional[Tape]:
+    # the tape an op on parents records on, or None when it is not recorded
     tape = active_tape()
-    if tape is not None and any(p.requires_grad for p in parents):
+    return tape if tape is not None and any(p.requires_grad for p in parents) else None
+
+
+def _finish(out_data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
+            opname: str, scan: bool = True) -> Tensor:
+    # scan is False only for views (reshape, transpose)
+    if scan and getattr(_state, "nan_checks", True) and not np.all(np.isfinite(out_data)):
+        raise NonFiniteError(f"{opname} produced non-finite values")
+    out = Tensor(out_data)
+    tape = _taped(parents)
+    if tape is not None:
         out.requires_grad = True
         tape._record(out, tuple(parents), backward)
     return out
@@ -275,8 +270,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     # tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)));
     # the slope is computed only when _finish will record the op
-    taped = active_tape() is not None and x.requires_grad
-    out, slope = _kernels.gelu(x.data, taped)
+    out, slope = _kernels.gelu(x.data, _taped((x,)) is not None)
     return _finish(out, (x,), lambda g: (g * slope,), "gelu")
 
 
@@ -309,7 +303,7 @@ def mean_all(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.shape
     out = x.data.reshape(shape)
-    return _finish(out, (x,), lambda g: (g.reshape(old),), "reshape", x.checked)
+    return _finish(out, (x,), lambda g: (g.reshape(old),), "reshape", scan=False)
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -317,7 +311,7 @@ def transpose(x: Tensor, axes) -> Tensor:
     inv = tuple(np.argsort(axes))
     # a view; ops that need contiguity make their own copies
     return _finish(x.data.transpose(axes), (x,),
-                   lambda g: (g.transpose(inv),), "transpose", x.checked)
+                   lambda g: (g.transpose(inv),), "transpose", scan=False)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -396,7 +390,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     # the row mean is a GEMV against a 1/n vector, the variance a row-wise dot
     # of the centred rows; at most two arrays of x's size: xhat, and out only
     # when the op is taped (backward reads xhat), else xhat becomes out in place
-    taped = active_tape() is not None and any(p.requires_grad for p in (x, gamma, beta))
+    taped = _taped((x, gamma, beta)) is not None
     x2 = xd.reshape(-1, n)
     xhat = x2 - (x2 @ np.full(n, 1.0 / n, dtype=x2.dtype))[:, None]
     inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + _LN_EPS)[:, None]

@@ -65,6 +65,12 @@ def test_dim_mismatch():
                 Tensor(np.zeros((1, 4, 2))))
 
 
+@pytest.mark.parametrize("agent_h, agent_w", [(1, 16), (16, 1)])
+def test_attn_config_rejects_an_agent_grid_beyond_either_side(agent_h, agent_w):
+    with pytest.raises(ValueError, match="^agent grid larger than spatial grid$"):
+        AttnConfig(8, 1, agent_h, agent_w, 4, 4)
+
+
 # ---------------------------------------------------------------------------
 # agent self attention
 

@@ -238,6 +238,10 @@ _ELEVEN_KEY_EXTRAS = dict(
      "gamma must be a finite number, got nan"),
     (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="rain", gamma=False)])),
      "gamma must be a finite number, got False"),
+    (json.dumps(_record(specs=[dict(kind="blur", gamma=10**30), dict(kind="rain")])),
+     r"blur gamma \(an angle\) must fit in int64, got 10{30}$"),
+    (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="rain", gamma=10**400)])),
+     r"rain gamma \(an angle\) must fit in int64, got 10{400}$"),
     (json.dumps(_record(id="7")), "id must be a non-negative int, got '7'"),
     (json.dumps(_record(id=True)), "id must be a non-negative int, got True"),
     (json.dumps(_record(id=-1)), "id must be a non-negative int, got -1"),
@@ -267,7 +271,8 @@ _ELEVEN_KEY_EXTRAS = dict(
         "unknown-spec-key", "negative-alpha", "float-alpha", "bool-rng-stream",
         "negative-rng-stream", "negative-haze-gamma", "fractional-haze-gamma", "inf-blur-gamma",
         "nan-blur-gamma", "string-blur-gamma", "null-blur-gamma", "nan-rain-gamma",
-        "bool-rain-gamma", "string-id", "bool-id", "negative-id", "int-removed", "string-specs",
+        "bool-rain-gamma", "huge-blur-gamma", "huge-rain-gamma", "string-id", "bool-id",
+        "negative-id", "int-removed", "string-specs",
         "int-split", "absolute-clean-path", "climbing-degraded-path", "prompt-single-mismatch",
         "prompt-two-mismatch", "null-clean-path", "int-degraded-path", "list-gt-path",
         "string-present", "int-prompt-single", "null-prompt-two", "float-category",

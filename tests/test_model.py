@@ -58,6 +58,18 @@ def test_encode_rejects_bad_shapes():
         model.encode(Tensor(np.zeros((64, 64, 4))))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_encode_rejects_a_non_finite_image_naming_it(bad):
+    model = RestorationModel(MICRO_CONFIG, seed=0)
+    img = rand_image(16, 16)
+    img[3, 5, 1] = img[7, 2, 0] = bad
+    message = "^image: 2 of 768 values are not finite$"
+    with pytest.raises(T.NonFiniteError, match=message):
+        model.encode(Tensor(img))
+    with T.no_nan_checks(), pytest.raises(T.NonFiniteError, match=message):
+        model.restore(img, "remove the rain")      # input validation, checks on or off
+
+
 # ---------------------------------------------------------------------------
 # restore
 
@@ -364,9 +376,13 @@ def test_checkpoint_bad_config_record_raises(tmp_path, edit, message):
     (dict(base_resolution=20), "base_resolution must be divisible by 8"),
     (dict(base_resolution=64, agent_w=11),
      r"agent_h x agent_w = 12x11 exceeds the latent stage's 8x8 grid"),
+    (dict(channels=8, stage_blocks=(1, 1, 1, 1), refinement_blocks=1, agent_h=1, agent_w=16,
+          base_resolution=32, text_embed_dim=32, text_layers=1),
+     r"agent_h x agent_w = 1x16 exceeds the latent stage's 4x4 grid"),
     (dict(text_embed_dim=126), "text_embed_dim 126 not divisible by the 4 text encoder heads"),
+    (dict(channels=7), r"channels must be even \(the first Downsample halves it\), got 7"),
 ], ids=["zero", "float", "bool", "zero-stage", "three-stages", "int-stages",
-        "base-resolution", "agent-grid", "text-heads"])
+        "base-resolution", "agent-grid", "agent-grid-side", "text-heads", "odd-channels"])
 def test_model_config_rejects_bad_values(changes, message):
     with pytest.raises(ConfigError, match=message):
         ModelConfig(**changes)

@@ -348,19 +348,15 @@ def test_nan_detection_raises_and_can_be_disabled():
 
 @pytest.mark.parametrize("view", [lambda t: T.transpose(t, (1, 0)), lambda t: T.reshape(t, (-1,))],
                          ids=["transpose", "reshape"])
-def test_view_scans_unless_its_input_was_checked(view):
+def test_views_never_scan(view):
     bad = np.array([[1.0, np.inf], [2.0, 3.0]])
-    with pytest.raises(T.NonFiniteError):          # a leaf is never checked
-        view(Tensor(bad))
-    y = T.add(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
-    assert y.checked
-    y.data[0, 1] = np.inf                          # invisible to a view: no re-scan
-    assert view(y).checked and view(view(y)).checked
     with T.no_nan_checks():
-        z = T.add(Tensor(bad), Tensor(bad))
-    assert not z.checked
-    with pytest.raises(T.NonFiniteError):          # checks are on again
-        view(z)
+        made = T.add(Tensor(bad), Tensor(np.zeros((2, 2))))
+    for x in (Tensor(bad), made):                  # a leaf, an output made unchecked
+        v = view(view(x))
+        assert np.isinf(v.data).sum() == 1
+        with pytest.raises(T.NonFiniteError, match="^scale produced non-finite values$"):
+            T.scale(v, 1.0)                        # the first computing op scans
 
 
 # ---------------------------------------------------------------------------
