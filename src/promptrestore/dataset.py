@@ -266,6 +266,12 @@ class DatasetConfig:
     image_size: int = 64
     seed: int = 0
 
+    def __post_init__(self):
+        for name, least in (("count", 0), ("image_size", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:   # type(), so bools fail
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
 
 def _largest_remainder(total: int, fractions) -> list[int]:
     raw = [total * f for f in fractions]

@@ -153,11 +153,11 @@ class RestorationModel(Module):
     # ------------------------------------------------------------------
     def encode(self, image: Tensor) -> tuple[Tensor, list[Tensor]]:
         """Image [H,W,3] -> latent [H/8,W/8,8C] and the three skip features."""
-        h, w, c = image.shape
-        if c != 3:
+        if image.ndim != 3 or image.shape[2] != 3:
             raise T.ShapeError(f"expected [H,W,3] image, got {image.shape}")
-        if h % 8 or w % 8:
-            raise T.ShapeError(f"spatial size {h}x{w} not divisible by 8")
+        h, w, _ = image.shape
+        if not h or not w or h % 8 or w % 8:
+            raise T.ShapeError(f"spatial size {h}x{w} is not a positive multiple of 8")
         finite = np.isfinite(image.data)
         if not finite.all():      # input validation, so no_nan_checks does not skip it
             raise T.NonFiniteError(f"image: {image.size - finite.sum()} of {image.size} "

@@ -14,6 +14,9 @@ tape is referred to by its node's index, any other (a leaf, or a tensor made
 on another tape) by the Tensor itself. Op outputs are not held: an
 activation lives as long as the caller keeps it or a closure that reads it
 in backward, and each closure captures only the arrays its backward reads.
+What backward keeps: one table from a node index or a leaf Tensor to its
+gradient so far; a node's entry is dropped when the walk reaches it, so
+only the leaves' entries outlive the walk.
 
 Non-finite checks: with checks on (the default; see no_nan_checks) every op
 scans its output for NaN/Inf in `_finish` and raises NonFiniteError, except
@@ -33,6 +36,7 @@ Layout conventions:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import threading
 from typing import Callable, Optional, Sequence
@@ -53,23 +57,19 @@ class NonFiniteError(FloatingPointError):
     """An op produced NaN/Inf while non-finite checks were enabled."""
 
 
-_state = threading.local()
+class _State(threading.local):
+    # per-thread: the stack of open tapes (innermost last) and the switch
+    # no_nan_checks flips; each thread starts with no tape and checks on
+    def __init__(self):
+        self.tapes: list[Tape] = []
+        self.nan_checks = True
 
 
-def _tapes() -> list:
-    stack = getattr(_state, "tapes", None)
-    if stack is None:
-        stack = []
-        _state.tapes = stack
-    return stack
+_state = _State()
 
 
-def active_tape() -> Optional["Tape"]:
-    stack = _tapes()
-    return stack[-1] if stack else None
-
-
-class no_nan_checks:
+@contextlib.contextmanager
+def no_nan_checks():
     """Context manager that disables non-finite output detection in its block.
 
     Checks are on by default, the debug/test behaviour: any op but a view
@@ -77,15 +77,11 @@ class no_nan_checks:
     NonFiniteError. Inside the block NaN/Inf propagate silently (release
     behaviour for long training runs). The switch is per thread.
     """
-
-    def __enter__(self):
-        self._prev = getattr(_state, "nan_checks", True)
-        _state.nan_checks = False
-        return self
-
-    def __exit__(self, *exc):
-        _state.nan_checks = self._prev
-        return False
+    prev, _state.nan_checks = _state.nan_checks, False
+    try:
+        yield
+    finally:
+        _state.nan_checks = prev
 
 
 class Tensor:
@@ -147,19 +143,21 @@ class Tape:
 
     Nodes are appended in construction order, which is topological by
     definition (an op's inputs exist before the op). backward() walks the
-    list once in reverse and may be called again. A Tape is single-owner;
-    independent tapes on different threads do not interact.
+    list once in reverse, with one gradient table whose node entries are
+    dropped as they are walked, and may be called again. A Tape is
+    single-owner; the stack of open tapes is per thread, so tapes on
+    different threads do not interact.
     """
 
     def __init__(self):
         self._nodes: list[tuple[tuple, Callable]] = []
 
     def __enter__(self) -> "Tape":
-        _tapes().append(self)
+        _state.tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        stack = _tapes()
+        stack = _state.tapes
         assert stack and stack[-1] is self, "tape stack corrupted"
         stack.pop()
         return False
@@ -178,34 +176,25 @@ class Tape:
 
         Grads accumulate into leaves, so calling backward for several
         losses (e.g. per-sample in a batch) sums their gradients. Each
-        leaf's .grad is an array that leaf alone owns.
+        leaf's .grad is an array that leaf alone owns. The walk keeps one
+        gradient table and pops a node's entry when it reaches the node.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        seed = np.ones_like(loss.data)
-        # grads[i] is the gradient so far of node i's output, owned[i] whether
-        # backward allocated it; leaves maps a leaf Tensor to (grad, owned)
-        grads: list = [None] * len(self._nodes)
-        owned = [False] * len(self._nodes)
-        leaves: dict[Tensor, tuple] = {}
-        if loss._tape is self:
-            grads[loss._node] = seed
-        else:
-            leaves[loss] = (seed, True)
+        # a node index (a tensor made on this tape) or a leaf Tensor ->
+        # (gradient so far, whether backward allocated it); after the walk
+        # only leaf entries remain
+        seed = (np.ones_like(loss.data), True)
+        table: dict = {loss._node if loss._tape is self else loss: seed}
         for i in range(len(self._nodes) - 1, -1, -1):
-            g = grads[i]
-            if g is None:
+            if i not in table:
                 continue
-            grads[i] = None
+            g = table.pop(i)[0]
             refs, backward = self._nodes[i]
             for ref, pg in zip(refs, backward(g)):
-                if ref is None or pg is None:
-                    continue
-                if type(ref) is int:
-                    grads[ref], owned[ref] = _accumulate(grads[ref], owned[ref], pg)
-                else:
-                    leaves[ref] = _accumulate(*leaves.get(ref, (None, False)), pg)
-        for leaf, (g, own) in leaves.items():
+                if ref is not None and pg is not None:
+                    table[ref] = _accumulate(*table.get(ref, (None, False)), pg)
+        for leaf, (g, own) in table.items():
             if leaf.requires_grad:
                 g = g.reshape(leaf.data.shape)
                 leaf.grad = (g if own else g.copy()) if leaf.grad is None else leaf.grad + g
@@ -213,14 +202,14 @@ class Tape:
 
 def _taped(parents: Sequence[Tensor]) -> Optional[Tape]:
     # the tape an op on parents records on, or None when it is not recorded
-    tape = active_tape()
-    return tape if tape is not None and any(p.requires_grad for p in parents) else None
+    stack = _state.tapes
+    return stack[-1] if stack and any(p.requires_grad for p in parents) else None
 
 
 def _finish(out_data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
             opname: str, scan: bool = True) -> Tensor:
     # scan is False only for views (reshape, transpose)
-    if scan and getattr(_state, "nan_checks", True) and not np.all(np.isfinite(out_data)):
+    if scan and _state.nan_checks and not np.all(np.isfinite(out_data)):
         raise NonFiniteError(f"{opname} produced non-finite values")
     out = Tensor(out_data)
     tape = _taped(parents)

@@ -108,6 +108,17 @@ def test_build_dataset_writes_golden_bytes(tmp_path):
     assert digests == GOLDEN_PPM_SHA256
 
 
+@pytest.mark.parametrize("field, value", [
+    ("count", -3), ("count", True), ("count", 2.5),
+    ("image_size", 0), ("image_size", 1), ("image_size", 8.0),
+    ("seed", -1), ("seed", False), ("seed", "0"),
+], ids=["count-negative", "count-bool", "count-float", "image_size-0", "image_size-1",
+        "image_size-float", "seed-negative", "seed-bool", "seed-str"])
+def test_dataset_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an int >= "):
+        D.DatasetConfig(**{field: value})
+
+
 def test_category_and_split_counts_sum_exactly():
     for total in range(201):
         counts = D.category_counts(total)

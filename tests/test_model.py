@@ -52,10 +52,13 @@ def test_encode_deterministic():
 
 def test_encode_rejects_bad_shapes():
     model = toy_model()
-    with pytest.raises(T.ShapeError):
-        model.encode(Tensor(np.zeros((60, 64, 3))))
-    with pytest.raises(T.ShapeError):
-        model.encode(Tensor(np.zeros((64, 64, 4))))
+    for shape, message in (((60, 64, 3), "spatial size 60x64 is not a positive multiple of 8"),
+                           ((0, 0, 3), "spatial size 0x0 is not a positive multiple of 8"),
+                           ((64, 64, 4), r"expected \[H,W,3\] image, got \(64, 64, 4\)"),
+                           ((16, 16), r"expected \[H,W,3\] image, got \(16, 16\)"),
+                           ((16, 16, 3, 1), r"expected \[H,W,3\] image, got \(16, 16, 3, 1\)")):
+        with pytest.raises(T.ShapeError, match=f"^{message}$"):
+            model.encode(Tensor(np.zeros(shape)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import zlib
 
@@ -489,6 +490,32 @@ def test_grad_accumulates_across_tapes():
         with Tape() as tape:
             tape.backward(sum_all(T.mul(x, x)))
     np.testing.assert_allclose(x.grad, [12.0], atol=1e-12)
+
+
+def test_tapes_and_no_nan_checks_are_per_thread():
+    # another thread holds a Tape and no_nan_checks open; neither reaches this one
+    entered, release, held = threading.Event(), threading.Event(), []
+
+    def hold():
+        with T.no_nan_checks(), Tape() as tape:
+            held.append(tape)
+            entered.set()
+            release.wait(30)
+
+    other = threading.Thread(target=hold)
+    other.start()
+    try:
+        assert entered.wait(30)
+        with pytest.raises(T.NonFiniteError, match="^scale produced non-finite values$"):
+            T.scale(Tensor(np.array([1.0, np.inf])), 1.0)
+        x = Tensor(np.ones(3), requires_grad=True)
+        assert not T.mul(x, x).requires_grad
+        with Tape() as mine:
+            T.mul(x, x)
+        assert len(mine) == 1 and len(held[0]) == 0
+    finally:
+        release.set()
+        other.join()
 
 
 def test_no_tape_means_no_graph():
