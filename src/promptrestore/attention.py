@@ -6,6 +6,9 @@ agents attend to keys/values, then queries attend to the agents. Both
 attention products are linear in the token count N, unlike the quadratic
 vanilla self attention, which the text encoder uses on its short token
 sequence and which serves as the complexity baseline.
+
+The agent routing (_route) and the position-encoding resize (_pos_at) are
+plain functions of their arguments, so no module keeps state between calls.
 """
 
 from __future__ import annotations
@@ -63,32 +66,29 @@ def _attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return T.matmul(T.transpose(T.softmax(logits, axis=-2), (0, 2, 1)), v)
 
 
-class _AgentAttention(Module):
-    """Agent routing shared by the agent self and cross attention modules
-    (both hold cfg and _warned_clamp)."""
+def _route(q: Tensor, k: Tensor, v: Tensor, cfg: AttnConfig) -> Tensor:
+    """Queries q [H,W,C] read keys/values k, v [..., C] through the agent grid
+    (q mean-pooled onto cfg.agent_h x cfg.agent_w): V_a = attn(agents, K, V),
+    then out = attn(Q, agents, V_a). Returns the merged heads [H,W,C].
 
-    def _route(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        """Queries q [H,W,C] read keys/values k, v [..., C] through the agent
-        grid (q mean-pooled onto agent_h x agent_w): V_a = attn(agents, K, V),
-        then out = attn(Q, agents, V_a). Returns the merged heads [H,W,C]."""
-        h, w, _ = q.shape
-        ah, aw = min(self.cfg.agent_h, h), min(self.cfg.agent_w, w)
-        if (ah, aw) != (self.cfg.agent_h, self.cfg.agent_w) and not self._warned_clamp:
-            warnings.warn(f"agent grid clamped to {ah}x{aw} for spatial {h}x{w}")
-            self._warned_clamp = True
-        heads = self.cfg.heads
-        agents = _split_heads(T.adaptive_avg_pool(q, ah, aw), heads)
-        qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
-        v_agent = _attend(agents, kh, vh)              # [heads, n, d]
-        return _merge_heads(_attend(qh, agents, v_agent), q.shape)
-
-    def _pos_at(self, pos: Tensor, h: int, w: int) -> Tensor:
-        if (h, w) == (self.cfg.height, self.cfg.width):
-            return pos
-        return T.bilinear_resize(pos, h, w)
+    A field smaller than the agent grid clamps the grid to it and warns on
+    every such call; Python's default filter shows an identical warning once."""
+    h, w, _ = q.shape
+    ah, aw = min(cfg.agent_h, h), min(cfg.agent_w, w)
+    if (ah, aw) != (cfg.agent_h, cfg.agent_w):
+        warnings.warn(f"agent grid clamped to {ah}x{aw} for spatial {h}x{w}")
+    agents = _split_heads(T.adaptive_avg_pool(q, ah, aw), cfg.heads)
+    qh, kh, vh = (_split_heads(t, cfg.heads) for t in (q, k, v))
+    v_agent = _attend(agents, kh, vh)              # [heads, n, d]
+    return _merge_heads(_attend(qh, agents, v_agent), q.shape)
 
 
-class AgentSelfAttention(_AgentAttention):
+def _pos_at(pos: Tensor, h: int, w: int) -> Tensor:
+    # a position encoding [H',W',C] at an h x w field: itself, or resized
+    return pos if pos.shape[:2] == (h, w) else T.bilinear_resize(pos, h, w)
+
+
+class AgentSelfAttention(Module):
     """Self attention over an image feature [H,W,C] via agent tokens.
 
     Pipeline: add learnable position encoding; project Q/K/V; pool Q onto
@@ -105,16 +105,15 @@ class AgentSelfAttention(_AgentAttention):
         self.w_v = Linear(c, c, rng)
         self.dwconv = Conv2d(c, c, rng, groups=c)
         self.w_out = Linear(c, c, rng)
-        self._warned_clamp = False
 
     def __call__(self, x: Tensor) -> Tensor:
         h, w, _ = x.shape
-        xp = T.add(x, self._pos_at(self.pos, h, w))
+        xp = T.add(x, _pos_at(self.pos, h, w))
         q, k, v = self.w_q(xp), self.w_k(xp), self.w_v(xp)
-        return self.w_out(T.add(self._route(q, k, v), self.dwconv(v)))
+        return self.w_out(T.add(_route(q, k, v, self.cfg), self.dwconv(v)))
 
 
-class AgentCrossAttention(_AgentAttention):
+class AgentCrossAttention(Module):
     """Fuse a text feature [L,C] into an image feature [H,W,C].
 
     Q comes from the image (plus learnable image position encoding), K/V
@@ -133,16 +132,15 @@ class AgentCrossAttention(_AgentAttention):
         self.w_v = Linear(c, c, rng)
         self.pos_img = param(rng.normal(0.0, 0.02, (cfg.height, cfg.width, c)))
         self.pos_txt = param(rng.normal(0.0, 0.02, (cfg.text_len, c)))
-        self._warned_clamp = False
 
     def __call__(self, f_img: Tensor, f_txt: Tensor) -> Tensor:
         h, w, c = f_img.shape
         if f_txt.shape != (self.cfg.text_len, c):
             raise T.ShapeError(f"text feature {f_txt.shape} != ({self.cfg.text_len}, {c})")
-        q = T.add(self.w_q(f_img), self._pos_at(self.pos_img, h, w))
+        q = T.add(self.w_q(f_img), _pos_at(self.pos_img, h, w))
         k = T.add(self.w_k(f_txt), self.pos_txt)
         v = T.add(self.w_v(f_txt), self.pos_txt)
-        return T.add(self._route(q, k, v), f_img)
+        return T.add(_route(q, k, v, self.cfg), f_img)
 
 
 class VanillaSelfAttention(Module):

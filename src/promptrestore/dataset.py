@@ -99,16 +99,19 @@ def canonical_order(kinds) -> list[str]:
 
 def gen_prompt(present, removed, style: str) -> str:
     """single: "Remove a, b." / two: "There are a, b in the image. Remove a."
-    Lists appear in the canonical kind order."""
-    removed = canonical_order(removed)
+    Lists appear in the canonical kind order. removed must be a non-empty
+    subset of present, in either style."""
+    present, removed = canonical_order(present), canonical_order(removed)
     if not removed:
         raise ValueError("removed set is empty")
+    absent = [k for k in removed if k not in present]
+    if absent:
+        raise ValueError(f"removed kinds {absent} are not present in {present}")
     removed_part = ", ".join(removed)
     if style == "single":
         return f"Remove {removed_part}."
     if style == "two":
-        present_part = ", ".join(canonical_order(present))
-        return f"There are {present_part} in the image. Remove {removed_part}."
+        return f"There are {', '.join(present)} in the image. Remove {removed_part}."
     raise ValueError(f"unknown prompt style {style!r}")
 
 
@@ -196,10 +199,10 @@ def write_manifest(records, path) -> None:
 
 def read_manifest(path) -> list[SampleRecord]:
     """Records of a JSON-lines manifest, each validated. Bad JSON, missing or
-    unknown keys and invalid records or specs raise ValueError naming
-    path:line."""
+    unknown keys, invalid records or specs and an id already used on an
+    earlier line raise ValueError naming path:line."""
     keys = {f.name for f in fields(SampleRecord)}
-    records = []
+    records, id_line = [], {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -213,8 +216,11 @@ def read_manifest(path) -> list[SampleRecord]:
                     raise ValueError(f"missing keys {missing}, unknown keys {unknown}")
                 rec = SampleRecord(**row)
                 rec.validate()
+                if rec.id in id_line:
+                    raise ValueError(f"id {rec.id} is also on line {id_line[rec.id]}")
             except (TypeError, ValueError) as e:   # JSONDecodeError is a ValueError
                 raise ValueError(f"{path}:{lineno}: {e}") from e
+            id_line[rec.id] = lineno
             records.append(rec)
     return records
 

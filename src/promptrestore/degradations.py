@@ -22,7 +22,7 @@ the rest of the image as it was.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -74,6 +74,12 @@ class DegradationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DegradationSpec":
+        """The spec of a to_dict() record; a missing or unknown key raises
+        ValueError naming it, so no field silently takes its default."""
+        keys = {f.name for f in fields(cls)}
+        missing, unknown = sorted(keys - d.keys()), sorted(d.keys() - keys)
+        if missing or unknown:
+            raise ValueError(f"spec: missing keys {missing}, unknown keys {unknown}")
         return cls(**d)
 
 

@@ -20,7 +20,7 @@ from . import tensor as T
 from .attention import AgentCrossAttention, AttnConfig
 from .blocks import ContextBlock, DegradationClassifier, Downsample, Upsample
 from .degradations import KINDS
-from .nn import Conv2d, Linear, Module, ModuleList
+from .nn import Conv2d, Linear, Module, Sequential
 from .tensor import Tensor
 from .text import PROMPT_LEN, TEXT_HEADS, VOCAB_SHA256, PromptEncoder, tokenize
 
@@ -97,10 +97,10 @@ class RestorationOutput:
 
 
 def _stage(cfg: ModelConfig, level: int, n_blocks: int, channels: int,
-           heads: int, rng) -> ModuleList:
+           heads: int, rng) -> Sequential:
     res = cfg.base_resolution // (2 ** level)
     attn = AttnConfig(channels, heads, cfg.agent_h, cfg.agent_w, res, res)
-    return ModuleList(ContextBlock(attn, rng) for _ in range(n_blocks))
+    return Sequential(ContextBlock(attn, rng) for _ in range(n_blocks))
 
 
 class RestorationModel(Module):
@@ -166,13 +166,10 @@ class RestorationModel(Module):
         skips = []
         for blocks, down in ((self.enc0, self.down0), (self.enc1, self.down1),
                              (self.enc2, self.down2)):
-            for block in blocks:
-                x = block(x)
+            x = blocks(x)
             skips.append(x)
             x = down(x)
-        for block in self.latent:
-            x = block(x)
-        return x, skips
+        return self.latent(x), skips
 
     def encode_prompt(self, prompt: str) -> tuple[Tensor, Tensor]:
         ids = tokenize(prompt)
@@ -186,26 +183,10 @@ class RestorationModel(Module):
         logits = self.classifier(latent)          # pre-fusion, prompt-independent
 
         x = self.fuse_latent(latent, feat_wide)
-        x = self.up2(x)
-        x = T.concat([x, skips[2]], axis=-1)
-        x = self.reduce2(x)
-        x = self.fuse_mid(x, feat_mid)
-        for block in self.dec2:
-            x = block(x)
-
-        x = self.up1(x)
-        x = T.concat([x, skips[1]], axis=-1)
-        x = self.reduce1(x)
-        for block in self.dec1:
-            x = block(x)
-
-        x = self.up0(x)
-        x = T.concat([x, skips[0]], axis=-1)
-        for block in self.dec0:
-            x = block(x)
-        for block in self.refine:
-            x = block(x)
-
+        x = self.dec2(self.fuse_mid(self.reduce2(T.concat([self.up2(x), skips[2]], axis=-1)),
+                                    feat_mid))
+        x = self.dec1(self.reduce1(T.concat([self.up1(x), skips[1]], axis=-1)))
+        x = self.refine(self.dec0(T.concat([self.up0(x), skips[0]], axis=-1)))
         correction = self.output_conv(x)
         return RestorationOutput(restored=T.add(img, correction), logits=logits)
 

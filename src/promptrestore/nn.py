@@ -20,10 +20,11 @@ class Module:
     """Holds named parameters and submodules in declaration order.
 
     Assigning a requires_grad Tensor registers a parameter; assigning a
-    Module (or ModuleList) registers a child. named_parameters() gives each
-    parameter its dotted path, the name a checkpoint stores it under.
-    Declaration order fixes the order of the init draws, not the checkpoint
-    format.
+    Module registers a child. named_parameters() gives each parameter its
+    dotted path, the name a checkpoint stores it under. Declaration order
+    fixes the order of the init draws, not the checkpoint format. A module
+    keeps no state between calls: a call reads its parameters and config
+    and returns new tensors.
     """
 
     def __setattr__(self, name, value):
@@ -48,20 +49,18 @@ class Module:
             p.grad = None
 
 
-class ModuleList(Module):
+class Sequential(Module):
+    """Calls its modules in order, each on the previous one's output; child
+    i is named str(i), so its parameters are "<i>.<name>"."""
+
     def __init__(self, modules):
-        self._items = list(modules)
-        for i, m in enumerate(self._items):
+        for i, m in enumerate(modules):
             setattr(self, str(i), m)
 
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, i):
-        return self._items[i]
+    def __call__(self, x: Tensor) -> Tensor:
+        for m in self.__dict__.get("_children", {}).values():
+            x = m(x)
+        return x
 
 
 def param(data) -> Tensor:

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .attention import AttnConfig, VanillaSelfAttention
 from .degradations import KINDS
-from .nn import Linear, LayerNorm, Module, ModuleList, param
+from .nn import Linear, LayerNorm, Module, Sequential, param
 from .tensor import Tensor
 
 PAD, UNK = "<pad>", "<unk>"
@@ -87,7 +87,7 @@ class PromptEncoder(Module):
                  rng: np.random.Generator):
         self.embed = param(rng.normal(0.0, 0.02, (len(TOKENS), dim)))
         self.pos = param(rng.normal(0.0, 0.02, (PROMPT_LEN, dim)))
-        self.layers = ModuleList(_EncoderLayer(dim, TEXT_HEADS, rng)
+        self.layers = Sequential(_EncoderLayer(dim, TEXT_HEADS, rng)
                                  for _ in range(layers))
         self.norm = LayerNorm(dim)
         self.head_wide = Linear(dim, 8 * base_channels, rng)
@@ -97,7 +97,5 @@ class PromptEncoder(Module):
         if len(ids) != PROMPT_LEN:
             raise ValueError(f"expected {PROMPT_LEN} ids, got {len(ids)}")
         x = T.add(T.embedding(self.embed, ids), self.pos)
-        for layer in self.layers:
-            x = layer(x)
-        x = self.norm(x)
+        x = self.norm(self.layers(x))
         return self.head_wide(x), self.head_mid(x)

@@ -1,11 +1,9 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from promptrestore import tensor as T
 from promptrestore.attention import (AgentCrossAttention, AgentSelfAttention,
-                                     AttnConfig, VanillaSelfAttention, _attend)
+                                     AttnConfig, VanillaSelfAttention, _attend, _pos_at)
 from promptrestore.tensor import Tensor
 
 from helpers import attention_oracle, check_gradients, sum_all
@@ -192,23 +190,26 @@ def test_mhaca_agent_grid_clamp_and_position_resize_match_mhasa():
     with pytest.warns(UserWarning, match="^agent grid clamped to 2x3 for spatial 2x3$"):
         out = m(f_img, Tensor(rng(42).normal(size=(3, 8))))
     assert out.shape == (2, 3, 8)
-    np.testing.assert_array_equal(m._pos_at(m.pos_img, 2, 3).data,
+    np.testing.assert_array_equal(_pos_at(m.pos_img, 2, 3).data,
                                   T.bilinear_resize(m.pos_img, 2, 3).data)
-    assert m._pos_at(m.pos_img, 8, 8) is m.pos_img
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")   # the warning is given once per module
-        m(f_img, Tensor(rng(43).normal(size=(3, 8))))
+    assert _pos_at(m.pos_img, 8, 8) is m.pos_img
 
 
 def test_agent_attention_calls_keep_no_state():
-    # a call must not leave activations (e.g. attention maps) on the module
+    # a call must not leave activations (e.g. attention maps) or flags on the
+    # module, also when a field smaller than the agent grid clamps it
     cfg = AttnConfig(8, 2, 2, 2, 4, 4, text_len=3)
-    x = Tensor(rng(44).normal(size=(4, 4, 8)))
-    for m, args in ((AgentSelfAttention(cfg, rng(45)), (x,)),
-                    (AgentCrossAttention(cfg, rng(46)), (x, Tensor(rng(47).normal(size=(3, 8)))))):
-        before = dict(vars(m))
-        m(*args)
-        assert vars(m) == before
+    txt = Tensor(rng(47).normal(size=(3, 8)))
+    for x in (Tensor(rng(44).normal(size=(4, 4, 8))), Tensor(rng(48).normal(size=(1, 3, 8)))):
+        for m, args in ((AgentSelfAttention(cfg, rng(45)), (x,)),
+                        (AgentCrossAttention(cfg, rng(46)), (x, txt))):
+            before = dict(vars(m))
+            if x.shape[0] < cfg.agent_h:
+                with pytest.warns(UserWarning, match="^agent grid clamped to 1x2 for spatial 1x3$"):
+                    m(*args)
+            else:
+                m(*args)
+            assert vars(m) == before
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,15 @@ def test_canonical_order_reads_an_iterator_once():
     assert D.canonical_order(k for k in ["snow", "haze"]) == ["haze", "snow"]
 
 
+@pytest.mark.parametrize("style", ["single", "two"])
+def test_gen_prompt_rejects_removed_kinds_not_present(style):
+    with pytest.raises(ValueError, match=r"^removed kinds \['snow'\] are not present in \['rain'\]$"):
+        D.gen_prompt(iter(["rain"]), iter(["snow", "rain"]), style)
+    # each argument is read once, so iterators work
+    assert D.gen_prompt(iter(["rain", "blur"]), iter(["rain"]), "two") == \
+        "There are blur, rain in the image. Remove rain."
+
+
 def test_manifest_round_trip(tmp_path):
     records = [
         D.SampleRecord(id=0, specs=[D.DegradationSpec("blur", beta=0.4, gamma=12.5, rng_stream=3).to_dict(),
@@ -192,6 +201,11 @@ def test_record_spec_kinds_must_be_exactly_present(changes, what):
         D.SampleRecord(**_record(**changes)).validate()
 
 
+def _spec(kind, **changes):
+    # a spec dict with every key, as to_dict writes it, some values replaced
+    return {**D.DegradationSpec(kind).to_dict(), **changes}
+
+
 def _unknown(*keys):
     return rf"missing keys \[\], unknown keys \[{', '.join(repr(k) for k in keys)}\]"
 
@@ -214,44 +228,47 @@ _ELEVEN_KEY_EXTRAS = dict(
     (json.dumps(_record(removed=[])), r"record 7: removed \[\] must be distinct kinds"),
     (json.dumps(_record(removed=["rain", "rain"])),
      r"record 7: removed \['rain', 'rain'\] must be distinct kinds"),
-    (json.dumps(_record(specs=[dict(kind="blur", beta=1.5), dict(kind="rain")])),
+    (json.dumps(_record(specs=[_spec("blur", beta=1.5), _spec("rain")])),
      r"beta must be in \[0,1\], got 1.5"),
-    (json.dumps(_record(specs=[dict(kind="blur", beta=True), dict(kind="rain")])),
+    (json.dumps(_record(specs=[_spec("blur", beta=True), _spec("rain")])),
      r"beta must be in \[0,1\], got True"),
-    (json.dumps(_record(specs=[dict(kind="blur", beta="0.5"), dict(kind="rain")])),
+    (json.dumps(_record(specs=[_spec("blur", beta="0.5"), _spec("rain")])),
      r"beta must be in \[0,1\], got '0.5'"),
-    (json.dumps(_record(specs=[dict(kind="blur", sigma=2), dict(kind="rain")])),
-     "unexpected keyword argument 'sigma'"),
-    (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="snow", beta=0.5, alpha=-1)],
+    (json.dumps(_record(specs=[_spec("blur", sigma=2), _spec("rain")])),
+     r"spec: missing keys \[\], unknown keys \['sigma'\]"),
+    (json.dumps(_record(specs=[_spec("blur"), {k: v for k, v in _spec("rain").items()
+                                                 if k != "beta"}])),
+     r"spec: missing keys \['beta'\], unknown keys \[\]"),
+    (json.dumps(_record(specs=[_spec("blur"), _spec("snow", beta=0.5, alpha=-1)],
                         removed=["snow"])),
      "alpha must be a non-negative int, got -1"),
-    (json.dumps(_record(specs=[dict(kind="blur", alpha=2.0), dict(kind="rain")])),
+    (json.dumps(_record(specs=[_spec("blur", alpha=2.0), _spec("rain")])),
      "alpha must be a non-negative int, got 2.0"),
-    (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="rain", rng_stream=True)])),
+    (json.dumps(_record(specs=[_spec("blur"), _spec("rain", rng_stream=True)])),
      "rng_stream must be a non-negative int, got True"),
-    (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="rain", rng_stream=-5)])),
+    (json.dumps(_record(specs=[_spec("blur"), _spec("rain", rng_stream=-5)])),
      "rng_stream must be a non-negative int, got -5"),
-    (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="haze", beta=0.5, gamma=-3.0)],
+    (json.dumps(_record(specs=[_spec("blur"), _spec("haze", beta=0.5, gamma=-3.0)],
                         removed=["haze"])),
      r"haze gamma \(its blob seed\) must be a non-negative whole number, got -3.0"),
-    (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="haze", beta=0.5, gamma=2.5)],
+    (json.dumps(_record(specs=[_spec("blur"), _spec("haze", beta=0.5, gamma=2.5)],
                         removed=["haze"])),
      "haze gamma .* got 2.5"),
-    (json.dumps(_record(specs=[dict(kind="blur", gamma=float("inf")), dict(kind="rain")])),
+    (json.dumps(_record(specs=[_spec("blur", gamma=float("inf")), _spec("rain")])),
      "gamma must be a finite number, got inf"),
-    (json.dumps(_record(specs=[dict(kind="blur", gamma=float("nan")), dict(kind="rain")])),
+    (json.dumps(_record(specs=[_spec("blur", gamma=float("nan")), _spec("rain")])),
      "gamma must be a finite number, got nan"),
-    (json.dumps(_record(specs=[dict(kind="blur", gamma="x"), dict(kind="rain")])),
+    (json.dumps(_record(specs=[_spec("blur", gamma="x"), _spec("rain")])),
      "gamma must be a finite number, got 'x'"),
-    (json.dumps(_record(specs=[dict(kind="blur", gamma=None), dict(kind="rain")])),
+    (json.dumps(_record(specs=[_spec("blur", gamma=None), _spec("rain")])),
      "gamma must be a finite number, got None"),
-    (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="rain", gamma=float("nan"))])),
+    (json.dumps(_record(specs=[_spec("blur"), _spec("rain", gamma=float("nan"))])),
      "gamma must be a finite number, got nan"),
-    (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="rain", gamma=False)])),
+    (json.dumps(_record(specs=[_spec("blur"), _spec("rain", gamma=False)])),
      "gamma must be a finite number, got False"),
-    (json.dumps(_record(specs=[dict(kind="blur", gamma=10**30), dict(kind="rain")])),
+    (json.dumps(_record(specs=[_spec("blur", gamma=10**30), _spec("rain")])),
      r"blur gamma \(an angle\) must fit in int64, got 10{30}$"),
-    (json.dumps(_record(specs=[dict(kind="blur"), dict(kind="rain", gamma=10**400)])),
+    (json.dumps(_record(specs=[_spec("blur"), _spec("rain", gamma=10**400)])),
      r"rain gamma \(an angle\) must fit in int64, got 10{400}$"),
     (json.dumps(_record(id="7")), "id must be a non-negative int, got '7'"),
     (json.dumps(_record(id=True)), "id must be a non-negative int, got True"),
@@ -277,9 +294,11 @@ _ELEVEN_KEY_EXTRAS = dict(
     (json.dumps(_record(prompt_two=None)), _unknown("prompt_two")),
     (json.dumps(_record(category=2.1)), _unknown("category")),
     (json.dumps(_record(**_ELEVEN_KEY_EXTRAS)), _unknown(*sorted(_ELEVEN_KEY_EXTRAS))),
+    # a valid record whose id the first line already has
+    (json.dumps(_record(split="val")), "id 7 is also on line 1$"),
 ], ids=["bad-json", "not-an-object", "missing-key", "unknown-key", "invalid-record",
         "empty-removed", "duplicate-removed", "bad-spec-value", "bool-beta", "string-beta",
-        "unknown-spec-key", "negative-alpha", "float-alpha", "bool-rng-stream",
+        "unknown-spec-key", "missing-spec-key", "negative-alpha", "float-alpha", "bool-rng-stream",
         "negative-rng-stream", "negative-haze-gamma", "fractional-haze-gamma", "inf-blur-gamma",
         "nan-blur-gamma", "string-blur-gamma", "null-blur-gamma", "nan-rain-gamma",
         "bool-rain-gamma", "huge-blur-gamma", "huge-rain-gamma", "string-id", "bool-id",
@@ -287,7 +306,7 @@ _ELEVEN_KEY_EXTRAS = dict(
         "int-split", "absolute-clean-path", "climbing-degraded-path", "prompt-single-mismatch",
         "prompt-two-mismatch", "null-clean-path", "int-degraded-path", "list-gt-path",
         "string-present", "int-prompt-single", "null-prompt-two", "float-category",
-        "eleven-key-line"])
+        "eleven-key-line", "repeated-id"])
 def test_read_manifest_names_the_bad_line(tmp_path, line, what):
     path = tmp_path / "manifest.jsonl"
     path.write_text(json.dumps(_record()) + "\n\n" + line + "\n", encoding="utf-8")
