@@ -93,7 +93,11 @@ def read_ppm(path) -> np.ndarray:
 
 
 def canonical_order(kinds) -> list[str]:
+    """The distinct names of kinds in KINDS order; any other name raises."""
     kinds = set(kinds)
+    unknown = sorted(kinds.difference(KINDS), key=str)
+    if unknown:
+        raise ValueError(f"unknown degradation kinds {unknown}; known: {list(KINDS)}")
     return [k for k in KINDS if k in kinds]
 
 

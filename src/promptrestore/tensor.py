@@ -4,9 +4,10 @@ The op set is what the restoration model needs: matmul (a linear map of the
 last axis, or batched), conv2d (3x3, dense or depthwise), softmax, layer norm,
 pixel shuffle / unshuffle, adaptive average pooling, bilinear resize, embedding
 lookup and a small elementwise suite, plus sub, exp, log, absolute and
-mean_all, which serve only the L1 + BCE training loss. Forward ops never
-mutate their inputs; gradients are recorded on an explicit Tape and
-replayed in reverse.
+mean_all, which the model does not call: the library has no loss, and
+perfbench's train_64 L1 + BCE loss and tools/numcheck.py build theirs from
+them. Forward ops never mutate their inputs; gradients are recorded on an
+explicit Tape and replayed in reverse.
 
 What a tape holds: per taped op, its backward closure and a reference to
 each parent that needs a gradient, nothing else. A parent made on the same
@@ -14,9 +15,11 @@ tape is referred to by its node's index, any other (a leaf, or a tensor made
 on another tape) by the Tensor itself. Op outputs are not held: an
 activation lives as long as the caller keeps it or a closure that reads it
 in backward, and each closure captures only the arrays its backward reads.
-What backward keeps: one table from a node index or a leaf Tensor to its
-gradient so far; a node's entry is dropped when the walk reaches it, so
-only the leaves' entries outlive the walk.
+What backward keeps: from a loss the tape recorded, one table from a node
+index or a leaf Tensor to its gradient so far, a plain array that a later
+contribution replaces with a fresh sum, so backward writes into no array. A
+node's entry is dropped when the walk reaches it; a leaf's entry is copied
+or added into its .grad.
 
 Non-finite checks: with checks on (the default; see no_nan_checks) every op
 scans its output for NaN/Inf in `_finish` and raises NonFiniteError, except
@@ -119,19 +122,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _accumulate(acc, owned: bool, pg: np.ndarray):
-    # -> (sum so far, whether backward allocated it). The first contribution
-    # is kept as given, the second allocates acc + pg, later ones add in
-    # place: a pg may be shared (add returns one g for both parents), so only
-    # an array backward allocated itself is ever written to
-    if acc is None:
-        return pg, False
-    if not owned:
-        return acc + pg, True
-    acc += pg
-    return acc, True
-
-
 class Tape:
     """Ordered record of ops for one backward pass.
 
@@ -143,10 +133,9 @@ class Tape:
 
     Nodes are appended in construction order, which is topological by
     definition (an op's inputs exist before the op). backward() walks the
-    list once in reverse, with one gradient table whose node entries are
-    dropped as they are walked, and may be called again. A Tape is
-    single-owner; the stack of open tapes is per thread, so tapes on
-    different threads do not interact.
+    list once in reverse from a loss this tape recorded, and may be called
+    again. A Tape is single-owner; the stack of open tapes is per thread, so
+    tapes on different threads do not interact.
     """
 
     def __init__(self):
@@ -174,30 +163,30 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Populate .grad of every requires_grad leaf reachable from loss.
 
-        Grads accumulate into leaves, so calling backward for several
-        losses (e.g. per-sample in a batch) sums their gradients. Each
-        leaf's .grad is an array that leaf alone owns. The walk keeps one
-        gradient table and pops a node's entry when it reaches the node.
+        loss must be a scalar this tape recorded, else ValueError. Grads
+        accumulate into leaves, so calling backward for several losses (e.g.
+        per-sample in a batch) sums their gradients. The walk writes into no
+        array: a second contribution allocates the sum, and each leaf's
+        .grad is a copy or a fresh sum that the leaf alone owns.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        # a node index (a tensor made on this tape) or a leaf Tensor ->
-        # (gradient so far, whether backward allocated it); after the walk
-        # only leaf entries remain
-        seed = (np.ones_like(loss.data), True)
-        table: dict = {loss._node if loss._tape is self else loss: seed}
+        if loss._tape is not self:
+            raise ValueError("backward needs a loss recorded on this tape")
+        # a node index (a tensor made on this tape) or a leaf Tensor -> its
+        # gradient so far; after the walk only leaf entries remain
+        table: dict = {loss._node: np.ones_like(loss.data)}
         for i in range(len(self._nodes) - 1, -1, -1):
             if i not in table:
                 continue
-            g = table.pop(i)[0]
+            g = table.pop(i)
             refs, backward = self._nodes[i]
             for ref, pg in zip(refs, backward(g)):
-                if ref is not None and pg is not None:
-                    table[ref] = _accumulate(*table.get(ref, (None, False)), pg)
-        for leaf, (g, own) in table.items():
-            if leaf.requires_grad:
-                g = g.reshape(leaf.data.shape)
-                leaf.grad = (g if own else g.copy()) if leaf.grad is None else leaf.grad + g
+                if ref is not None:
+                    table[ref] = pg if ref not in table else table[ref] + pg
+        for leaf, g in table.items():
+            assert g.shape == leaf.data.shape
+            leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
 
 
 def _taped(parents: Sequence[Tensor]) -> Optional[Tape]:

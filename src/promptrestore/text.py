@@ -51,7 +51,9 @@ def split_tokens(prompt: str) -> list[str]:
 
 def tokenize(prompt: str) -> np.ndarray:
     """PROMPT_LEN token ids: the prompt's, padded or truncated; a word
-    outside TOKENS maps to UNK."""
+    outside TOKENS maps to UNK. A prompt that is not a str raises TypeError."""
+    if not isinstance(prompt, str):
+        raise TypeError(f"prompt must be a str, got {type(prompt).__name__}")
     toks = split_tokens(prompt)
     if len(toks) > PROMPT_LEN:
         warnings.warn(f"prompt truncated from {len(toks)} to {PROMPT_LEN} tokens")

@@ -136,6 +136,13 @@ def test_canonical_order_reads_an_iterator_once():
     assert D.canonical_order(k for k in ["snow", "haze"]) == ["haze", "snow"]
 
 
+@pytest.mark.parametrize("present, removed", [(["rain", "fog"], ["rain"]),
+                                              (["rain"], ["fog"])])
+def test_gen_prompt_rejects_unknown_kinds(present, removed):
+    with pytest.raises(ValueError, match=r"^unknown degradation kinds \['fog'\]; known: "):
+        D.gen_prompt(iter(present), iter(removed), "two")
+
+
 @pytest.mark.parametrize("style", ["single", "two"])
 def test_gen_prompt_rejects_removed_kinds_not_present(style):
     with pytest.raises(ValueError, match=r"^removed kinds \['snow'\] are not present in \['rain'\]$"):

@@ -1,0 +1,37 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+NUMCHECK = Path(__file__).resolve().parent.parent / "tools" / "numcheck.py"
+
+
+@pytest.fixture(scope="module")
+def numcheck():
+    spec = importlib.util.spec_from_file_location("numcheck", NUMCHECK)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _save(path, **arrays):
+    np.savez(path, **arrays)
+    return str(path)
+
+
+def test_compare_passes_identical_files(numcheck, tmp_path, capsys):
+    arrays = {"a": np.arange(3.0), "b": np.ones((2, 2))}
+    parent = _save(tmp_path / "parent.npz", **arrays)
+    change = _save(tmp_path / "change.npz", **arrays)
+    assert numcheck.compare(parent, change, change)
+    assert "2 bit-equal" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (4,)])
+def test_compare_fails_on_a_shape_mismatch(numcheck, tmp_path, capsys, shape):
+    # (3, 1) against (3,) would broadcast, (4,) against (3,) would not
+    parent = _save(tmp_path / "parent.npz", a=np.zeros(3), b=np.ones(2))
+    change = _save(tmp_path / "change.npz", a=np.zeros(shape), b=np.ones(2))
+    assert not numcheck.compare(parent, change, None)
+    assert f"shapes differ (key, parent, change): [('a', (3,), {shape})]" in capsys.readouterr().out

@@ -380,6 +380,21 @@ def test_backward_requires_scalar():
             tape.backward(y)
 
 
+def test_backward_rejects_a_loss_this_tape_did_not_record():
+    x = Tensor(np.array([3.0]), requires_grad=True)
+    with Tape() as tape:
+        h = T.mul(x, x)
+    after = sum_all(h)                      # computed once the block closed
+    with Tape() as other:
+        elsewhere = sum_all(T.mul(x, x))    # recorded on a second tape
+    for loss in (after, elsewhere):
+        with pytest.raises(ValueError, match="^backward needs a loss recorded on this tape$"):
+            tape.backward(loss)
+    assert x.grad is None
+    other.backward(elsewhere)
+    np.testing.assert_array_equal(x.grad, [6.0])
+
+
 def test_backward_matmul_chain_vs_finite_differences():
     rng = np.random.default_rng(24)
     a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)

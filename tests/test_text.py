@@ -47,6 +47,13 @@ def test_tokenize_unknown_word_maps_to_unk():
     assert ids[1] == UNK_ID
 
 
+@pytest.mark.parametrize("prompt, name", [(b"Remove rain.", "bytes"), (None, "NoneType"),
+                                          (["remove", "rain"], "list")])
+def test_tokenize_rejects_a_prompt_that_is_not_a_str(prompt, name):
+    with pytest.raises(TypeError, match=f"^prompt must be a str, got {name}$"):
+        tokenize(prompt)
+
+
 def test_tokenize_truncates_with_warning():
     with pytest.warns(UserWarning, match="truncated"):
         ids = tokenize("remove " * 30)

@@ -16,7 +16,8 @@ loss of a taped L1 + mean-logit loss and every parameter gradient:
 by max(1, max|parent|), how many arrays are bit-equal and which exceed
 1e-12 * max(1, max|parent|). With a third file it also reports whether the
 two change runs are bit-identical. It exits 1 when an array is over the
-tolerance, a key is missing, or the change runs differ.
+tolerance, a key is missing, a key's shapes differ, or the change runs
+differ.
 
 Both subcommands pin BLAS to one thread, as the benchmark does.
 """
@@ -74,9 +75,12 @@ def compare(parent_path: str, change_path: str, change2_path: str | None) -> boo
     if missing:
         print(f"keys in only one file: {missing}")
         ok = False
-    worst, bad, equal = 0.0, [], 0
+    worst, bad, equal, shapes = 0.0, [], 0, []
     for key in sorted(set(a.files) & set(b.files)):
         x, y = a[key], b[key]
+        if x.shape != y.shape:
+            shapes.append((key, x.shape, y.shape))
+            continue
         scale = max(1.0, float(np.abs(x).max()))
         d = float(np.abs(x - y).max())
         worst = max(worst, d / scale)
@@ -85,7 +89,9 @@ def compare(parent_path: str, change_path: str, change2_path: str | None) -> boo
             bad.append((key, d))
     print(f"{len(a.files)} arrays, worst scaled diff {worst:.3g}, {equal} bit-equal, "
           f"over tolerance: {bad}")
-    ok = ok and not bad
+    if shapes:
+        print(f"shapes differ (key, parent, change): {shapes}")
+    ok = ok and not bad and not shapes
     if change2_path is not None:
         c = np.load(change2_path)
         same = b.files == c.files and all(np.array_equal(b[k], c[k]) for k in b.files)
