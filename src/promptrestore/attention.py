@@ -14,7 +14,7 @@ plain functions of their arguments, so no module keeps state between calls.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +34,10 @@ class AttnConfig:
     text_len: int = 0    # cross attention only
 
     def __post_init__(self):
+        for f in fields(self):      # text_len is 0 for self attention
+            value, least = getattr(self, f.name), int(f.name != "text_len")
+            if type(value) is not int or value < least:
+                raise ValueError(f"{f.name} must be an int >= {least}, got {value!r}")
         if self.channels % self.heads:
             raise ValueError(f"channels {self.channels} not divisible by heads {self.heads}")
         if self.agent_h > self.height or self.agent_w > self.width:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .degradations import (KINDS, DegradationSpec, compose_sample)
+from .degradations import KINDS, DegradationSpec, compose_sample, from_record
 
 SPLITS = ("train", "val", "test")
 CATEGORIES = ("1-1", "2-1", "2-2", "3-1", "3-2", "3-3")
@@ -130,9 +130,9 @@ def _image_path(sample_id: int, tag: str) -> str:
 
 @dataclass
 class SampleRecord:
-    """One manifest line: the sample id, its degradation specs (one dict per
-    kind, as DegradationSpec.to_dict writes it), the kinds its prompt
-    removes and its split. The rest is derived from these and cannot
+    """One manifest line: the sample id, its degradation specs (one
+    asdict(DegradationSpec) per kind, read back by from_record), the kinds
+    its prompt removes and its split. The rest is derived from these and cannot
     disagree with them: the present kinds, the category "<present>-<removed>",
     both prompt styles, and the clean, degraded and gt image paths."""
     id: int
@@ -188,7 +188,7 @@ class SampleRecord:
         return _image_path(self.id, "gt")
 
     def spec_objects(self) -> list[DegradationSpec]:
-        return [DegradationSpec.from_dict(d) for d in self.specs]
+        return [from_record(DegradationSpec, d) for d in self.specs]
 
     def labels(self) -> np.ndarray:
         present = self.present
@@ -202,27 +202,22 @@ def write_manifest(records, path) -> None:
 
 
 def read_manifest(path) -> list[SampleRecord]:
-    """Records of a JSON-lines manifest, each validated. Bad JSON, missing or
-    unknown keys, invalid records or specs and an id already used on an
-    earlier line raise ValueError naming path:line."""
-    keys = {f.name for f in fields(SampleRecord)}
+    """Records of a JSON-lines manifest, each validated. Bytes that are not
+    UTF-8, bad JSON, a line or spec that from_record rejects, an invalid
+    record or spec and an id already used on an earlier line raise
+    ValueError naming path:line."""
     records, id_line = [], {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise ValueError(f"expected a JSON object, got {type(row).__name__}")
-                missing, unknown = sorted(keys - row.keys()), sorted(row.keys() - keys)
-                if missing or unknown:
-                    raise ValueError(f"missing keys {missing}, unknown keys {unknown}")
-                rec = SampleRecord(**row)
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                rec = from_record(SampleRecord, json.loads(line))
                 rec.validate()
                 if rec.id in id_line:
                     raise ValueError(f"id {rec.id} is also on line {id_line[rec.id]}")
-            except (TypeError, ValueError) as e:   # JSONDecodeError is a ValueError
+            except (TypeError, ValueError) as e:   # JSONDecodeError, UnicodeDecodeError
                 raise ValueError(f"{path}:{lineno}: {e}") from e
             id_line[rec.id] = lineno
             records.append(rec)
@@ -349,7 +344,7 @@ def build_dataset(cfg: DatasetConfig, out_dir) -> str:
         clean = generate_clean_image(rng, cfg.image_size)
         specs, removed = _sample_specs(rng, category)
         degraded, gt = compose_sample(clean, specs, removed)
-        rec = SampleRecord(id=sample_id, specs=[s.to_dict() for s in specs],
+        rec = SampleRecord(id=sample_id, specs=[asdict(s) for s in specs],
                            removed=removed, split=split)
         rec.validate()
         for rel, img in ((rec.clean_path, clean), (rec.degraded_path, degraded),

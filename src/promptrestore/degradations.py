@@ -22,7 +22,7 @@ the rest of the image as it was.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,18 +69,19 @@ class DegradationSpec:
         if self.kind in ("blur", "rain") and isinstance(g, int) and not -2**63 <= g < 2**63:
             raise ValueError(f"{self.kind} gamma (an angle) must fit in int64, got {g!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DegradationSpec":
-        """The spec of a to_dict() record; a missing or unknown key raises
-        ValueError naming it, so no field silently takes its default."""
-        keys = {f.name for f in fields(cls)}
-        missing, unknown = sorted(keys - d.keys()), sorted(d.keys() - keys)
-        if missing or unknown:
-            raise ValueError(f"spec: missing keys {missing}, unknown keys {unknown}")
-        return cls(**d)
+def from_record(cls, record):
+    """cls(**record) for a stored JSON record (a spec, a manifest line, a
+    checkpoint config), so cls's own validation runs. A record that is not an
+    object, or does not hold exactly cls's fields, raises ValueError naming
+    cls and the missing and unknown keys: no field silently takes its default."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{cls.__name__}: expected a JSON object, got {type(record).__name__}")
+    keys = {f.name for f in fields(cls)}
+    missing, unknown = sorted(keys - record.keys()), sorted(record.keys() - keys)
+    if missing or unknown:
+        raise ValueError(f"{cls.__name__}: missing keys {missing}, unknown keys {unknown}")
+    return cls(**record)
 
 
 def apply_lowlight(img: np.ndarray, beta: float) -> np.ndarray:

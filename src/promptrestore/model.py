@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .attention import AgentCrossAttention, AttnConfig
 from .blocks import ContextBlock, DegradationClassifier, Downsample, Upsample
-from .degradations import KINDS
+from .degradations import KINDS, from_record
 from .nn import Conv2d, Linear, Module, Sequential
 from .tensor import Tensor
 from .text import PROMPT_LEN, TEXT_HEADS, VOCAB_SHA256, PromptEncoder, tokenize
@@ -223,15 +223,8 @@ def _member(archive, name: str) -> np.ndarray:
 
 def _config_from_json(blob: str) -> ModelConfig:
     try:
-        record = json.loads(blob)
-        if not isinstance(record, dict):
-            raise ConfigError(f"expected a JSON object, got {type(record).__name__}")
-        keys = {f.name for f in fields(ModelConfig)}
-        missing, unknown = sorted(keys - record.keys()), sorted(record.keys() - keys)
-        if missing or unknown:
-            raise ConfigError(f"missing keys {missing}, unknown keys {unknown}")
-        return ModelConfig(**record)
-    except ValueError as e:       # JSONDecodeError, ConfigError
+        return from_record(ModelConfig, json.loads(blob))
+    except ValueError as e:       # JSONDecodeError, from_record's keys, ConfigError
         raise CheckpointError(f"checkpoint config: {e}") from e
 
 
@@ -241,10 +234,10 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> RestorationModel
     When config is given it must equal the stored one (guards against loading
     weights into a differently shaped model); the vocab hash is checked before
     the model is built. A file that is not an intact npz archive (a failed
-    CRC-32 included), another version, a config record that is not a JSON
-    object of exactly the ModelConfig fields with valid values, or a missing,
-    unknown, misshapen, non-float64 or non-finite member raise
-    CheckpointError, naming the member.
+    CRC-32 included), another version, a config record that from_record
+    rejects (not an object of exactly the ModelConfig fields) or that
+    ModelConfig rejects, or a missing, unknown, misshapen, non-float64 or
+    non-finite member raise CheckpointError, naming the member.
     """
     with open(str(path), "rb") as fh:
         try:

@@ -27,7 +27,8 @@ reshape and transpose: a view holds its input's values, and the first
 computing op on it scans them.
 
 Layout conventions:
-  * arrays are float64; op outputs are row-major, except conv2d's
+  * arrays are float64, and an op allocates in its input's dtype; op
+    outputs are row-major, except conv2d's
   * every image op is channels-last [H,W,C] (pixel shuffle / unshuffle,
     adaptive pooling, bilinear resize, the _kernels depthwise kernels).
     conv2d is the only op that takes [C,H,W]: it transposes to [H,W,C]
@@ -418,14 +419,15 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
     # the dense path, the input view on the depthwise one
     if dense:
         ho, wo = (h - 1) // stride + 1, (wdt - 1) // stride + 1
-        xp = np.zeros((h + 2, wdt + 2, cin))
+        xp = np.zeros((h + 2, wdt + 2, cin), dtype=xh.dtype)
         xp[1:-1, 1:-1] = xh
         # tap t = 3i + j reads the padded input at rows i::stride, cols j::stride
         wins = [(slice(i, i + (ho - 1) * stride + 1, stride),
                  slice(j, j + (wo - 1) * stride + 1, stride))
                 for i in range(3) for j in range(3)]
         wt = w.data.transpose(2, 3, 1, 0).reshape(9, cin, cout)  # a copy, per tap contiguous
-        out, buf = np.zeros((ho, wo, cout)), np.empty((ho, wo, cout))
+        out = np.zeros((ho, wo, cout), dtype=xh.dtype)
+        buf = np.empty_like(out)
         for t, win in enumerate(wins):
             out += np.matmul(xp[win], wt[t], out=buf)
 
@@ -555,10 +557,10 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= v):
         raise IndexError(f"embedding: id out of range 0..{v - 1}")
     out = weight.data[ids]
-    w_shape = weight.shape
+    w_shape, dtype = weight.shape, weight.data.dtype
 
     def backward(g):
-        gw = np.zeros(w_shape)
+        gw = np.zeros(w_shape, dtype=dtype)
         np.add.at(gw, ids, g)
         return (gw,)
 

@@ -69,6 +69,28 @@ def test_attn_config_rejects_an_agent_grid_beyond_either_side(agent_h, agent_w):
         AttnConfig(8, 1, agent_h, agent_w, 4, 4)
 
 
+@pytest.mark.parametrize("changes, message", [
+    (dict(channels=0), "channels must be an int >= 1, got 0"),
+    (dict(channels=8.0), "channels must be an int >= 1, got 8.0"),
+    (dict(heads=0), "heads must be an int >= 1, got 0"),
+    (dict(agent_h=0, agent_w=0), "agent_h must be an int >= 1, got 0"),
+    (dict(agent_w=-2), "agent_w must be an int >= 1, got -2"),
+    (dict(height=True), "height must be an int >= 1, got True"),
+    (dict(width=np.int64(8)), "width must be an int >= 1, got np.int64\\(8\\)"),
+    (dict(text_len=-1), "text_len must be an int >= 0, got -1"),
+    (dict(text_len=False), "text_len must be an int >= 0, got False"),
+], ids=["zero-channels", "float-channels", "zero-heads", "zero-agents", "negative-agent-w",
+        "bool-height", "numpy-width", "negative-text-len", "bool-text-len"])
+def test_attn_config_rejects_bad_fields(changes, message):
+    # the text encoder's and perfbench's scaling-sweep configs stay valid
+    AttnConfig(8, 2, 1, 1, 1, 1)
+    AttnConfig(channels=48, heads=1, agent_h=12, agent_w=12, height=64, width=64)
+    fields = dict(channels=8, heads=2, agent_h=2, agent_w=2, height=8, width=8, text_len=0)
+    AttnConfig(**fields)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AttnConfig(**{**fields, **changes})
+
+
 # ---------------------------------------------------------------------------
 # agent self attention
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -154,10 +155,10 @@ def test_gen_prompt_rejects_removed_kinds_not_present(style):
 
 def test_manifest_round_trip(tmp_path):
     records = [
-        D.SampleRecord(id=0, specs=[D.DegradationSpec("blur", beta=0.4, gamma=12.5, rng_stream=3).to_dict(),
-                                    D.DegradationSpec("snow", alpha=9, beta=0.7).to_dict()],
+        D.SampleRecord(id=0, specs=[asdict(D.DegradationSpec("blur", beta=0.4, gamma=12.5, rng_stream=3)),
+                                    asdict(D.DegradationSpec("snow", alpha=9, beta=0.7))],
                        removed=["snow"], split="val"),
-        D.SampleRecord(id=1, specs=[D.DegradationSpec("haze", beta=1.0, gamma=2 ** 31 - 2).to_dict()],
+        D.SampleRecord(id=1, specs=[asdict(D.DegradationSpec("haze", beta=1.0, gamma=2 ** 31 - 2))],
                        removed=["haze"], split="test"),
     ]
     path = tmp_path / "manifest.jsonl"
@@ -186,8 +187,8 @@ def test_build_dataset_records_name_the_files_it_writes(tmp_path):
 
 
 def _record(**changes):
-    rec = dict(id=7, specs=[D.DegradationSpec("blur", beta=0.5).to_dict(),
-                            D.DegradationSpec("rain", beta=0.5).to_dict()],
+    rec = dict(id=7, specs=[asdict(D.DegradationSpec("blur", beta=0.5)),
+                            asdict(D.DegradationSpec("rain", beta=0.5))],
                removed=["rain"], split="train")
     rec.update(changes)
     return rec
@@ -195,11 +196,11 @@ def _record(**changes):
 
 @pytest.mark.parametrize("changes, what", [
     (dict(specs=[]), r"spec kinds \[\] must be non-empty"),
-    (dict(specs=[D.DegradationSpec("blur", beta=0.5).to_dict()]),
+    (dict(specs=[asdict(D.DegradationSpec("blur", beta=0.5))]),
      r"removed \['rain'\] must be distinct kinds, a non-empty subset of the spec kinds \['blur'\]"),
-    (dict(specs=[D.DegradationSpec("blur", beta=0.5).to_dict()] * 2),
+    (dict(specs=[asdict(D.DegradationSpec("blur", beta=0.5))] * 2),
      r"spec kinds \['blur', 'blur'\] must be non-empty and distinct"),
-    (dict(specs=[D.DegradationSpec("rain", beta=0.5).to_dict()] * 2),
+    (dict(specs=[asdict(D.DegradationSpec("rain", beta=0.5))] * 2),
      r"spec kinds \['rain', 'rain'\] must be non-empty and distinct"),
 ], ids=["no-specs", "missing-spec", "duplicate-spec", "duplicate-other-spec"])
 def test_record_spec_kinds_must_be_exactly_present(changes, what):
@@ -209,12 +210,12 @@ def test_record_spec_kinds_must_be_exactly_present(changes, what):
 
 
 def _spec(kind, **changes):
-    # a spec dict with every key, as to_dict writes it, some values replaced
-    return {**D.DegradationSpec(kind).to_dict(), **changes}
+    # a spec dict with every key, as build_dataset writes it, some values replaced
+    return {**asdict(D.DegradationSpec(kind)), **changes}
 
 
 def _unknown(*keys):
-    return rf"missing keys \[\], unknown keys \[{', '.join(repr(k) for k in keys)}\]"
+    return rf"SampleRecord: missing keys \[\], unknown keys \[{', '.join(repr(k) for k in keys)}\]"
 
 
 # the seven keys an eleven-key line of the earlier format added to _record()
@@ -226,10 +227,10 @@ _ELEVEN_KEY_EXTRAS = dict(
 
 @pytest.mark.parametrize("line, what", [
     ('{"id": 1,', "Expecting"),
-    ("[1, 2]", "expected a JSON object, got list"),
+    ("[1, 2]", "SampleRecord: expected a JSON object, got list"),
     (json.dumps({k: v for k, v in _record().items() if k != "split"}),
-     r"missing keys \['split'\], unknown keys \[\]"),
-    (json.dumps(_record(extra=1)), r"missing keys \[\], unknown keys \['extra'\]"),
+     r"SampleRecord: missing keys \['split'\], unknown keys \[\]"),
+    (json.dumps(_record(extra=1)), r"SampleRecord: missing keys \[\], unknown keys \['extra'\]"),
     (json.dumps(_record(removed=["haze"])),
      r"record 7: removed \['haze'\] must be distinct kinds, a non-empty subset"),
     (json.dumps(_record(removed=[])), r"record 7: removed \[\] must be distinct kinds"),
@@ -242,10 +243,10 @@ _ELEVEN_KEY_EXTRAS = dict(
     (json.dumps(_record(specs=[_spec("blur", beta="0.5"), _spec("rain")])),
      r"beta must be in \[0,1\], got '0.5'"),
     (json.dumps(_record(specs=[_spec("blur", sigma=2), _spec("rain")])),
-     r"spec: missing keys \[\], unknown keys \['sigma'\]"),
+     r"DegradationSpec: missing keys \[\], unknown keys \['sigma'\]"),
     (json.dumps(_record(specs=[_spec("blur"), {k: v for k, v in _spec("rain").items()
                                                  if k != "beta"}])),
-     r"spec: missing keys \['beta'\], unknown keys \[\]"),
+     r"DegradationSpec: missing keys \['beta'\], unknown keys \[\]"),
     (json.dumps(_record(specs=[_spec("blur"), _spec("snow", beta=0.5, alpha=-1)],
                         removed=["snow"])),
      "alpha must be a non-negative int, got -1"),
@@ -320,3 +321,10 @@ def test_read_manifest_names_the_bad_line(tmp_path, line, what):
     with pytest.raises(ValueError, match=rf"manifest\.jsonl:3: .*{what}"):
         D.read_manifest(path)
 
+
+
+def test_read_manifest_names_the_line_of_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "manifest.jsonl"
+    path.write_bytes(json.dumps(_record()).encode() + b"\n\n\xff\xfe\n")
+    with pytest.raises(ValueError, match=r"manifest\.jsonl:3: 'utf-8' codec can't decode byte 0xff"):
+        D.read_manifest(path)

@@ -1,13 +1,18 @@
 """Contract tests for the degradation renderers: bit-equality with the
 one-primitive-at-a-time loop forms in helpers.py, the beta = 0 identity,
-the [0,1] range and the composition order."""
+the [0,1] range and the composition order; and for from_record, the one
+reader of every stored JSON record."""
 
 import itertools
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from promptrestore import degradations as G
+from promptrestore.dataset import DatasetConfig, build_dataset, read_manifest
+from promptrestore.model import MICRO_CONFIG, TOY_CONFIG
 from helpers import rain_oracle, snow_mask_oracle
 
 SIZES = (16, 37, 128, 200)
@@ -148,3 +153,41 @@ def test_compose_sample_renders_the_kept_prefix_once(monkeypatch):
                     split = min(order.index(kind) for kind in removed)
                     after = [kind for kind in order[split:] if kind not in removed]
                     assert sorted(calls) == sorted(order + after), (present, removed)
+
+
+# ---------------------------------------------------------------------------
+# from_record
+
+_SPECS = (   # one per kind
+    G.DegradationSpec("blur", beta=0.4, gamma=12.5, rng_stream=3),
+    G.DegradationSpec("rain", beta=0.5, gamma=-7, rng_stream=2),
+    G.DegradationSpec("haze", beta=1.0, gamma=2 ** 31 - 2),
+    G.DegradationSpec("lowlight", beta=0.3),
+    G.DegradationSpec("snow", alpha=9, beta=0.7, rng_stream=4),
+)
+
+
+def _built_record(tmp_path):
+    # the record with the most specs among those build_dataset wrote
+    records = read_manifest(build_dataset(DatasetConfig(count=6, image_size=16, seed=5), tmp_path))
+    return max(records, key=lambda r: len(r.specs))
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda _, s=s: s for s in _SPECS),
+    _built_record,
+    lambda _: TOY_CONFIG,
+    lambda _: MICRO_CONFIG,
+], ids=[*(s.kind for s in _SPECS), "sample-record", "toy-config", "micro-config"])
+def test_from_record_round_trips_and_wants_exactly_the_fields(tmp_path, make):
+    obj = make(tmp_path)
+    cls, name = type(obj), type(obj).__name__
+    record = json.loads(json.dumps(asdict(obj)))
+    assert G.from_record(cls, record) == obj
+    first = next(iter(record))
+    with pytest.raises(ValueError, match=rf"^{name}: expected a JSON object, got list$"):
+        G.from_record(cls, list(record.values()))
+    with pytest.raises(ValueError, match=rf"^{name}: missing keys \['{first}'\], unknown keys \[\]$"):
+        G.from_record(cls, {k: v for k, v in record.items() if k != first})
+    with pytest.raises(ValueError, match=rf"^{name}: missing keys \[\], unknown keys \['extra'\]$"):
+        G.from_record(cls, {**record, "extra": 1})

@@ -344,11 +344,11 @@ def _edit_record(record, **changes):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda text: text.replace('"channels": 8', '"channels": x'), "Expecting value"),
-    (lambda text: "[8, 1]", "expected a JSON object, got list"),
+    (lambda text: "[8, 1]", "ModelConfig: expected a JSON object, got list"),
     (lambda text: _edit_record(json.loads(text), extra=1),
-     r"missing keys \[\], unknown keys \['extra'\]"),
+     r"ModelConfig: missing keys \[\], unknown keys \['extra'\]"),
     (lambda text: _edit_record(json.loads(text), channels=None),
-     r"missing keys \['channels'\], unknown keys \[\]"),
+     r"ModelConfig: missing keys \['channels'\], unknown keys \[\]"),
     (lambda text: _edit_record(json.loads(text), channels="8"),
      "channels must be a positive int, got '8'"),
     (lambda text: _edit_record(json.loads(text), stage_blocks=[1, 1, 1]),

@@ -35,3 +35,15 @@ def test_compare_fails_on_a_shape_mismatch(numcheck, tmp_path, capsys, shape):
     change = _save(tmp_path / "change.npz", a=np.zeros(shape), b=np.ones(2))
     assert not numcheck.compare(parent, change, None)
     assert f"shapes differ (key, parent, change): [('a', (3,), {shape})]" in capsys.readouterr().out
+
+
+def test_compare_fails_on_a_dtype_mismatch(numcheck, tmp_path, capsys):
+    # float32 values equal to the parent's float64 ones are not bit-equal
+    parent = _save(tmp_path / "parent.npz", a=np.arange(3.0), b=np.ones(2))
+    change = _save(tmp_path / "change.npz", a=np.arange(3.0, dtype=np.float32), b=np.ones(2))
+    assert not numcheck.compare(parent, change, None)
+    out = capsys.readouterr().out
+    assert "1 bit-equal" in out
+    assert "dtypes differ (key, parent, change): [('a', 'float64', 'float32')]" in out
+    # two change runs that differ only in dtype are not bit-identical either
+    assert not numcheck.compare(parent, parent, change)

@@ -315,6 +315,20 @@ def test_embedding_lookup_and_range_check():
         T.embedding(w, np.array([7]))
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_dense_conv_and_embedding_compute_in_their_input_dtype(monkeypatch, stride):
+    # every Tensor is float32 under the patch; an op that allocated float64
+    # buffers would hand float64 gradients to the leaves
+    monkeypatch.setattr(T, "DTYPE", np.float32)
+    x, w, b, table = (Tensor(a, requires_grad=True) for a in (
+        rand(3, 6, 5, seed=60), rand(4, 3, 3, 3, seed=61), rand(4, seed=62), rand(7, 4, seed=63)))
+    with Tape() as tape:
+        y = T.conv2d(x, w, b, stride=stride)
+        loss = T.add(T.mean_all(y), T.mean_all(T.embedding(table, np.array([2, 2, 6]))))
+    tape.backward(loss)
+    assert [t.grad.dtype for t in (x, w, b, table)] == [np.float32] * 4
+
+
 # ---------------------------------------------------------------------------
 # purity / determinism / NaN policy
 

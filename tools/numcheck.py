@@ -16,8 +16,8 @@ loss of a taped L1 + mean-logit loss and every parameter gradient:
 by max(1, max|parent|), how many arrays are bit-equal and which exceed
 1e-12 * max(1, max|parent|). With a third file it also reports whether the
 two change runs are bit-identical. It exits 1 when an array is over the
-tolerance, a key is missing, a key's shapes differ, or the change runs
-differ.
+tolerance, a key is missing, a key's shapes or dtypes differ, or the change
+runs differ.
 
 Both subcommands pin BLAS to one thread, as the benchmark does.
 """
@@ -75,11 +75,14 @@ def compare(parent_path: str, change_path: str, change2_path: str | None) -> boo
     if missing:
         print(f"keys in only one file: {missing}")
         ok = False
-    worst, bad, equal, shapes = 0.0, [], 0, []
+    worst, bad, equal, shapes, dtypes = 0.0, [], 0, [], []
     for key in sorted(set(a.files) & set(b.files)):
         x, y = a[key], b[key]
         if x.shape != y.shape:
             shapes.append((key, x.shape, y.shape))
+            continue
+        if x.dtype != y.dtype:      # equal values in another dtype are not bit-equal
+            dtypes.append((key, str(x.dtype), str(y.dtype)))
             continue
         scale = max(1.0, float(np.abs(x).max()))
         d = float(np.abs(x - y).max())
@@ -91,10 +94,13 @@ def compare(parent_path: str, change_path: str, change2_path: str | None) -> boo
           f"over tolerance: {bad}")
     if shapes:
         print(f"shapes differ (key, parent, change): {shapes}")
-    ok = ok and not bad and not shapes
+    if dtypes:
+        print(f"dtypes differ (key, parent, change): {dtypes}")
+    ok = ok and not bad and not shapes and not dtypes
     if change2_path is not None:
         c = np.load(change2_path)
-        same = b.files == c.files and all(np.array_equal(b[k], c[k]) for k in b.files)
+        same = b.files == c.files and all(b[k].dtype == c[k].dtype and np.array_equal(b[k], c[k])
+                                          for k in b.files)
         print(f"change runs bit-identical: {same}")
         ok = ok and same
     return ok
