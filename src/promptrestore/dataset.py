@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .degradations import KINDS, DegradationSpec, compose_sample, from_record
+from .degradations import KINDS, DegradationSpec, check_removal, compose_sample, from_record
 
 SPLITS = ("train", "val", "test")
 CATEGORIES = ("1-1", "2-1", "2-2", "3-1", "3-2", "3-3")
@@ -92,30 +92,14 @@ def read_ppm(path) -> np.ndarray:
 # prompts
 
 
-def canonical_order(kinds) -> list[str]:
-    """The distinct names of kinds in KINDS order; any other name raises."""
-    kinds = set(kinds)
-    unknown = sorted(kinds.difference(KINDS), key=str)
-    if unknown:
-        raise ValueError(f"unknown degradation kinds {unknown}; known: {list(KINDS)}")
-    return [k for k in KINDS if k in kinds]
-
-
 def gen_prompt(present, removed, style: str) -> str:
     """single: "Remove a, b." / two: "There are a, b in the image. Remove a."
-    Lists appear in the canonical kind order. removed must be a non-empty
-    subset of present, in either style."""
-    present, removed = canonical_order(present), canonical_order(removed)
-    if not removed:
-        raise ValueError("removed set is empty")
-    absent = [k for k in removed if k not in present]
-    if absent:
-        raise ValueError(f"removed kinds {absent} are not present in {present}")
-    removed_part = ", ".join(removed)
+    Lists appear in KINDS order; check_removal is the one rule for a request."""
+    present, removed = check_removal(present, removed)
     if style == "single":
-        return f"Remove {removed_part}."
+        return f"Remove {', '.join(removed)}."
     if style == "two":
-        return f"There are {', '.join(present)} in the image. Remove {removed_part}."
+        return f"There are {', '.join(present)} in the image. Remove {', '.join(removed)}."
     raise ValueError(f"unknown prompt style {style!r}")
 
 
@@ -132,9 +116,11 @@ def _image_path(sample_id: int, tag: str) -> str:
 class SampleRecord:
     """One manifest line: the sample id, its degradation specs (one
     asdict(DegradationSpec) per kind, read back by from_record), the kinds
-    its prompt removes and its split. The rest is derived from these and cannot
-    disagree with them: the present kinds, the category "<present>-<removed>",
-    both prompt styles, and the clean, degraded and gt image paths."""
+    its prompt removes and its split, which validate checks (check_removal is
+    the one rule for a removal request). The rest is derived from these and
+    cannot disagree with them: the present kinds, the category
+    "<present>-<removed>", both prompt styles, and the clean, degraded and
+    gt image paths."""
     id: int
     specs: list[dict]
     removed: list[str]
@@ -149,19 +135,16 @@ class SampleRecord:
                 raise ValueError(f"record {self.id}: {name} must be a list of "
                                  f"{item.__name__}, got {value!r}")
         kinds = [s.kind for s in self.spec_objects()]
-        if not kinds or len(set(kinds)) != len(kinds):
-            raise ValueError(f"record {self.id}: spec kinds {kinds} must be "
-                             "non-empty and distinct")
-        removed = set(self.removed)
-        if not removed or len(removed) != len(self.removed) or not removed <= set(kinds):
-            raise ValueError(f"record {self.id}: removed {self.removed} must be distinct "
-                             f"kinds, a non-empty subset of the spec kinds {kinds}")
+        try:
+            check_removal(kinds, self.removed)
+        except ValueError as e:
+            raise ValueError(f"record {self.id}: {e}") from e
         if self.split not in SPLITS:
             raise ValueError(f"record {self.id}: bad split {self.split!r}")
 
     @property
     def present(self) -> list[str]:
-        return canonical_order(d["kind"] for d in self.specs)
+        return sorted({s.kind for s in self.spec_objects()}, key=KINDS.index)
 
     @property
     def category(self) -> str:

@@ -84,6 +84,22 @@ def from_record(cls, record):
     return cls(**record)
 
 
+def check_removal(present, removed) -> tuple[list[str], list[str]]:
+    """The one rule for a removal request: present (the kinds in an image) and
+    removed (those its prompt removes), each read once, returned in KINDS
+    order. ValueError names unknown kinds; one other ValueError says a present
+    kind repeats or removed is empty, repeats a kind or names one not present."""
+    present, removed = list(present), list(removed)
+    unknown = sorted(set(present).union(removed).difference(KINDS), key=str)
+    if unknown:
+        raise ValueError(f"unknown degradation kinds {unknown}; known: {list(KINDS)}")
+    kinds, gone = set(present), set(removed)
+    if len(kinds) < len(present) or not gone or len(gone) < len(removed) or not gone <= kinds:
+        raise ValueError(f"removed {removed} must be distinct kinds, a non-empty subset "
+                         f"of the distinct present kinds {present}")
+    return [k for k in KINDS if k in kinds], [k for k in KINDS if k in gone]
+
+
 def apply_lowlight(img: np.ndarray, beta: float) -> np.ndarray:
     """Uniform brightness reduction; retained fraction 1 - 0.85*beta."""
     if beta == 0.0:
@@ -264,45 +280,33 @@ def apply_spec(img: np.ndarray, spec: DegradationSpec) -> np.ndarray:
     return apply_snow(img, spec.alpha, spec.beta)
 
 
-def _by_kind(specs) -> dict:
-    by_kind = {}
-    for s in specs:
-        if s.kind in by_kind:
-            raise ValueError(f"duplicate degradation kind {s.kind!r}")
-        by_kind[s.kind] = s
-    return by_kind
-
-
 def render(clean: np.ndarray, specs) -> np.ndarray:
     """Apply specs in the canonical composition order haze -> rain -> snow
     -> blur -> lowlight (fixes ground-truth semantics)."""
-    by_kind = _by_kind(specs)
-    out = clean.copy()
-    for kind in RENDER_ORDER:
-        if kind in by_kind:
-            out = apply_spec(out, by_kind[kind])
+    out, done = clean.copy(), set()
+    for s in sorted(specs, key=lambda s: RENDER_ORDER.index(s.kind)):
+        if s.kind in done:
+            raise ValueError(f"duplicate degradation kind {s.kind!r}")
+        done.add(s.kind)
+        out = apply_spec(out, s)
     return out
 
 
 def compose_sample(clean: np.ndarray, present_specs, removed_kinds):
     """Render the degraded image (all specs) and the ground truth (specs
-    not being removed, identical parameter values).
+    not being removed, identical parameter values); check_removal checks the kinds.
 
     Both share the kinds that come before the first removed one in
     RENDER_ORDER; that prefix is rendered once and both images branch from
     it, which gives the same bits as rendering each from the clean image.
     """
-    removed = set(removed_kinds)
-    by_kind = _by_kind(present_specs)
-    if not removed:
-        raise ValueError("removed set must be non-empty")
-    if not removed <= by_kind.keys():
-        raise ValueError(f"removed {removed} not a subset of present {set(by_kind)}")
-    order = [kind for kind in RENDER_ORDER if kind in by_kind]
-    split = min(order.index(kind) for kind in removed)
-    degraded = gt = render(clean, [by_kind[kind] for kind in order[:split]])
-    for kind in order[split:]:
-        degraded = apply_spec(degraded, by_kind[kind])
-        if kind not in removed:
-            gt = apply_spec(gt, by_kind[kind])
+    specs = list(present_specs)
+    _, removed = check_removal((s.kind for s in specs), removed_kinds)
+    specs.sort(key=lambda s: RENDER_ORDER.index(s.kind))
+    split = min(i for i, s in enumerate(specs) if s.kind in removed)
+    degraded = gt = render(clean, specs[:split])
+    for s in specs[split:]:
+        degraded = apply_spec(degraded, s)
+        if s.kind not in removed:
+            gt = apply_spec(gt, s)
     return degraded, gt

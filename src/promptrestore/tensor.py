@@ -406,6 +406,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
     channels-last and return a [C,H,W] view of a fresh [H,W,C] array. Any
     other kernel size or grouping raises ShapeError.
     """
+    if x.ndim != 3 or w.ndim != 4:
+        raise ShapeError(f"conv2d: needs a 3-d x and a 4-d w, got x {x.shape} and w {w.shape}")
     cin, h, wdt = x.shape
     cout, cg, kh, kw = w.shape
     dense = groups == 1 and cg == cin
@@ -473,9 +475,15 @@ def _shuffle(a: np.ndarray, r: int) -> np.ndarray:
     return a.reshape(h, w, c, r, r).transpose(0, 3, 1, 4, 2).reshape(h * r, w * r, c)
 
 
+def _hwc(x: Tensor, opname: str) -> tuple[int, int, int]:
+    if x.ndim != 3:
+        raise ShapeError(f"{opname}: needs a 3-d [H,W,C] input, got shape {x.shape}")
+    return x.shape
+
+
 def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
     """[H,W,C] -> [H/r,W/r,C*r*r]; sub-pixel (i,j) of c lands at c*r*r+i*r+j."""
-    h, w, _ = x.shape
+    h, w, _ = _hwc(x, "pixel_unshuffle")
     if h % r or w % r:
         raise ShapeError(f"pixel_unshuffle: {h}x{w} not divisible by r={r}")
     return _finish(np.ascontiguousarray(_unshuffle(x.data, r)), (x,),
@@ -484,7 +492,7 @@ def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
 
 def pixel_shuffle(x: Tensor, r: int) -> Tensor:
     """[H,W,C*r*r] -> [H*r,W*r,C]; exact inverse of pixel_unshuffle."""
-    crr = x.shape[-1]
+    crr = _hwc(x, "pixel_shuffle")[2]
     if crr % (r * r):
         raise ShapeError(f"pixel_shuffle: {crr} channels not divisible by r^2={r * r}")
     return _finish(np.ascontiguousarray(_shuffle(x.data, r)), (x,),
@@ -496,8 +504,8 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
 
 
 @functools.cache
-def _pool_matrix(n_in: int, n_out: int) -> np.ndarray:
-    m = np.zeros((n_out, n_in), dtype=DTYPE)
+def _pool_matrix(n_in: int, n_out: int, dtype: np.dtype) -> np.ndarray:
+    m = np.zeros((n_out, n_in), dtype=dtype)
     for i in range(n_out):
         lo = (i * n_in) // n_out
         hi = -(-(i + 1) * n_in // n_out)  # ceil
@@ -506,9 +514,9 @@ def _pool_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 
 @functools.cache
-def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
+def _resize_matrix(n_in: int, n_out: int, dtype: np.dtype) -> np.ndarray:
     # bilinear weights, align_corners convention (endpoints map to endpoints)
-    m = np.zeros((n_out, n_in), dtype=DTYPE)
+    m = np.zeros((n_out, n_in), dtype=dtype)
     if n_out == 1 or n_in == 1:
         m[:, 0] = 1.0
     else:
@@ -522,8 +530,11 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     return m
 
 
-def _sandwich(x: Tensor, rows: np.ndarray, cols: np.ndarray, opname: str) -> Tensor:
-    # out[i,j,c] = sum_hw rows[i,h] cols[j,w] x[h,w,c]; backward is its adjoint
+def _sandwich(x: Tensor, matrix: Callable, out_h: int, out_w: int, opname: str) -> Tensor:
+    # out[i,j,c] = sum_hw rows[i,h] cols[j,w] x[h,w,c], rows and cols cached per
+    # (n_in, n_out, dtype) and built in x's dtype; backward is its adjoint
+    h, w, _ = _hwc(x, opname)
+    rows, cols = matrix(h, out_h, x.data.dtype), matrix(w, out_w, x.data.dtype)
     out = np.einsum("ih,jw,hwc->ijc", rows, cols, x.data, optimize=True)
 
     def backward(g):
@@ -534,16 +545,15 @@ def _sandwich(x: Tensor, rows: np.ndarray, cols: np.ndarray, opname: str) -> Ten
 
 def adaptive_avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Mean-pool x[H,W,C] onto an out_h x out_w grid (floor/ceil windows)."""
-    h, w, _ = x.shape
+    h, w, _ = _hwc(x, "adaptive_avg_pool")
     if out_h > h or out_w > w:
         raise ShapeError(f"adaptive_avg_pool: output {out_h}x{out_w} exceeds input {h}x{w}")
-    return _sandwich(x, _pool_matrix(h, out_h), _pool_matrix(w, out_w), "adaptive_avg_pool")
+    return _sandwich(x, _pool_matrix, out_h, out_w, "adaptive_avg_pool")
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinearly resize x[H,W,C] to [out_h,out_w,C] (align-corners)."""
-    h, w, _ = x.shape
-    return _sandwich(x, _resize_matrix(h, out_h), _resize_matrix(w, out_w), "bilinear_resize")
+    return _sandwich(x, _resize_matrix, out_h, out_w, "bilinear_resize")
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,16 @@ def test_attn_config_rejects_bad_fields(changes, message):
         AttnConfig(**{**fields, **changes})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: AttnConfig(6, 4, 1, 1, 2, 2), "channels 6 not divisible by heads 4"),
+    (lambda: AgentCrossAttention(AttnConfig(8, 2, 1, 1, 2, 2), np.random.default_rng(0)),
+     "cross attention needs cfg.text_len"),
+], ids=["heads-not-dividing-channels", "cross-without-text"])
+def test_attention_rejects_a_config_it_cannot_run(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # agent self attention
 

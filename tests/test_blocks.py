@@ -127,6 +127,13 @@ def test_upsample_shape():
     assert out.shape == (16, 16, 48)
 
 
+@pytest.mark.parametrize("block, message", [(Downsample, "downsample needs even channel count"),
+                                            (Upsample, "upsample needs even channel count")])
+def test_resampling_blocks_reject_an_odd_channel_count(block, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        block(7, rng(0))
+
+
 def test_downsample_odd_extent_fails():
     m = Downsample(8, rng(24))
     with pytest.raises(T.ShapeError):

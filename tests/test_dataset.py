@@ -73,6 +73,14 @@ def test_clean_image_matches_full_image_disc_loop(size):
                               clean_image_oracle(np.random.default_rng((seed, size)), size)), seed
 
 
+def test_clean_image_lifts_a_dark_scene_to_the_floor():
+    # this scene's mean is below 0.35 before the lift; after it the mean is
+    # 0.35 up to rounding (no pixel reaches the clip at 1)
+    img = D.generate_clean_image(np.random.default_rng(25), 16)
+    assert abs(img.mean() - 0.35) < 1e-12 and img.max() < 1.0
+    np.testing.assert_array_equal(img, clean_image_oracle(np.random.default_rng(25), 16))
+
+
 # sha256 of every PPM that build_dataset(DatasetConfig(count=6, image_size=37,
 # seed=2)) writes, recorded before the renderers were vectorised; the config
 # holds all five kinds at a size that is not a power of two
@@ -132,11 +140,6 @@ def test_category_and_split_counts_sum_exactly():
         assert {s for _, s in pairs} <= set(D.SPLITS)
 
 
-def test_canonical_order_reads_an_iterator_once():
-    assert D.canonical_order(iter(["rain", "blur"])) == ["blur", "rain"]
-    assert D.canonical_order(k for k in ["snow", "haze"]) == ["haze", "snow"]
-
-
 @pytest.mark.parametrize("present, removed", [(["rain", "fog"], ["rain"]),
                                               (["rain"], ["fog"])])
 def test_gen_prompt_rejects_unknown_kinds(present, removed):
@@ -146,11 +149,54 @@ def test_gen_prompt_rejects_unknown_kinds(present, removed):
 
 @pytest.mark.parametrize("style", ["single", "two"])
 def test_gen_prompt_rejects_removed_kinds_not_present(style):
-    with pytest.raises(ValueError, match=r"^removed kinds \['snow'\] are not present in \['rain'\]$"):
+    with pytest.raises(ValueError, match=r"^removed \['snow', 'rain'\] must be distinct kinds, "
+                                         r"a non-empty subset of the distinct present kinds "
+                                         r"\['rain'\]$"):
         D.gen_prompt(iter(["rain"]), iter(["snow", "rain"]), style)
     # each argument is read once, so iterators work
     assert D.gen_prompt(iter(["rain", "blur"]), iter(["rain"]), "two") == \
         "There are blur, rain in the image. Remove rain."
+
+
+def test_gen_prompt_rejects_an_unknown_style():
+    with pytest.raises(ValueError, match=r"^unknown prompt style 'three'$"):
+        D.gen_prompt(["rain"], ["rain"], "three")
+
+
+# (present, removed, the one message every entry point gives); each case was
+# accepted by at least one entry point, or worded differently by them, before
+# they shared degradations.check_removal
+_BAD_REQUESTS = [
+    (["rain", "rain"], ["rain"], "removed ['rain'] must be distinct kinds, a non-empty "
+     "subset of the distinct present kinds ['rain', 'rain']"),
+    (["rain", "haze"], [], "removed [] must be distinct kinds, a non-empty "
+     "subset of the distinct present kinds ['rain', 'haze']"),
+    (["rain", "haze"], ["rain", "rain"], "removed ['rain', 'rain'] must be distinct kinds, "
+     "a non-empty subset of the distinct present kinds ['rain', 'haze']"),
+    (["rain"], ["snow"], "removed ['snow'] must be distinct kinds, a non-empty "
+     "subset of the distinct present kinds ['rain']"),
+    (["rain"], ["fog"], f"unknown degradation kinds ['fog']; known: {list(D.KINDS)}"),
+]
+
+
+@pytest.mark.parametrize("present, removed, message", _BAD_REQUESTS,
+                         ids=["duplicate-present", "empty-removed", "duplicate-removed",
+                              "removed-not-present", "unknown-removed"])
+def test_every_entry_point_rejects_a_bad_request_alike(tmp_path, present, removed, message):
+    specs = [D.DegradationSpec(k, beta=0.5) for k in present]
+    for style in ("single", "two"):
+        with pytest.raises(ValueError) as e:
+            D.gen_prompt(present, removed, style)
+        assert str(e.value) == message
+    with pytest.raises(ValueError) as e:
+        D.compose_sample(np.zeros((8, 8, 3)), specs, removed)
+    assert str(e.value) == message
+    path = tmp_path / "manifest.jsonl"
+    D.write_manifest([D.SampleRecord(id=4, specs=[asdict(s) for s in specs],
+                                     removed=removed, split="train")], path)
+    with pytest.raises(ValueError) as e:
+        D.read_manifest(path)
+    assert str(e.value) == f"{path}:1: record 4: {message}"
 
 
 def test_manifest_round_trip(tmp_path):
@@ -194,14 +240,18 @@ def _record(**changes):
     return rec
 
 
+# what check_removal says of the removed ['rain'] of _record() and its spec kinds
+_NOT_A_SUBSET = (r"removed \['rain'\] must be distinct kinds, "
+                 r"a non-empty subset of the distinct present kinds ")
+
+
 @pytest.mark.parametrize("changes, what", [
-    (dict(specs=[]), r"spec kinds \[\] must be non-empty"),
-    (dict(specs=[asdict(D.DegradationSpec("blur", beta=0.5))]),
-     r"removed \['rain'\] must be distinct kinds, a non-empty subset of the spec kinds \['blur'\]"),
+    (dict(specs=[]), _NOT_A_SUBSET + r"\[\]$"),
+    (dict(specs=[asdict(D.DegradationSpec("blur", beta=0.5))]), _NOT_A_SUBSET + r"\['blur'\]$"),
     (dict(specs=[asdict(D.DegradationSpec("blur", beta=0.5))] * 2),
-     r"spec kinds \['blur', 'blur'\] must be non-empty and distinct"),
+     _NOT_A_SUBSET + r"\['blur', 'blur'\]$"),
     (dict(specs=[asdict(D.DegradationSpec("rain", beta=0.5))] * 2),
-     r"spec kinds \['rain', 'rain'\] must be non-empty and distinct"),
+     _NOT_A_SUBSET + r"\['rain', 'rain'\]$"),
 ], ids=["no-specs", "missing-spec", "duplicate-spec", "duplicate-other-spec"])
 def test_record_spec_kinds_must_be_exactly_present(changes, what):
     D.SampleRecord(**_record()).validate()

@@ -1,7 +1,8 @@
 """Contract tests for the degradation renderers: bit-equality with the
 one-primitive-at-a-time loop forms in helpers.py, the beta = 0 identity,
-the [0,1] range and the composition order; and for from_record, the one
-reader of every stored JSON record."""
+the [0,1] range and the composition order; for from_record, the one
+reader of every stored JSON record; and for check_removal, the one rule for
+a removal request."""
 
 import itertools
 import json
@@ -122,12 +123,23 @@ def test_rerendering_a_spec_is_bit_identical():
     assert np.array_equal(G.render(img, specs), G.render(img.copy(), specs))
 
 
+def test_spec_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match=r"^unknown degradation kind 'fog'$"):
+        G.DegradationSpec("fog")
+
+
+def test_check_removal_reads_each_iterable_once():
+    assert G.check_removal(iter(["rain", "blur"]), iter(["rain"])) == (["blur", "rain"], ["rain"])
+    assert G.check_removal((k for k in ["snow", "haze"]), (k for k in ["snow", "haze"])) == \
+        (["haze", "snow"], ["haze", "snow"])
+
+
 def test_compose_sample_rejects_bad_removal_sets():
     img = _image(8, 8)
     specs = [_spec("rain", 0.5), _spec("blur", 0.5)]
     with pytest.raises(ValueError, match="non-empty"):
         G.compose_sample(img, specs, [])
-    with pytest.raises(ValueError, match="not a subset"):
+    with pytest.raises(ValueError, match="a non-empty subset of the distinct present kinds"):
         G.compose_sample(img, specs, ["rain", "snow"])
 
 

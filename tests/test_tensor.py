@@ -329,6 +329,61 @@ def test_dense_conv_and_embedding_compute_in_their_input_dtype(monkeypatch, stri
     assert [t.grad.dtype for t in (x, w, b, table)] == [np.float32] * 4
 
 
+def test_pool_and_resize_matrices_are_built_per_dtype(monkeypatch):
+    # a float32 call must leave the float64 matrices alone: 1/3 (5 -> 2 pool)
+    # and 1/3, 2/3 (5 -> 4 resize) are not exact in float32
+    x = Tensor(rand(5, 5, 2, seed=70))
+    ops = (lambda t: T.adaptive_avg_pool(t, 2, 2), lambda t: T.bilinear_resize(t, 4, 4))
+
+    def clear():
+        T._pool_matrix.cache_clear()
+        T._resize_matrix.cache_clear()
+
+    clear()
+    fresh = [op(x).data for op in ops]
+    clear()
+    with monkeypatch.context() as m:
+        m.setattr(T, "DTYPE", np.float32)
+        assert [op(Tensor(x.data)).data.dtype for op in ops] == [np.float32] * 2
+    for op, want in zip(ops, fresh):
+        got = op(x).data
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+
+_W, _B = Tensor(np.zeros((2, 2, 3, 3))), Tensor(np.zeros(2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: T.conv2d(Tensor(np.zeros((8, 8))), _W, _B),
+     r"conv2d: needs a 3-d x and a 4-d w, got x \(8, 8\) and w \(2, 2, 3, 3\)"),
+    (lambda: T.conv2d(Tensor(np.zeros((2, 8, 8))), Tensor(np.zeros((2, 2, 3))), _B),
+     r"conv2d: needs a 3-d x and a 4-d w, got x \(2, 8, 8\) and w \(2, 2, 3\)"),
+    (lambda: T.pixel_unshuffle(Tensor(np.zeros((4, 4))), 2),
+     r"pixel_unshuffle: needs a 3-d \[H,W,C\] input, got shape \(4, 4\)"),
+    (lambda: T.pixel_shuffle(Tensor(np.zeros((1, 2, 2, 4))), 2),
+     r"pixel_shuffle: needs a 3-d \[H,W,C\] input, got shape \(1, 2, 2, 4\)"),
+    (lambda: T.adaptive_avg_pool(Tensor(np.zeros((4, 4))), 2, 2),
+     r"adaptive_avg_pool: needs a 3-d \[H,W,C\] input, got shape \(4, 4\)"),
+    (lambda: T.bilinear_resize(Tensor(np.zeros(4)), 2, 2),
+     r"bilinear_resize: needs a 3-d \[H,W,C\] input, got shape \(4,\)"),
+    (lambda: T.sub(Tensor(np.zeros(3)), Tensor(np.zeros(4))), r"sub: shapes \(3,\) vs \(4,\)"),
+    (lambda: T.add_bias(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2))),
+     r"add_bias: trailing dims \(2, 3\) vs \(2,\)"),
+    (lambda: T.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2)))),
+     "matmul needs >= 2-d operands"),
+    (lambda: T.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(2)), Tensor(np.zeros(3))),
+     "layer_norm: gamma/beta must match normalized extent"),
+    (lambda: T.pixel_shuffle(Tensor(np.zeros((2, 2, 6))), 2),
+     r"pixel_shuffle: 6 channels not divisible by r\^2=4"),
+], ids=["conv2d-2d-x", "conv2d-3d-w", "pixel_unshuffle-2d", "pixel_shuffle-4d",
+        "adaptive_avg_pool-2d", "bilinear_resize-1d", "sub", "add_bias", "matmul-1d",
+        "layer_norm", "pixel_shuffle-channels"])
+def test_shape_errors_name_the_op_and_the_shapes(call, message):
+    with pytest.raises(T.ShapeError, match=f"^{message}$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # purity / determinism / NaN policy
 
@@ -407,6 +462,17 @@ def test_backward_rejects_a_loss_this_tape_did_not_record():
     assert x.grad is None
     other.backward(elsewhere)
     np.testing.assert_array_equal(x.grad, [6.0])
+
+
+def test_backward_skips_nodes_the_loss_does_not_reach():
+    x, y = (Tensor(np.array([v]), requires_grad=True) for v in (2.0, 5.0))
+    with Tape() as tape:
+        T.mul(y, y)                 # recorded before the loss, off its path
+        loss = sum_all(T.mul(x, x))
+        T.mul(y, x)                 # recorded after the loss
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [4.0])
+    assert y.grad is None
 
 
 def test_backward_matmul_chain_vs_finite_differences():

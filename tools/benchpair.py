@@ -10,15 +10,19 @@ change checkout, n being one more than the highest n already there for
 that workload, so the files form a trajectory. The file holds each pair's
 two result lines (the details line and the result object run.py prints),
 and per end-to-end metric of BENCHMARK.json: both sides' medians, the
-parent's interquartile range and in how many pairs the change was better.
+change median relative to the parent's, whether it is worse than the
+parent's by more than the metric's bound, the parent's interquartile range
+and in how many pairs the change was better.
 
-Exits 1 when a run fails.
+Exits 1 when a run fails; a metric worse beyond its bound is reported, not
+an exit status.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import statistics
 import subprocess
@@ -61,9 +65,13 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         sign = 1.0 if m["better"] == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"]))
         q = statistics.quantiles(vals["parent"], n=4) if len(pairs) > 1 else [0.0, 0.0, 0.0]
+        p_med, c_med = statistics.median(vals["parent"]), statistics.median(vals["change"])
+        # (change - parent) / |parent|; a change away from a parent median of 0 is infinite
+        rel = (c_med - p_med) / abs(p_med) if p_med else math.copysign(
+            math.inf if c_med else 0.0, c_med)
         out[name] = {"unit": m["unit"], "better": m["better"],
-                     "parent_median": statistics.median(vals["parent"]),
-                     "change_median": statistics.median(vals["change"]),
+                     "parent_median": p_med, "change_median": c_med, "change_rel": rel,
+                     "worse_beyond_bound": -sign * rel > m["bound"],
                      "parent_iqr": q[2] - q[0], "change_wins": wins}
     return out
 
@@ -109,7 +117,9 @@ def main() -> int:
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for name, s in summary.items():
         print(f"{name:14s} parent {s['parent_median']:.4g} change {s['change_median']:.4g} "
-              f"{s['unit']}, parent IQR {s['parent_iqr']:.3g}, "
+              f"{s['unit']} ({s['change_rel']:+.1%}"
+              f"{', WORSE BEYOND BOUND' if s['worse_beyond_bound'] else ''}), "
+              f"parent IQR {s['parent_iqr']:.3g}, "
               f"change better in {s['change_wins']}/{len(pairs)}")
     print(f"written {path}")
     return 0
