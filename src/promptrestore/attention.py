@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
+from .degradations import check_int
 from .nn import Conv2d, Linear, Module, param
 from .tensor import Tensor
 
@@ -35,9 +36,7 @@ class AttnConfig:
 
     def __post_init__(self):
         for f in fields(self):      # text_len is 0 for self attention
-            value, least = getattr(self, f.name), int(f.name != "text_len")
-            if type(value) is not int or value < least:
-                raise ValueError(f"{f.name} must be an int >= {least}, got {value!r}")
+            check_int(f.name, getattr(self, f.name), int(f.name != "text_len"))
         if self.channels % self.heads:
             raise ValueError(f"channels {self.channels} not divisible by heads {self.heads}")
         if self.agent_h > self.height or self.agent_w > self.width:

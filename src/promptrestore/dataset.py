@@ -8,8 +8,8 @@ ground truth is byte-identical regardless of order or parallelism.
 Images are stored as binary PPM (P6, maxval 255); the manifest is UTF-8
 JSON lines, one record per line. A line holds only the sample's id, its
 degradation specs, the kinds its prompt removes and its split; the present
-kinds, the category, both prompts and the three image paths are derived
-from those (see SampleRecord).
+kinds, both prompts and the three image paths are derived from those (see
+SampleRecord).
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .degradations import KINDS, DegradationSpec, check_removal, compose_sample, from_record
+from .degradations import (KINDS, DegradationSpec, check_int, check_removal, compose_sample,
+                           from_record)
 
 SPLITS = ("train", "val", "test")
 CATEGORIES = ("1-1", "2-1", "2-2", "3-1", "3-2", "3-3")
@@ -114,29 +115,33 @@ def _image_path(sample_id: int, tag: str) -> str:
 
 @dataclass
 class SampleRecord:
-    """One manifest line: the sample id, its degradation specs (one
-    asdict(DegradationSpec) per kind, read back by from_record), the kinds
-    its prompt removes and its split, which validate checks (check_removal is
-    the one rule for a removal request). The rest is derived from these and
-    cannot disagree with them: the present kinds, the category
-    "<present>-<removed>", both prompt styles, and the clean, degraded and
-    gt image paths."""
+    """One manifest line: the sample id, its degradation specs (one per
+    kind), the kinds its prompt removes and its split. A spec given as a dict,
+    as a manifest line holds it, is parsed with from_record, and the record is
+    validated when it is made, so a record that exists is valid (check_removal
+    is the one rule for a removal request). The rest is derived from these and
+    cannot disagree with them: the present kinds, both prompt styles, and the
+    clean, degraded and gt image paths."""
     id: int
-    specs: list[dict]
+    specs: list[DegradationSpec]
     removed: list[str]
     split: str
 
+    def __post_init__(self):
+        if isinstance(self.specs, list):
+            self.specs = [from_record(DegradationSpec, s) if isinstance(s, dict) else s
+                          for s in self.specs]
+        self.validate()
+
     def validate(self) -> None:
-        if type(self.id) is not int or self.id < 0:
-            raise ValueError(f"id must be a non-negative int, got {self.id!r}")
-        for name, item in (("removed", str), ("specs", dict)):
+        check_int("id", self.id, 0)
+        for name, item in (("removed", str), ("specs", DegradationSpec)):
             value = getattr(self, name)
             if not isinstance(value, list) or not all(isinstance(v, item) for v in value):
                 raise ValueError(f"record {self.id}: {name} must be a list of "
                                  f"{item.__name__}, got {value!r}")
-        kinds = [s.kind for s in self.spec_objects()]
         try:
-            check_removal(kinds, self.removed)
+            check_removal((s.kind for s in self.specs), self.removed)
         except ValueError as e:
             raise ValueError(f"record {self.id}: {e}") from e
         if self.split not in SPLITS:
@@ -144,11 +149,7 @@ class SampleRecord:
 
     @property
     def present(self) -> list[str]:
-        return sorted({s.kind for s in self.spec_objects()}, key=KINDS.index)
-
-    @property
-    def category(self) -> str:
-        return f"{len(self.specs)}-{len(self.removed)}"
+        return sorted((s.kind for s in self.specs), key=KINDS.index)
 
     @property
     def prompt_single(self) -> str:
@@ -171,7 +172,7 @@ class SampleRecord:
         return _image_path(self.id, "gt")
 
     def spec_objects(self) -> list[DegradationSpec]:
-        return [from_record(DegradationSpec, d) for d in self.specs]
+        return list(self.specs)
 
     def labels(self) -> np.ndarray:
         present = self.present
@@ -185,10 +186,9 @@ def write_manifest(records, path) -> None:
 
 
 def read_manifest(path) -> list[SampleRecord]:
-    """Records of a JSON-lines manifest, each validated. Bytes that are not
-    UTF-8, bad JSON, a line or spec that from_record rejects, an invalid
-    record or spec and an id already used on an earlier line raise
-    ValueError naming path:line."""
+    """Records of a JSON-lines manifest. Bytes that are not UTF-8, bad JSON,
+    a line or spec that from_record rejects, an invalid record or spec and an
+    id already used on an earlier line raise ValueError naming path:line."""
     records, id_line = [], {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -197,7 +197,6 @@ def read_manifest(path) -> list[SampleRecord]:
                 if not line.strip():
                     continue
                 rec = from_record(SampleRecord, json.loads(line))
-                rec.validate()
                 if rec.id in id_line:
                     raise ValueError(f"id {rec.id} is also on line {id_line[rec.id]}")
             except (TypeError, ValueError) as e:   # JSONDecodeError, UnicodeDecodeError
@@ -256,9 +255,7 @@ class DatasetConfig:
 
     def __post_init__(self):
         for name, least in (("count", 0), ("image_size", 2), ("seed", 0)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:   # type(), so bools fail
-                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+            check_int(name, getattr(self, name), least)
 
 
 def _largest_remainder(total: int, fractions) -> list[int]:
@@ -327,9 +324,7 @@ def build_dataset(cfg: DatasetConfig, out_dir) -> str:
         clean = generate_clean_image(rng, cfg.image_size)
         specs, removed = _sample_specs(rng, category)
         degraded, gt = compose_sample(clean, specs, removed)
-        rec = SampleRecord(id=sample_id, specs=[asdict(s) for s in specs],
-                           removed=removed, split=split)
-        rec.validate()
+        rec = SampleRecord(id=sample_id, specs=specs, removed=removed, split=split)
         for rel, img in ((rec.clean_path, clean), (rec.degraded_path, degraded),
                          (rec.gt_path, gt)):
             write_ppm(os.path.join(out_dir, rel), img)

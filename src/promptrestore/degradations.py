@@ -55,10 +55,8 @@ class DegradationSpec:
             raise ValueError(f"beta must be in [0,1], got {b!r}")
         # alpha, rng_stream and a haze gamma seed numpy generators, which take
         # only non-negative integers; blur and rain gammas are signed angles
-        for name in ("alpha", "rng_stream"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise ValueError(f"{name} must be a non-negative int, got {v!r}")
+        check_int("alpha", self.alpha, 0)
+        check_int("rng_stream", self.rng_stream, 0)
         g = self.gamma
         if (isinstance(g, bool) or not isinstance(g, (int, float))
                 or isinstance(g, float) and not math.isfinite(g)):
@@ -68,6 +66,13 @@ class DegradationSpec:
                              f"whole number, got {g!r}")
         if self.kind in ("blur", "rain") and isinstance(g, int) and not -2**63 <= g < 2**63:
             raise ValueError(f"{self.kind} gamma (an angle) must fit in int64, got {g!r}")
+
+
+def check_int(name: str, value, least: int) -> None:
+    """The one rule for an integer field: value must be an int (not a bool or
+    a NumPy integer) and >= least, else ValueError names the field."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 def from_record(cls, record):
@@ -87,8 +92,12 @@ def from_record(cls, record):
 def check_removal(present, removed) -> tuple[list[str], list[str]]:
     """The one rule for a removal request: present (the kinds in an image) and
     removed (those its prompt removes), each read once, returned in KINDS
-    order. ValueError names unknown kinds; one other ValueError says a present
-    kind repeats or removed is empty, repeats a kind or names one not present."""
+    order. A bare str for either raises TypeError naming it; ValueError names
+    unknown kinds; one other ValueError says a present kind repeats or removed
+    is empty, repeats a kind or names one not present."""
+    for name, kinds in (("present", present), ("removed", removed)):
+        if isinstance(kinds, str):
+            raise TypeError(f"{name} must be a list of kinds, got the str {kinds!r}")
     present, removed = list(present), list(removed)
     unknown = sorted(set(present).union(removed).difference(KINDS), key=str)
     if unknown:

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .attention import AgentCrossAttention, AttnConfig
 from .blocks import ContextBlock, DegradationClassifier, Downsample, Upsample
-from .degradations import KINDS, from_record
+from .degradations import KINDS, check_int, from_record
 from .nn import Conv2d, Linear, Module, Sequential
 from .tensor import Tensor
 from .text import PROMPT_LEN, TEXT_HEADS, VOCAB_SHA256, PromptEncoder, tokenize
@@ -27,12 +27,9 @@ from .text import PROMPT_LEN, TEXT_HEADS, VOCAB_SHA256, PromptEncoder, tokenize
 HEADS = (1, 2, 4, 8)        # attention heads per stage of the channel ladder
 
 
-class ConfigError(ValueError):
-    """Invalid model configuration, or a checkpoint config that differs from the requested one."""
-
-
 class CheckpointError(RuntimeError):
-    """Malformed or truncated checkpoint file."""
+    """Malformed or truncated checkpoint file, or one whose config or vocab
+    differs from the requested one."""
 
 
 @dataclass(frozen=True)
@@ -48,25 +45,24 @@ class ModelConfig:
 
     def __post_init__(self):
         if not isinstance(self.stage_blocks, (tuple, list)) or len(self.stage_blocks) != 4:
-            raise ConfigError(f"stage_blocks must have 4 entries, got {self.stage_blocks!r}")
+            raise ValueError(f"stage_blocks must have 4 entries, got {self.stage_blocks!r}")
         object.__setattr__(self, "stage_blocks", tuple(self.stage_blocks))
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if any(type(v) is not int or v <= 0
-                   for v in (value if isinstance(value, tuple) else (value,))):
-                raise ConfigError(f"{f.name} must be a positive int, got {value!r}")
+        ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "stage_blocks"]
+        ints += [(f"stage_blocks[{i}]", n) for i, n in enumerate(self.stage_blocks)]
+        for name, value in ints:
+            check_int(name, value, 1)
         if self.channels % 2:
-            raise ConfigError(f"channels must be even (the first Downsample halves it), "
-                              f"got {self.channels}")
+            raise ValueError(f"channels must be even (the first Downsample halves it), "
+                             f"got {self.channels}")
         if self.base_resolution % 8:
-            raise ConfigError("base_resolution must be divisible by 8")
+            raise ValueError("base_resolution must be divisible by 8")
         r = self.base_resolution // 8     # the latent stage's grid side
         if self.agent_h > r or self.agent_w > r:
-            raise ConfigError(f"agent_h x agent_w = {self.agent_h}x{self.agent_w} exceeds "
-                              f"the latent stage's {r}x{r} grid (base_resolution // 8)")
+            raise ValueError(f"agent_h x agent_w = {self.agent_h}x{self.agent_w} exceeds "
+                             f"the latent stage's {r}x{r} grid (base_resolution // 8)")
         if self.text_embed_dim % TEXT_HEADS:
-            raise ConfigError(f"text_embed_dim {self.text_embed_dim} not divisible by "
-                              f"the {TEXT_HEADS} text encoder heads")
+            raise ValueError(f"text_embed_dim {self.text_embed_dim} not divisible by "
+                             f"the {TEXT_HEADS} text encoder heads")
 
     @property
     def ladder(self) -> tuple[int, int, int, int]:
@@ -224,7 +220,7 @@ def _member(archive, name: str) -> np.ndarray:
 def _config_from_json(blob: str) -> ModelConfig:
     try:
         return from_record(ModelConfig, json.loads(blob))
-    except ValueError as e:       # JSONDecodeError, from_record's keys, ConfigError
+    except ValueError as e:       # JSONDecodeError, from_record's keys, ModelConfig's checks
         raise CheckpointError(f"checkpoint config: {e}") from e
 
 
@@ -236,8 +232,9 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> RestorationModel
     the model is built. A file that is not an intact npz archive (a failed
     CRC-32 included), another version, a config record that from_record
     rejects (not an object of exactly the ModelConfig fields) or that
-    ModelConfig rejects, or a missing, unknown, misshapen, non-float64 or
-    non-finite member raise CheckpointError, naming the member.
+    ModelConfig rejects, a config other than the requested one, another vocab
+    hash, or a missing, unknown, misshapen, non-float64 or non-finite member
+    raise CheckpointError, naming the member.
     """
     with open(str(path), "rb") as fh:
         try:
@@ -251,9 +248,9 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> RestorationModel
             raise CheckpointError(f"unsupported checkpoint version {version}")
         stored = _config_from_json(str(_member(archive, "config")))
         if config is not None and stored != config:
-            raise ConfigError("checkpoint config does not match requested config")
+            raise CheckpointError("checkpoint config does not match requested config")
         if _member(archive, "vocab").tobytes() != VOCAB_SHA256:
-            raise ConfigError("checkpoint vocab hash does not match")
+            raise CheckpointError("checkpoint vocab hash does not match")
         model = RestorationModel(stored)
         params = dict(model.named_parameters())
         unknown = sorted(set(archive.files) - params.keys() - {"version", "config", "vocab"})

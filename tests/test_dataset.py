@@ -104,6 +104,9 @@ GOLDEN_PPM_SHA256 = {
     "00005_degraded.ppm": "783bd61d66869dd10f7c86388703289b9bcbbaecb49c6dfe49ab9996da8523a0",
     "00005_gt.ppm": "2b05871dac99c66c1421b5bcd7e87b16d005ababa94c99d7b0f4dadea33cbab9",
 }
+# sha256 of the manifest.jsonl the same call writes, recorded while records
+# still held their specs as dicts: holding DegradationSpecs must not change it
+GOLDEN_MANIFEST_SHA256 = "ac6cbb543398d4e84837ea21721ac216007a9492315e306484cfb2604206900c"
 
 
 def test_build_dataset_writes_golden_bytes(tmp_path):
@@ -115,6 +118,8 @@ def test_build_dataset_writes_golden_bytes(tmp_path):
     digests = {name: hashlib.sha256((images / name).read_bytes()).hexdigest()
                for name in GOLDEN_PPM_SHA256}
     assert digests == GOLDEN_PPM_SHA256
+    with open(manifest, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_MANIFEST_SHA256
 
 
 @pytest.mark.parametrize("field, value", [
@@ -191,12 +196,26 @@ def test_every_entry_point_rejects_a_bad_request_alike(tmp_path, present, remove
     with pytest.raises(ValueError) as e:
         D.compose_sample(np.zeros((8, 8, 3)), specs, removed)
     assert str(e.value) == message
+    with pytest.raises(ValueError) as e:
+        D.SampleRecord(id=4, specs=specs, removed=removed, split="train")
+    assert str(e.value) == f"record 4: {message}"
     path = tmp_path / "manifest.jsonl"
-    D.write_manifest([D.SampleRecord(id=4, specs=[asdict(s) for s in specs],
-                                     removed=removed, split="train")], path)
+    line = dict(id=4, specs=[asdict(s) for s in specs], removed=removed, split="train")
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
     with pytest.raises(ValueError) as e:
         D.read_manifest(path)
     assert str(e.value) == f"{path}:1: record 4: {message}"
+
+
+def test_a_bare_string_is_not_a_list_of_kinds():
+    # a str is iterable, so without the check its letters would be read as kinds
+    with pytest.raises(TypeError, match="^present must be a list of kinds, got the str 'rain'$"):
+        D.gen_prompt("rain", ["rain"], "single")
+    for call in (lambda: D.gen_prompt(["rain"], "rain", "two"),
+                 lambda: D.compose_sample(np.zeros((8, 8, 3)),
+                                          [D.DegradationSpec("rain", beta=0.5)], "rain")):
+        with pytest.raises(TypeError, match="^removed must be a list of kinds, got the str 'rain'$"):
+            call()
 
 
 def test_manifest_round_trip(tmp_path):
@@ -214,8 +233,9 @@ def test_manifest_round_trip(tmp_path):
     back = D.read_manifest(path)
     assert back == records
     assert [r.spec_objects() for r in back] == [r.spec_objects() for r in records]
+    assert all(type(s) is D.DegradationSpec for r in back for s in r.specs)
     rec = back[0]
-    assert (rec.present, rec.category) == (["blur", "snow"], "2-1")
+    assert rec.present == ["blur", "snow"]
     assert rec.prompt_single == "Remove snow."
     assert rec.prompt_two == "There are blur, snow in the image. Remove snow."
     assert (rec.clean_path, rec.degraded_path, rec.gt_path) == (
@@ -223,12 +243,21 @@ def test_manifest_round_trip(tmp_path):
     assert back[1].labels().tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
 
-def test_build_dataset_records_name_the_files_it_writes(tmp_path):
+def test_build_dataset_records_name_the_files_it_writes(tmp_path, monkeypatch):
+    built, write = [], D.write_manifest
+
+    def keep(records, path):
+        built.extend(records)
+        write(records, path)
+
+    monkeypatch.setattr(D, "write_manifest", keep)
     manifest = D.build_dataset(D.DatasetConfig(count=6, image_size=16, seed=5), tmp_path)
     records = D.read_manifest(manifest)
+    assert built == records
+    assert all(type(s) is D.DegradationSpec for r in built + records for s in r.specs)
     paths = [p for rec in records for p in (rec.clean_path, rec.degraded_path, rec.gt_path)]
     assert sorted(paths) == sorted(f"images/{name}" for name in os.listdir(tmp_path / "images"))
-    counts = Counter(rec.category for rec in records)
+    counts = Counter(f"{len(rec.specs)}-{len(rec.removed)}" for rec in records)
     assert counts == {cat: n for cat, n in D.category_counts(6).items() if n}
 
 
@@ -254,9 +283,9 @@ _NOT_A_SUBSET = (r"removed \['rain'\] must be distinct kinds, "
      _NOT_A_SUBSET + r"\['rain', 'rain'\]$"),
 ], ids=["no-specs", "missing-spec", "duplicate-spec", "duplicate-other-spec"])
 def test_record_spec_kinds_must_be_exactly_present(changes, what):
-    D.SampleRecord(**_record()).validate()
-    with pytest.raises(ValueError, match=f"record 7: {what}"):
-        D.SampleRecord(**_record(**changes)).validate()
+    D.SampleRecord(**_record())
+    with pytest.raises(ValueError, match=f"^record 7: {what}"):
+        D.SampleRecord(**_record(**changes))
 
 
 def _spec(kind, **changes):
@@ -299,13 +328,13 @@ _ELEVEN_KEY_EXTRAS = dict(
      r"DegradationSpec: missing keys \['beta'\], unknown keys \[\]"),
     (json.dumps(_record(specs=[_spec("blur"), _spec("snow", beta=0.5, alpha=-1)],
                         removed=["snow"])),
-     "alpha must be a non-negative int, got -1"),
+     "alpha must be an int >= 0, got -1"),
     (json.dumps(_record(specs=[_spec("blur", alpha=2.0), _spec("rain")])),
-     "alpha must be a non-negative int, got 2.0"),
+     "alpha must be an int >= 0, got 2.0"),
     (json.dumps(_record(specs=[_spec("blur"), _spec("rain", rng_stream=True)])),
-     "rng_stream must be a non-negative int, got True"),
+     "rng_stream must be an int >= 0, got True"),
     (json.dumps(_record(specs=[_spec("blur"), _spec("rain", rng_stream=-5)])),
-     "rng_stream must be a non-negative int, got -5"),
+     "rng_stream must be an int >= 0, got -5"),
     (json.dumps(_record(specs=[_spec("blur"), _spec("haze", beta=0.5, gamma=-3.0)],
                         removed=["haze"])),
      r"haze gamma \(its blob seed\) must be a non-negative whole number, got -3.0"),
@@ -328,12 +357,12 @@ _ELEVEN_KEY_EXTRAS = dict(
      r"blur gamma \(an angle\) must fit in int64, got 10{30}$"),
     (json.dumps(_record(specs=[_spec("blur"), _spec("rain", gamma=10**400)])),
      r"rain gamma \(an angle\) must fit in int64, got 10{400}$"),
-    (json.dumps(_record(id="7")), "id must be a non-negative int, got '7'"),
-    (json.dumps(_record(id=True)), "id must be a non-negative int, got True"),
-    (json.dumps(_record(id=-1)), "id must be a non-negative int, got -1"),
+    (json.dumps(_record(id="7")), "id must be an int >= 0, got '7'"),
+    (json.dumps(_record(id=True)), "id must be an int >= 0, got True"),
+    (json.dumps(_record(id=-1)), "id must be an int >= 0, got -1"),
     (json.dumps(_record(removed=[1])), r"record 7: removed must be a list of str, got \[1\]"),
     (json.dumps(_record(specs=["blur", "rain"])),
-     r"record 7: specs must be a list of dict, got \['blur', 'rain'\]"),
+     r"record 7: specs must be a list of DegradationSpec, got \['blur', 'rain'\]"),
     (json.dumps(_record(split=0)), "record 7: bad split 0"),
     # a key derived from the four stored ones is unknown, whatever its value:
     # an image path that leaves the dataset directory, a prompt that

@@ -1,19 +1,21 @@
 """Contract tests for the degradation renderers: bit-equality with the
 one-primitive-at-a-time loop forms in helpers.py, the beta = 0 identity,
 the [0,1] range and the composition order; for from_record, the one
-reader of every stored JSON record; and for check_removal, the one rule for
-a removal request."""
+reader of every stored JSON record; for check_removal, the one rule for a
+removal request; and for check_int, the one rule for an integer field."""
 
 import itertools
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from promptrestore import degradations as G
-from promptrestore.dataset import DatasetConfig, build_dataset, read_manifest
-from promptrestore.model import MICRO_CONFIG, TOY_CONFIG
+from promptrestore.attention import AttnConfig
+from promptrestore.dataset import DatasetConfig, SampleRecord, build_dataset, read_manifest
+from promptrestore.model import MICRO_CONFIG, TOY_CONFIG, ModelConfig
 from helpers import rain_oracle, snow_mask_oracle
 
 SIZES = (16, 37, 128, 200)
@@ -132,6 +134,36 @@ def test_check_removal_reads_each_iterable_once():
     assert G.check_removal(iter(["rain", "blur"]), iter(["rain"])) == (["blur", "rain"], ["rain"])
     assert G.check_removal((k for k in ["snow", "haze"]), (k for k in ["snow", "haze"])) == \
         (["haze", "snow"], ["haze", "snow"])
+
+
+_ATTN_FIELDS = dict(channels=8, heads=2, agent_h=2, agent_w=2, height=8, width=8, text_len=0)
+_MODEL_FIELDS = asdict(MICRO_CONFIG)
+# (class, keyword arguments of a valid instance, integer field, least value)
+_INT_FIELDS = [
+    *((AttnConfig, _ATTN_FIELDS, name, int(name != "text_len")) for name in _ATTN_FIELDS),
+    *((ModelConfig, _MODEL_FIELDS, name, 1) for name in _MODEL_FIELDS if name != "stage_blocks"),
+    *((ModelConfig, _MODEL_FIELDS, f"stage_blocks[{i}]", 1) for i in range(4)),
+    *((DatasetConfig, {}, name, least) for name, least in (("count", 0), ("image_size", 2),
+                                                            ("seed", 0))),
+    *((G.DegradationSpec, dict(kind="snow", beta=0.5), name, 0) for name in ("alpha", "rng_stream")),
+    (SampleRecord, dict(id=7, specs=[G.DegradationSpec("rain", beta=0.5)], removed=["rain"],
+                        split="train"), "id", 0),
+]
+
+
+@pytest.mark.parametrize("cls, valid, name, least", _INT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, _, name, _ in _INT_FIELDS])
+def test_every_integer_field_follows_check_int(cls, valid, name, least):
+    cls(**valid)
+    field, _, index = name.partition("[")
+    for bad in (True, 2.0, np.int64(3), least - 1):
+        value = bad
+        if index:                   # one entry of a tuple field
+            value = list(valid[field])
+            value[int(index[:-1])] = bad
+        message = f"{name} must be an int >= {least}, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(**{**valid, field: value})
 
 
 def test_compose_sample_rejects_bad_removal_sets():

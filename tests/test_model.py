@@ -11,7 +11,7 @@ import pytest
 
 from promptrestore import tensor as T
 from promptrestore.model import (MICRO_CONFIG, TOY_CONFIG, CheckpointError,
-                                 ConfigError, ModelConfig, RestorationModel,
+                                 ModelConfig, RestorationModel,
                                  load_checkpoint, save_checkpoint)
 from promptrestore.tensor import Tensor
 from promptrestore.text import VOCAB_SHA256
@@ -210,7 +210,7 @@ def test_checkpoint_config_mismatch(tmp_path):
     model = RestorationModel(MICRO_CONFIG, seed=20)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
-    with pytest.raises(ConfigError):
+    with pytest.raises(CheckpointError, match="^checkpoint config does not match requested config$"):
         load_checkpoint(path, config=TOY_CONFIG)
 
 
@@ -332,7 +332,7 @@ def test_checkpoint_vocab_mismatch_raises_before_building(tmp_path, monkeypatch)
         raise AssertionError("model built before the vocab check")
 
     monkeypatch.setattr(RestorationModel, "__init__", build)
-    with pytest.raises(ConfigError, match="checkpoint vocab hash does not match"):
+    with pytest.raises(CheckpointError, match="^checkpoint vocab hash does not match$"):
         load_checkpoint(path)
 
 
@@ -350,7 +350,7 @@ def _edit_record(record, **changes):
     (lambda text: _edit_record(json.loads(text), channels=None),
      r"ModelConfig: missing keys \['channels'\], unknown keys \[\]"),
     (lambda text: _edit_record(json.loads(text), channels="8"),
-     "channels must be a positive int, got '8'"),
+     "channels must be an int >= 1, got '8'"),
     (lambda text: _edit_record(json.loads(text), stage_blocks=[1, 1, 1]),
      "stage_blocks must have 4 entries"),
     # MICRO_CONFIG's latent stage is 2x2 and its 2x2 agent grid fills it
@@ -370,10 +370,10 @@ def test_checkpoint_bad_config_record_raises(tmp_path, edit, message):
 
 
 @pytest.mark.parametrize("changes, message", [
-    (dict(channels=0), "channels must be a positive int, got 0"),
-    (dict(channels=8.0), "channels must be a positive int, got 8.0"),
-    (dict(agent_w=True), "agent_w must be a positive int, got True"),
-    (dict(stage_blocks=(1, 1, 0, 1)), r"stage_blocks must be a positive int, got \(1, 1, 0, 1\)"),
+    (dict(channels=0), "channels must be an int >= 1, got 0"),
+    (dict(channels=8.0), "channels must be an int >= 1, got 8.0"),
+    (dict(agent_w=True), "agent_w must be an int >= 1, got True"),
+    (dict(stage_blocks=(1, 1, 0, 1)), r"stage_blocks\[2\] must be an int >= 1, got 0"),
     (dict(stage_blocks=(1, 1, 1)), "stage_blocks must have 4 entries"),
     (dict(stage_blocks=4), "stage_blocks must have 4 entries"),
     (dict(base_resolution=20), "base_resolution must be divisible by 8"),
@@ -387,7 +387,7 @@ def test_checkpoint_bad_config_record_raises(tmp_path, edit, message):
 ], ids=["zero", "float", "bool", "zero-stage", "three-stages", "int-stages",
         "base-resolution", "agent-grid", "agent-grid-side", "text-heads", "odd-channels"])
 def test_model_config_rejects_bad_values(changes, message):
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ValueError, match=message):
         ModelConfig(**changes)
 
 
