@@ -24,7 +24,7 @@ from .nn import Conv2d, Linear, Module, param
 from .tensor import Tensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttnConfig:
     channels: int
     heads: int

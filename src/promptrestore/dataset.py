@@ -247,7 +247,7 @@ def generate_clean_image(rng: np.random.Generator, size: int) -> np.ndarray:
 # dataset construction
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetConfig:
     count: int = 500
     image_size: int = 64

@@ -6,6 +6,9 @@ the 4C decoder stage, skip connections with 1x1 channel reduction, a final
 decoder level and refinement at 2C, and a long residual from the input
 image to the output. A classifier branch on the pre-fusion latent predicts
 which degradations are present, independent of the prompt.
+
+Every attention layer has one head per C channels, as in Restormer (arXiv
+2111.09881), and its position encodings on level l's grid, base_resolution >> l.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from .degradations import KINDS, check_int, from_record
 from .nn import Conv2d, Linear, Module, Sequential
 from .tensor import Tensor
 from .text import PROMPT_LEN, TEXT_HEADS, VOCAB_SHA256, PromptEncoder, tokenize
-
-HEADS = (1, 2, 4, 8)        # attention heads per stage of the channel ladder
 
 
 class CheckpointError(RuntimeError):
@@ -92,10 +93,15 @@ class RestorationOutput:
     logits: Tensor              # [n_labels] raw degradation scores
 
 
-def _stage(cfg: ModelConfig, level: int, n_blocks: int, channels: int,
-           heads: int, rng) -> Sequential:
-    res = cfg.base_resolution // (2 ** level)
-    attn = AttnConfig(channels, heads, cfg.agent_h, cfg.agent_w, res, res)
+def _attn(cfg: ModelConfig, level: int, channels: int, text_len: int = 0) -> AttnConfig:
+    # one head per C channels, on the grid of ladder level `level`
+    res = cfg.base_resolution >> level
+    return AttnConfig(channels, channels // cfg.channels, cfg.agent_h, cfg.agent_w,
+                      res, res, text_len)
+
+
+def _stage(cfg: ModelConfig, level: int, n_blocks: int, channels: int, rng) -> Sequential:
+    attn = _attn(cfg, level, channels)
     return Sequential(ContextBlock(attn, rng) for _ in range(n_blocks))
 
 
@@ -106,41 +112,34 @@ class RestorationModel(Module):
         self.config = config
         c0, c1, c2, c3 = config.ladder
         blocks = config.stage_blocks
-        res = config.base_resolution
 
         self.input_conv = Conv2d(3, c0, rng)
-        self.enc0 = _stage(config, 0, blocks[0], c0, HEADS[0], rng)
+        self.enc0 = _stage(config, 0, blocks[0], c0, rng)
         self.down0 = Downsample(c0, rng)
-        self.enc1 = _stage(config, 1, blocks[1], c1, HEADS[1], rng)
+        self.enc1 = _stage(config, 1, blocks[1], c1, rng)
         self.down1 = Downsample(c1, rng)
-        self.enc2 = _stage(config, 2, blocks[2], c2, HEADS[2], rng)
+        self.enc2 = _stage(config, 2, blocks[2], c2, rng)
         self.down2 = Downsample(c2, rng)
-        self.latent = _stage(config, 3, blocks[3], c3, HEADS[3], rng)
+        self.latent = _stage(config, 3, blocks[3], c3, rng)
 
         self.classifier = DegradationClassifier(c3, rng)
 
-        fuse_res = res // 8
-        self.fuse_latent = AgentCrossAttention(
-            AttnConfig(c3, HEADS[3], config.agent_h, config.agent_w,
-                       fuse_res, fuse_res, text_len=PROMPT_LEN), rng)
+        self.fuse_latent = AgentCrossAttention(_attn(config, 3, c3, PROMPT_LEN), rng)
 
         self.up2 = Upsample(c3, rng)
         self.reduce2 = Linear(2 * c2, c2, rng)
-        self.fuse_mid = AgentCrossAttention(
-            AttnConfig(c2, HEADS[2], config.agent_h, config.agent_w,
-                       res // 4, res // 4, text_len=PROMPT_LEN), rng)
-        self.dec2 = _stage(config, 2, blocks[2], c2, HEADS[2], rng)
+        self.fuse_mid = AgentCrossAttention(_attn(config, 2, c2, PROMPT_LEN), rng)
+        self.dec2 = _stage(config, 2, blocks[2], c2, rng)
 
         self.up1 = Upsample(c2, rng)
         self.reduce1 = Linear(2 * c1, c1, rng)
-        self.dec1 = _stage(config, 1, blocks[1], c1, HEADS[1], rng)
+        self.dec1 = _stage(config, 1, blocks[1], c1, rng)
 
         self.up0 = Upsample(c1, rng)
         # final level runs on the concat of the C-wide skip and C-wide
         # upsample output: 2C channels, no reduction
-        self.dec0 = _stage(config, 0, blocks[0], c1, HEADS[1], rng)
-        self.refine = _stage(config, 0, config.refinement_blocks, c1,
-                             HEADS[1], rng)
+        self.dec0 = _stage(config, 0, blocks[0], c1, rng)
+        self.refine = _stage(config, 0, config.refinement_blocks, c1, rng)
         self.output_conv = Conv2d(c1, 3, rng, zero_init=True)
 
         self.text_encoder = PromptEncoder(config.channels, config.text_embed_dim,

@@ -1,9 +1,11 @@
 """Parameter containers and the basic trainable layers.
 
-Features are channels-last: Linear maps the last axis of any tensor, and
-Conv2d takes and returns [H,W,C]. Conv2d transposes to and from the [C,H,W]
-signature of tensor.conv2d, which computes channels-last, so both transposes
-are free views; it is the only place a feature visits that layout.
+A Module's parameters and children are read from its attributes, not
+registered on assignment. Features are channels-last: Linear maps the last
+axis of any tensor, and Conv2d takes and returns [H,W,C]. Conv2d transposes
+to and from the [C,H,W] signature of tensor.conv2d, which computes
+channels-last, so both transposes are free views; it is the only place a
+feature visits that layout.
 """
 
 from __future__ import annotations
@@ -17,28 +19,24 @@ from .tensor import Tensor
 
 
 class Module:
-    """Holds named parameters and submodules in declaration order.
+    """Parameters and submodules, read from the module's own attributes.
 
-    Assigning a requires_grad Tensor registers a parameter; assigning a
-    Module registers a child. named_parameters() gives each parameter its
-    dotted path, the name a checkpoint stores it under. Declaration order
-    fixes the order of the init draws, not the checkpoint format. A module
-    keeps no state between calls: a call reads its parameters and config
-    and returns new tensors.
+    Nothing is registered on assignment: named_parameters() yields the
+    requires_grad Tensor attributes, then each Module attribute's
+    parameters under "<name>.", each group in first-assignment order, so a
+    re-assigned or deleted attribute leaves no stale entry. A parameter's
+    dotted path is its checkpoint name; declaration order fixes the init
+    draws. A module keeps no state between calls.
     """
 
-    def __setattr__(self, name, value):
-        if isinstance(value, Tensor) and value.requires_grad:
-            self.__dict__.setdefault("_params", {})[name] = value
-        elif isinstance(value, Module):
-            self.__dict__.setdefault("_children", {})[name] = value
-        object.__setattr__(self, name, value)
-
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for name, p in self.__dict__.get("_params", {}).items():
-            yield prefix + name, p
-        for name, child in self.__dict__.get("_children", {}).items():
-            yield from child.named_parameters(prefix + name + ".")
+        attrs = vars(self).items()
+        for name, value in attrs:
+            if isinstance(value, Tensor) and value.requires_grad:
+                yield prefix + name, value
+        for name, value in attrs:
+            if isinstance(value, Module):
+                yield from value.named_parameters(prefix + name + ".")
 
     def parameters(self) -> Iterator[Tensor]:
         for _, p in self.named_parameters():
@@ -50,15 +48,15 @@ class Module:
 
 
 class Sequential(Module):
-    """Calls its modules in order, each on the previous one's output; child
-    i is named str(i), so its parameters are "<i>.<name>"."""
+    """Calls its modules, its only attributes, in order, each on the previous
+    one's output; child i is the attribute str(i), parameters "<i>.<name>"."""
 
     def __init__(self, modules):
         for i, m in enumerate(modules):
             setattr(self, str(i), m)
 
     def __call__(self, x: Tensor) -> Tensor:
-        for m in self.__dict__.get("_children", {}).values():
+        for m in vars(self).values():
             x = m(x)
         return x
 

@@ -7,7 +7,7 @@ removal request; and for check_int, the one rule for an integer field."""
 import itertools
 import json
 import re
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict
 
 import numpy as np
 import pytest
@@ -164,6 +164,17 @@ def test_every_integer_field_follows_check_int(cls, valid, name, least):
         message = f"{name} must be an int >= {least}, got {bad!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cls(**{**valid, field: value})
+
+
+@pytest.mark.parametrize("config, name", [(AttnConfig(**_ATTN_FIELDS), "heads"),
+                                          (DatasetConfig(), "count")],
+                         ids=["AttnConfig", "DatasetConfig"])
+def test_validated_configs_are_frozen(config, name):
+    # an assignment after __post_init__ would skip its checks
+    before = getattr(config, name)
+    with pytest.raises(FrozenInstanceError):
+        setattr(config, name, 3)
+    assert getattr(config, name) == before
 
 
 def test_compose_sample_rejects_bad_removal_sets():

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from promptrestore import tensor as T
+from promptrestore.attention import AttnConfig
 from promptrestore.model import (MICRO_CONFIG, TOY_CONFIG, CheckpointError,
                                  ModelConfig, RestorationModel,
                                  load_checkpoint, save_checkpoint)
+from promptrestore.nn import Module
 from promptrestore.tensor import Tensor
 from promptrestore.text import VOCAB_SHA256
 
@@ -152,6 +154,33 @@ def test_init_parameters_match_golden_digest(tag, config):
         h.update(repr(p.shape).encode())
         h.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
     assert h.hexdigest() == INIT_DIGESTS[tag]
+
+
+# one head per C channels: 1, 2, 4, 8 on the ladder, 2 in the 2C final level
+LADDER_HEADS = dict(enc0=1, enc1=2, enc2=4, latent=8, fuse_latent=8, fuse_mid=4,
+                    dec2=4, dec1=2, dec0=2, refine=2)
+
+
+def _attention_heads(module, found):
+    # heads of every module under `module` that carries an AttnConfig
+    if isinstance(getattr(module, "cfg", None), AttnConfig):
+        found.append(module.cfg.heads)
+    for child in vars(module).values():
+        if isinstance(child, Module):
+            _attention_heads(child, found)
+    return found
+
+
+@pytest.mark.parametrize("config", [TOY_CONFIG, ModelConfig()], ids=["toy", "default"])
+def test_attention_heads_follow_the_channel_ladder(config):
+    model = RestorationModel(config)
+    b0, b1, b2, b3 = config.stage_blocks
+    sites = dict(enc0=b0, enc1=b1, enc2=b2, latent=b3, fuse_latent=1, fuse_mid=1,
+                 dec2=b2, dec1=b1, dec0=b0, refine=config.refinement_blocks)
+    found = {name: _attention_heads(child, []) for name, child in vars(model).items()
+             if isinstance(child, Module) and name != "text_encoder"}
+    assert {name: heads for name, heads in found.items() if heads} == \
+        {name: [LADDER_HEADS[name]] * n for name, n in sites.items()}
 
 
 # ---------------------------------------------------------------------------

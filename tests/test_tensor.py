@@ -441,6 +441,17 @@ def test_backward_square():
     np.testing.assert_allclose(x.grad, [6.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_item_reads_any_size_one_tensor(shape):
+    value = Tensor(np.full(shape, 2.5)).item()
+    assert value == 2.5 and type(value) is float
+
+
+def test_item_rejects_a_tensor_of_another_size():
+    with pytest.raises(ValueError, match="^can only convert an array of size 1"):
+        Tensor(np.ones(2)).item()
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
