@@ -1,7 +1,7 @@
 """promptrestore: text-prompted multi-degradation image restoration.
 
 Library layout:
-  tensor / nn     float64 autodiff core and trainable layers
+  tensor / nn     float32/float64 autodiff core and trainable layers
   _kernels        numpy depthwise 3x3 and GELU kernels behind tensor
   attention       agent self/cross attention and a vanilla self-attention baseline
   blocks          residual context blocks, gated feedforward, sampling units

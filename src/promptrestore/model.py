@@ -35,6 +35,15 @@ class CheckpointError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Shape of a RestorationModel and the dtype it computes in.
+
+    dtype is "float32" or "float64". The presets that are run, the default
+    (paper scale) and TOY_CONFIG, compute in float32: every op is bound by
+    memory bandwidth, so half the bytes per value halves a restore, and the
+    paper-scale training step fits in memory. MICRO_CONFIG computes in
+    float64, the precision its finite-difference gradient checks need.
+    """
+
     channels: int = 48
     stage_blocks: tuple[int, ...] = (4, 6, 6, 8)
     refinement_blocks: int = 4
@@ -43,12 +52,14 @@ class ModelConfig:
     base_resolution: int = 128
     text_embed_dim: int = 128
     text_layers: int = 2
+    dtype: str = "float32"
 
     def __post_init__(self):
         if not isinstance(self.stage_blocks, (tuple, list)) or len(self.stage_blocks) != 4:
             raise ValueError(f"stage_blocks must have 4 entries, got {self.stage_blocks!r}")
         object.__setattr__(self, "stage_blocks", tuple(self.stage_blocks))
-        ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "stage_blocks"]
+        ints = [(f.name, getattr(self, f.name)) for f in fields(self)
+                if f.name not in ("stage_blocks", "dtype")]
         ints += [(f"stage_blocks[{i}]", n) for i, n in enumerate(self.stage_blocks)]
         for name, value in ints:
             check_int(name, value, 1)
@@ -64,6 +75,8 @@ class ModelConfig:
         if self.text_embed_dim % TEXT_HEADS:
             raise ValueError(f"text_embed_dim {self.text_embed_dim} not divisible by "
                              f"the {TEXT_HEADS} text encoder heads")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
 
     @property
     def ladder(self) -> tuple[int, int, int, int]:
@@ -80,11 +93,11 @@ TOY_CONFIG = ModelConfig(channels=16, stage_blocks=(1, 1, 1, 2),
                          refinement_blocks=1, agent_h=4, agent_w=4,
                          base_resolution=64)
 
-# preset for micro gradient checks
+# preset for micro gradient checks, in float64 for their finite differences
 MICRO_CONFIG = ModelConfig(channels=8, stage_blocks=(1, 1, 1, 1),
                            refinement_blocks=1, agent_h=2, agent_w=2,
                            base_resolution=16, text_embed_dim=32,
-                           text_layers=1)
+                           text_layers=1, dtype="float64")
 
 
 @dataclass
@@ -144,6 +157,9 @@ class RestorationModel(Module):
 
         self.text_encoder = PromptEncoder(config.channels, config.text_embed_dim,
                                           config.text_layers, rng)
+        # drawn in float64 above, so the draws do not depend on the dtype
+        for p in self.parameters():
+            p.data = p.data.astype(config.dtype, copy=False)
 
     # ------------------------------------------------------------------
     def encode(self, image: Tensor) -> tuple[Tensor, list[Tensor]]:
@@ -153,6 +169,9 @@ class RestorationModel(Module):
         h, w, _ = image.shape
         if not h or not w or h % 8 or w % 8:
             raise T.ShapeError(f"spatial size {h}x{w} is not a positive multiple of 8")
+        if image.data.dtype != self.config.dtype:
+            raise ValueError(f"image is {image.data.dtype}, but the model computes "
+                             f"in {self.config.dtype}")
         finite = np.isfinite(image.data)
         if not finite.all():      # input validation, so no_nan_checks does not skip it
             raise T.NonFiniteError(f"image: {image.size - finite.sum()} of {image.size} "
@@ -171,8 +190,12 @@ class RestorationModel(Module):
         return self.text_encoder(ids)
 
     def restore(self, image, prompt: str) -> RestorationOutput:
-        """Remove the degradations named in the prompt from image [H,W,3]."""
-        img = image if isinstance(image, Tensor) else Tensor(image)
+        """Remove the degradations named in the prompt from image [H,W,3].
+
+        An array image is converted to the model's dtype; a Tensor must have
+        it. Both outputs have the model's dtype."""
+        img = image if isinstance(image, Tensor) else \
+            Tensor(np.asarray(image, dtype=self.config.dtype))
         feat_wide, feat_mid = self.encode_prompt(prompt)
         latent, skips = self.encode(img)
         logits = self.classifier(latent)          # pre-fusion, prompt-independent
@@ -189,16 +212,17 @@ class RestorationModel(Module):
 # ---------------------------------------------------------------------------
 # checkpoint: an uncompressed npz archive, members read back by name
 
-_VERSION = 3
+_VERSION = 4
 # not an intact npz archive: BadZipFile includes a failed CRC-32, RuntimeError
 # a set encryption flag and (as NotImplementedError) an unknown compression
 _UNREADABLE = (zipfile.BadZipFile, OSError, ValueError, EOFError, RuntimeError)
 
 
 def save_checkpoint(model: RestorationModel, path) -> None:
-    """Write an uncompressed npz archive of the members version, config (JSON),
-    vocab (VOCAB_SHA256 as uint8) and one array per named_parameters() path.
-    Its zip entries carry a fixed date, so one model always saves to the same bytes."""
+    """Write an uncompressed npz archive of the members version, config (JSON,
+    the dtype included), vocab (VOCAB_SHA256 as uint8) and one array, in the
+    model's dtype, per named_parameters() path. Its zip entries carry a fixed
+    date, so one model always saves to the same bytes."""
     with open(str(path), "wb") as fh:       # a file handle: savez appends no .npz
         np.savez(fh, version=np.array(_VERSION),
                  config=np.array(json.dumps(asdict(model.config))),
@@ -232,8 +256,8 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> RestorationModel
     CRC-32 included), another version, a config record that from_record
     rejects (not an object of exactly the ModelConfig fields) or that
     ModelConfig rejects, a config other than the requested one, another vocab
-    hash, or a missing, unknown, misshapen, non-float64 or non-finite member
-    raise CheckpointError, naming the member.
+    hash, or a missing, unknown, misshapen or non-finite member, or one
+    whose dtype is not the config's, raise CheckpointError, naming the member.
     """
     with open(str(path), "rb") as fh:
         try:
@@ -257,9 +281,9 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> RestorationModel
             raise CheckpointError(f"checkpoint has unknown members {unknown}")
         for name, p in params.items():
             value = _member(archive, name)
-            if value.shape != p.shape or value.dtype != T.DTYPE:
+            if value.shape != p.shape or value.dtype != stored.dtype:
                 raise CheckpointError(f"parameter {name}: stored {value.dtype} {value.shape}, "
-                                      f"expected float64 {p.shape}")
+                                      f"expected {stored.dtype} {p.shape}")
             if not np.isfinite(value).all():
                 raise CheckpointError(f"parameter {name}: non-finite values")
             p.data = value

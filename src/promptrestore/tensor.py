@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 The op set is what the restoration model needs: matmul (a linear map of the
 last axis, or batched), conv2d (3x3, dense or depthwise), softmax, layer norm,
@@ -26,9 +26,15 @@ scans its output for NaN/Inf in `_finish` and raises NonFiniteError, except
 reshape and transpose: a view holds its input's values, and the first
 computing op on it scans them.
 
+Dtypes: a Tensor holds a float32 or float64 array; anything else is cast
+to DTYPE (float64). An op allocates in its inputs' dtype, and scalars are
+Python floats, which never upcast (NEP 50), so a float32 model runs in
+float32 end to end. An op that mixes dtypes computes in the wider one, and
+its backward hands each parent its gradient in that parent's dtype: a
+float64 loss target leaves a float32 model's gradients float32.
+
 Layout conventions:
-  * arrays are float64, and an op allocates in its input's dtype; op
-    outputs are row-major, except conv2d's
+  * op outputs are row-major, except conv2d's
   * every image op is channels-last [H,W,C] (pixel shuffle / unshuffle,
     adaptive pooling, bilinear resize, the _kernels depthwise kernels).
     conv2d is the only op that takes [C,H,W]: it transposes to [H,W,C]
@@ -49,7 +55,8 @@ import numpy as np
 
 from . import _kernels
 
-DTYPE = np.float64
+DTYPE = np.float64          # what a Tensor casts any non-float32/64 data to
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 _LN_EPS = 1e-6  # inside layer_norm's sqrt denominator
 
 
@@ -89,7 +96,9 @@ def no_nan_checks():
 
 
 class Tensor:
-    """A dense float64 array that can participate in gradient recording.
+    """A dense float32 or float64 array that can participate in gradient
+    recording. A float32 or float64 array is kept as given (no copy); other
+    data (ints, lists, float16) is cast to DTYPE.
 
     A taped op's output records the tape and node index that made it.
     """
@@ -97,8 +106,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_tape", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=DTYPE)
-        self.data = arr
+        arr = np.asarray(data)
+        self.data = arr if arr.dtype in _FLOATS else arr.astype(DTYPE)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self._tape: Optional[Tape] = None
@@ -205,8 +214,19 @@ def _finish(out_data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
     tape = _taped(parents)
     if tape is not None:
         out.requires_grad = True
+        dtypes = tuple(p.data.dtype for p in parents)
+        if any(d != out.data.dtype for d in dtypes):
+            backward = _cast_grads(backward, dtypes)
         tape._record(out, tuple(parents), backward)
     return out
+
+
+def _cast_grads(backward: Callable, dtypes: tuple) -> Callable:
+    # a mixed-dtype op computes its gradients in the output's (wider) dtype;
+    # each parent receives its own in its dtype
+    def cast(g):
+        return tuple(pg.astype(d, copy=False) for pg, d in zip(backward(g), dtypes))
+    return cast
 
 
 # ---------------------------------------------------------------------------

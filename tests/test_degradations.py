@@ -141,7 +141,8 @@ _MODEL_FIELDS = asdict(MICRO_CONFIG)
 # (class, keyword arguments of a valid instance, integer field, least value)
 _INT_FIELDS = [
     *((AttnConfig, _ATTN_FIELDS, name, int(name != "text_len")) for name in _ATTN_FIELDS),
-    *((ModelConfig, _MODEL_FIELDS, name, 1) for name in _MODEL_FIELDS if name != "stage_blocks"),
+    *((ModelConfig, _MODEL_FIELDS, name, 1) for name in _MODEL_FIELDS
+      if name not in ("stage_blocks", "dtype")),
     *((ModelConfig, _MODEL_FIELDS, f"stage_blocks[{i}]", 1) for i in range(4)),
     *((DatasetConfig, {}, name, least) for name, least in (("count", 0), ("image_size", 2),
                                                             ("seed", 0))),

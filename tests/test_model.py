@@ -39,14 +39,14 @@ def rand_image(h, w, seed=0):
 
 def test_encode_default_config_latent_shape():
     model = RestorationModel(ModelConfig(), seed=1)
-    latent, skips = model.encode(Tensor(rand_image(128, 128, seed=2)))
+    latent, skips = model.encode(Tensor(rand_image(128, 128, seed=2).astype(model.config.dtype)))
     assert latent.shape == (16, 16, 384)
     assert [s.shape for s in skips] == [(128, 128, 48), (64, 64, 96), (32, 32, 192)]
 
 
 def test_encode_deterministic():
     model = toy_model(seed=3)
-    img = Tensor(rand_image(64, 64, seed=4))
+    img = Tensor(rand_image(64, 64, seed=4).astype(model.config.dtype))
     a, _ = model.encode(img)
     b, _ = model.encode(img)
     np.testing.assert_array_equal(a.data, b.data)
@@ -61,6 +61,18 @@ def test_encode_rejects_bad_shapes():
                            ((16, 16, 3, 1), r"expected \[H,W,3\] image, got \(16, 16, 3, 1\)")):
         with pytest.raises(T.ShapeError, match=f"^{message}$"):
             model.encode(Tensor(np.zeros(shape)))
+
+
+@pytest.mark.parametrize("config, image_dtype", [(TOY_CONFIG, "float64"),
+                                                  (MICRO_CONFIG, "float32")])
+def test_encode_rejects_an_image_of_another_dtype_naming_both(config, image_dtype):
+    # a float64 image must not quietly turn a float32 forward into float64
+    model = RestorationModel(config, seed=0)
+    img = Tensor(rand_image(16, 16).astype(image_dtype))
+    message = f"^image is {image_dtype}, but the model computes in {config.dtype}$"
+    for call in (lambda: model.encode(img), lambda: model.restore(img, "Remove rain.")):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -99,7 +111,76 @@ def test_zeroed_output_head_gives_identity():
     model.output_conv.bias.data = np.zeros_like(model.output_conv.bias.data)
     img = rand_image(64, 64, seed=10)
     out = model.restore(img, "Remove blur, snow.")
-    np.testing.assert_array_equal(out.restored.data, img)
+    np.testing.assert_array_equal(out.restored.data, img.astype(model.config.dtype))
+
+
+def test_float32_restore_computes_every_op_in_float32(monkeypatch):
+    model = toy_model(seed=40)
+    finish, dtypes = T._finish, []
+
+    def record(out_data, *args, **kwargs):
+        dtypes.append(out_data.dtype)
+        return finish(out_data, *args, **kwargs)
+
+    monkeypatch.setattr(T, "_finish", record)
+    out = model.restore(rand_image(64, 64, seed=41), "Remove rain, haze.")
+    assert len(dtypes) > 100 and set(dtypes) == {np.dtype(np.float32)}
+    assert out.restored.data.dtype == out.logits.data.dtype == np.float32
+
+
+def _nonzero_output_head(model, seed):
+    # output_conv is zero-initialised, which would stop every gradient behind it
+    w = model.output_conv.weight
+    w.data = rng(seed).normal(0.0, 0.02, w.shape).astype(w.data.dtype)
+
+
+def test_float32_restore_is_bit_identical_on_repeat():
+    model = toy_model(seed=42)
+    _nonzero_output_head(model, 43)
+    img = rand_image(64, 64, seed=44)
+    a, b = (model.restore(img, "Remove snow.") for _ in range(2))
+    np.testing.assert_array_equal(a.restored.data, b.restored.data)
+    np.testing.assert_array_equal(a.logits.data, b.logits.data)
+
+
+def test_float32_step_with_a_float64_target_gives_float32_gradients():
+    model = toy_model(seed=45)
+    _nonzero_output_head(model, 46)
+    target, labels = Tensor(rand_image(64, 64, seed=47)), Tensor(np.array([1.0, 0, 0, 1, 0]))
+    with T.Tape() as tape:
+        out = model.restore(rand_image(64, 64, seed=48), "Remove blur.")
+        loss = T.add(T.mean_all(T.absolute(T.sub(out.restored, target))),
+                     T.mean_all(T.mul(labels, out.logits)))
+    assert loss.data.dtype == np.float64
+    tape.backward(loss)
+    assert [(name, p.grad.dtype) for name, p in model.named_parameters()] == \
+        [(name, np.float32) for name, _ in model.named_parameters()]
+
+
+def _numcheck_gradients(config):
+    # tools/numcheck.py's taped case at 16x16: model seed 3, data seed 11,
+    # L1 + mean-logit loss
+    model = RestorationModel(config, seed=3)
+    r = rng(11)
+    w = model.output_conv.weight
+    w.data = r.normal(0.0, 0.02, w.shape).astype(config.dtype)
+    img, gt = r.uniform(0, 1, (16, 16, 3)), r.uniform(0, 1, (16, 16, 3))
+    with T.Tape() as tape:
+        out = model.restore(img, "remove the rain and the haze")
+        loss = T.add(T.mean_all(T.absolute(T.sub(out.restored, Tensor(gt)))),
+                     T.mean_all(out.logits))
+    tape.backward(loss)
+    return [p.grad for p in model.parameters()]
+
+
+def test_float32_gradients_match_float64_within_1e_4_of_their_scale():
+    # measured: max |g32 - g64| 3.6e-7 against max |g64| 0.458
+    g64 = _numcheck_gradients(MICRO_CONFIG)
+    g32 = _numcheck_gradients(dataclasses.replace(MICRO_CONFIG, dtype="float32"))
+    assert {g.dtype for g in g64} == {np.dtype(np.float64)}
+    assert {g.dtype for g in g32} == {np.dtype(np.float32)}
+    diff = max(float(np.abs(a - b).max()) for a, b in zip(g32, g64))
+    assert diff <= 1e-4 * max(float(np.abs(g).max()) for g in g64)
 
 
 def test_classifier_ignores_prompt():
@@ -137,9 +218,9 @@ def test_micro_model_end_to_end_gradients():
 # initialisation
 
 
-# sha256 over (name, shape, little-endian f64 bytes) of named_parameters() at
-# seed 0. A change that moves a parameter, an init draw or the checkpoint
-# order changes it; a pure refactor must not.
+# sha256 over (name, shape, little-endian f64 bytes) of named_parameters() of
+# the float64 model at seed 0. A change that moves a parameter, an init draw
+# or the checkpoint order changes it; a pure refactor must not.
 INIT_DIGESTS = {
     "toy": "894d8e8fa14479b6a9abd946938b854ab6bc6f96b93015567efe1e7360efd66e",
     "micro": "66390666aafb444794611b8e26ee9cad229902e41adbb74e9e4f3b0cf3027987",
@@ -148,12 +229,18 @@ INIT_DIGESTS = {
 
 @pytest.mark.parametrize("tag, config", [("toy", TOY_CONFIG), ("micro", MICRO_CONFIG)])
 def test_init_parameters_match_golden_digest(tag, config):
+    drawn = RestorationModel(dataclasses.replace(config, dtype="float64"), seed=0)
     h = hashlib.sha256()
-    for name, p in RestorationModel(config, seed=0).named_parameters():
+    for name, p in drawn.named_parameters():
         h.update(name.encode())
         h.update(repr(p.shape).encode())
         h.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
     assert h.hexdigest() == INIT_DIGESTS[tag]
+    # a model in another dtype holds the same draws, cast
+    for (_, a), (_, b) in zip(drawn.named_parameters(),
+                              RestorationModel(config, seed=0).named_parameters()):
+        assert b.data.dtype == config.dtype
+        np.testing.assert_array_equal(b.data, a.data.astype(config.dtype))
 
 
 # one head per C channels: 1, 2, 4, 8 on the ladder, 2 in the 2C final level
@@ -214,6 +301,31 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert na == nb
         np.testing.assert_array_equal(a.data, b.data)
         assert b.data.dtype == np.float64 and b.data.flags.writeable
+
+
+def test_float32_checkpoint_round_trip_keeps_the_dtype(tmp_path):
+    config = dataclasses.replace(MICRO_CONFIG, dtype="float32")
+    model = RestorationModel(config, seed=34)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path, config=config)
+    assert loaded.config == config
+    for (na, a), (nb, b) in zip(model.named_parameters(), loaded.named_parameters()):
+        assert na == nb and b.data.dtype == np.float32
+        np.testing.assert_array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("dtype, member_dtype", [("float64", np.float32),
+                                                 ("float32", np.float64)])
+def test_checkpoint_member_of_another_dtype_raises_naming_the_expected_one(
+        tmp_path, dtype, member_dtype):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(RestorationModel(dataclasses.replace(MICRO_CONFIG, dtype=dtype), seed=35), path)
+    _rewrite(path, **{"input_conv.bias": np.zeros(8, member_dtype)})
+    message = (rf"^parameter input_conv\.bias: stored {np.dtype(member_dtype)} \(8,\), "
+               rf"expected {dtype} \(8,\)$")
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
 
 
 def test_checkpoint_saves_are_byte_identical(tmp_path, monkeypatch):
@@ -413,8 +525,11 @@ def test_checkpoint_bad_config_record_raises(tmp_path, edit, message):
      r"agent_h x agent_w = 1x16 exceeds the latent stage's 4x4 grid"),
     (dict(text_embed_dim=126), "text_embed_dim 126 not divisible by the 4 text encoder heads"),
     (dict(channels=7), r"channels must be even \(the first Downsample halves it\), got 7"),
+    (dict(dtype="float16"), "dtype must be 'float32' or 'float64', got 'float16'"),
+    (dict(dtype=np.float32), "dtype must be 'float32' or 'float64', got <class 'numpy.float32'>"),
 ], ids=["zero", "float", "bool", "zero-stage", "three-stages", "int-stages",
-        "base-resolution", "agent-grid", "agent-grid-side", "text-heads", "odd-channels"])
+        "base-resolution", "agent-grid", "agent-grid-side", "text-heads", "odd-channels",
+        "float16", "dtype-object"])
 def test_model_config_rejects_bad_values(changes, message):
     with pytest.raises(ValueError, match=message):
         ModelConfig(**changes)

@@ -316,20 +316,21 @@ def test_embedding_lookup_and_range_check():
 
 
 @pytest.mark.parametrize("stride", [1, 2])
-def test_dense_conv_and_embedding_compute_in_their_input_dtype(monkeypatch, stride):
-    # every Tensor is float32 under the patch; an op that allocated float64
-    # buffers would hand float64 gradients to the leaves
-    monkeypatch.setattr(T, "DTYPE", np.float32)
-    x, w, b, table = (Tensor(a, requires_grad=True) for a in (
+def test_dense_conv_and_embedding_compute_in_their_input_dtype(stride):
+    # every leaf is float32; an op that allocated float64 buffers would give
+    # a float64 output, or hand float64 gradients to the leaves
+    x, w, b, table = (Tensor(a.astype(np.float32), requires_grad=True) for a in (
         rand(3, 6, 5, seed=60), rand(4, 3, 3, 3, seed=61), rand(4, seed=62), rand(7, 4, seed=63)))
     with Tape() as tape:
         y = T.conv2d(x, w, b, stride=stride)
-        loss = T.add(T.mean_all(y), T.mean_all(T.embedding(table, np.array([2, 2, 6]))))
+        e = T.embedding(table, np.array([2, 2, 6]))
+        loss = T.add(T.mean_all(y), T.mean_all(e))
+    assert (y.data.dtype, e.data.dtype) == (np.float32, np.float32)
     tape.backward(loss)
     assert [t.grad.dtype for t in (x, w, b, table)] == [np.float32] * 4
 
 
-def test_pool_and_resize_matrices_are_built_per_dtype(monkeypatch):
+def test_pool_and_resize_matrices_are_built_per_dtype():
     # a float32 call must leave the float64 matrices alone: 1/3 (5 -> 2 pool)
     # and 1/3, 2/3 (5 -> 4 resize) are not exact in float32
     x = Tensor(rand(5, 5, 2, seed=70))
@@ -342,9 +343,8 @@ def test_pool_and_resize_matrices_are_built_per_dtype(monkeypatch):
     clear()
     fresh = [op(x).data for op in ops]
     clear()
-    with monkeypatch.context() as m:
-        m.setattr(T, "DTYPE", np.float32)
-        assert [op(Tensor(x.data)).data.dtype for op in ops] == [np.float32] * 2
+    x32 = Tensor(x.data.astype(np.float32))
+    assert [op(x32).data.dtype for op in ops] == [np.float32] * 2
     for op, want in zip(ops, fresh):
         got = op(x).data
         assert got.dtype == np.float64
@@ -382,6 +382,45 @@ _W, _B = Tensor(np.zeros((2, 2, 3, 3))), Tensor(np.zeros(2))
 def test_shape_errors_name_the_op_and_the_shapes(call, message):
     with pytest.raises(T.ShapeError, match=f"^{message}$"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# dtypes
+
+
+@pytest.mark.parametrize("data, dtype", [
+    (np.zeros(3, np.float32), np.float32),
+    (np.zeros(3), np.float64),
+    (np.arange(3), np.float64),
+    ([1, 2, 3], np.float64),
+    (np.zeros(3, np.float16), np.float64),
+], ids=["float32", "float64", "int", "list", "float16"])
+def test_tensor_keeps_float32_and_float64_and_casts_the_rest_to_float64(data, dtype):
+    t = Tensor(data)
+    assert t.data.dtype == dtype
+    np.testing.assert_array_equal(t.data, data)
+    if isinstance(data, np.ndarray) and data.dtype == dtype:
+        assert t.data is data                   # kept as given, not copied
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul], ids=["add", "sub", "mul"])
+def test_mixed_dtype_op_hands_each_leaf_a_gradient_in_its_own_dtype(op):
+    a32 = rand(3, 4, seed=80).astype(np.float32)
+    b = rand(3, 4, seed=81)
+    grads = []
+    for a_data in (a32.astype(np.float64), a32):
+        a, bt = Tensor(a_data, requires_grad=True), Tensor(b, requires_grad=True)
+        with Tape() as tape:
+            out = op(a, bt)
+            loss = T.mean_all(out)
+        assert out.data.dtype == np.float64     # computed in the wider dtype
+        tape.backward(loss)
+        grads.append((a.grad, bt.grad))
+    (a64_grad, b64_grad), (a32_grad, b_grad) = grads
+    assert (a32_grad.dtype, b_grad.dtype) == (np.float32, np.float64)
+    # the float64 computation, each gradient then cast to its leaf's dtype
+    np.testing.assert_array_equal(a32_grad, a64_grad.astype(np.float32))
+    np.testing.assert_array_equal(b_grad, b64_grad)
 
 
 # ---------------------------------------------------------------------------

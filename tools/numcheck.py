@@ -5,12 +5,16 @@
 
 `dump` imports promptrestore from <checkout>/src and saves, for fixed seeds,
 the outputs of `RestorationModel.restore` (restored image and logits), the
-loss of a taped L1 + mean-logit loss and every parameter gradient:
+loss of a taped L1 + mean-logit loss and every parameter gradient, all in
+float64 (TOY_CONFIG computes in float32, so its runs are pinned at float64):
 
   toy     TOY_CONFIG at 64x64, forward and backward
   micro   MICRO_CONFIG at 16x16, forward and backward
   toy128  TOY_CONFIG at 128x128, forward only (twice the native resolution,
           so the position encodings are resized)
+
+A checkout whose ModelConfig has no dtype field (before float32 models)
+computes in float64 throughout; dump it with that checkout's own numcheck.py.
 
 `compare` prints, over the arrays of both files, the worst difference scaled
 by max(1, max|parent|), how many arrays are bit-equal and which exceed
@@ -31,6 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse           # noqa: E402
 import sys                # noqa: E402
+from dataclasses import replace  # noqa: E402
 
 import numpy as np        # noqa: E402
 
@@ -43,10 +48,11 @@ def dump(checkout: str, out_path: str) -> None:
     from promptrestore import tensor as T
     from promptrestore.model import MICRO_CONFIG, TOY_CONFIG, RestorationModel
 
+    toy = replace(TOY_CONFIG, dtype="float64")
     out = {}
-    for tag, cfg, size, taped in (("toy", TOY_CONFIG, 64, True),
+    for tag, cfg, size, taped in (("toy", toy, 64, True),
                                   ("micro", MICRO_CONFIG, 16, True),
-                                  ("toy128", TOY_CONFIG, 128, False)):
+                                  ("toy128", toy, 128, False)):
         m = RestorationModel(cfg, seed=3)
         rng = np.random.default_rng(11)
         # output_conv is zero-initialised, which would make restored == input
