@@ -20,7 +20,8 @@ GDFN_EXPANSION = 2.66       # gated FFN width over its channels (Restormer, arXi
 
 class GatedDConvFFN(Module):
     """Two 1x1-conv + depthwise-3x3 paths of GDFN_EXPANSION times the
-    channels; GELU(path1) gates path2."""
+    channels; GELU(path1) gates path2 through tensor.gated_gelu, which
+    holds the two paths for backward and not the GELU output too."""
 
     def __init__(self, channels: int, rng: np.random.Generator):
         h = max(1, round(channels * GDFN_EXPANSION))
@@ -31,7 +32,7 @@ class GatedDConvFFN(Module):
         self.proj_out = Linear(h, channels, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        gated = T.mul(T.gelu(self.dw1(self.proj1(x))), self.dw2(self.proj2(x)))
+        gated = T.gated_gelu(self.dw1(self.proj1(x)), self.dw2(self.proj2(x)))
         return self.proj_out(gated)
 
 

@@ -3,11 +3,12 @@
 The op set is what the restoration model needs: matmul (a linear map of the
 last axis, or batched), conv2d (3x3, dense or depthwise), softmax, layer norm,
 pixel shuffle / unshuffle, adaptive average pooling, bilinear resize, embedding
-lookup and a small elementwise suite, plus sub, exp, log, absolute and
-mean_all, which the model does not call: the library has no loss, and
-perfbench's train_64 L1 + BCE loss and tools/numcheck.py build theirs from
-them. Forward ops never mutate their inputs; gradients are recorded on an
-explicit Tape and replayed in reverse.
+lookup, gated_gelu (gelu(a) * b, the gated FFN's gate, as one op that
+holds only a and b for backward) and a small elementwise suite, plus sub,
+exp, log, absolute and mean_all, which the model does not call: the library
+has no loss, and perfbench's train_64 L1 + BCE loss and tools/numcheck.py
+build theirs from them. Forward ops never mutate their inputs; gradients are
+recorded on an explicit Tape and replayed in reverse.
 
 What a tape holds: per taped op, its backward closure and a reference to
 each parent that needs a gradient, nothing else. A parent made on the same
@@ -18,13 +19,19 @@ in backward, and each closure captures only the arrays its backward reads.
 What backward keeps: from a loss the tape recorded, one table from a node
 index or a leaf Tensor to its gradient so far, a plain array that a later
 contribution replaces with a fresh sum, so backward writes into no array. A
-node's entry is dropped when the walk reaches it; a leaf's entry is copied
-or added into its .grad.
+node's entry is dropped when the walk reaches it. A leaf's entry becomes its
+.grad without a copy when the array owns its data and no other leaf took it,
+is copied otherwise, and is added into a .grad the leaf already has; either
+way a leaf's .grad is an array no other leaf or op holds (Tape.backward
+states the rule every op's backward keeps for this).
 
 Non-finite checks: with checks on (the default; see no_nan_checks) every op
 scans its output for NaN/Inf in `_finish` and raises NonFiniteError, except
 reshape and transpose: a view holds its input's values, and the first
-computing op on it scans them.
+computing op on it scans them. The scan is one dot product of the output
+with itself, which is NaN or inf when any value is, and allocates nothing;
+only when that is not finite does an exact elementwise test decide, so
+finite values whose squares overflow do not raise.
 
 Dtypes: a Tensor holds a float32 or float64 array; anything else is cast
 to DTYPE (float64). An op allocates in its inputs' dtype, and scalars are
@@ -176,8 +183,18 @@ class Tape:
         loss must be a scalar this tape recorded, else ValueError. Grads
         accumulate into leaves, so calling backward for several losses (e.g.
         per-sample in a batch) sums their gradients. The walk writes into no
-        array: a second contribution allocates the sum, and each leaf's
-        .grad is a copy or a fresh sum that the leaf alone owns.
+        array: a second contribution allocates the sum. Each leaf's .grad
+        is an array the leaf alone owns: a leaf with no .grad takes its
+        table array itself when that array owns its data and no other leaf
+        took it, else a copy (a view, or the one array add hands both its
+        parents); a leaf with a .grad gets a fresh sum.
+
+        Handing the table's arrays over is sound because, after the walk,
+        the table is their only holder. Every op must keep the rule that
+        makes this so: a backward closure keeps no gradient, and returns
+        arrays derived from its g (g itself, a view of it, or a result
+        computed from it) or fresh ones, never an array something else
+        holds, such as an input's data or an array the closure captured.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -194,9 +211,16 @@ class Tape:
             for ref, pg in zip(refs, backward(g)):
                 if ref is not None:
                     table[ref] = pg if ref not in table else table[ref] + pg
+        handed = set()      # ids of the arrays a leaf took as its .grad
         for leaf, g in table.items():
             assert g.shape == leaf.data.shape
-            leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
+            if leaf.grad is not None:
+                leaf.grad = leaf.grad + g
+            elif g.base is None and id(g) not in handed:
+                handed.add(id(g))
+                leaf.grad = g
+            else:
+                leaf.grad = g.copy()
 
 
 def _taped(parents: Sequence[Tensor]) -> Optional[Tape]:
@@ -205,10 +229,20 @@ def _taped(parents: Sequence[Tensor]) -> Optional[Tape]:
     return stack[-1] if stack and any(p.requires_grad for p in parents) else None
 
 
+def _finite(a: np.ndarray) -> bool:
+    # one pass that allocates nothing: a sum of squares is NaN or inf when any
+    # value is; only then (or when finite squares overflow) does the exact
+    # elementwise test run. ravel(order="K") is a view of every op output
+    flat = a.ravel(order="K")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.dot(flat, flat)
+    return bool(np.isfinite(sq)) or bool(np.isfinite(a).all())
+
+
 def _finish(out_data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
             opname: str, scan: bool = True) -> Tensor:
     # scan is False only for views (reshape, transpose)
-    if scan and _state.nan_checks and not np.all(np.isfinite(out_data)):
+    if scan and _state.nan_checks and not _finite(out_data):
         raise NonFiniteError(f"{opname} produced non-finite values")
     out = Tensor(out_data)
     tape = _taped(parents)
@@ -264,6 +298,25 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     lead = tuple(range(x.ndim - b.ndim))
     return _finish(x.data + b.data, (x, b),
                    lambda g: (g, g.sum(axis=lead) if lead else g), "add_bias")
+
+
+def gated_gelu(a: Tensor, b: Tensor) -> Tensor:
+    """gelu(a) * b, the gate of the gated FFN, as one op. Backward
+    recomputes gelu(a) and its slope from a, so a taped call holds a's and
+    b's data and no third array. For a and b of one dtype, values and
+    gradients are bit-equal to mul(gelu(a), b)."""
+    if a.shape != b.shape:
+        raise ShapeError(f"gated_gelu: shapes {a.shape} vs {b.shape}")
+    ad, bd = a.data, b.data
+    y = _kernels.gelu(ad, False)[0]
+    # in place unless b is the wider dtype
+    out = np.multiply(y, bd, out=y if np.can_cast(bd.dtype, y.dtype) else None)
+
+    def backward(g):
+        y, slope = _kernels.gelu(ad, True)
+        return (g * bd) * slope, g * y
+
+    return _finish(out, (a, b), backward, "gated_gelu")
 
 
 def gelu(x: Tensor) -> Tensor:

@@ -282,6 +282,65 @@ def test_gelu_zero():
     assert T.gelu(Tensor(np.zeros(2))).data[0] == 0.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gated_gelu_is_bit_equal_to_mul_of_gelu(dtype):
+    a0 = rand(5, 6, 7, seed=50, lo=-4.0, hi=4.0).astype(dtype)
+    b0 = rand(5, 6, 7, seed=51).astype(dtype)
+    w = Tensor(rand(5, 6, 7, seed=52).astype(dtype))     # so each g differs
+    a_copy, b_copy = a0.copy(), b0.copy()
+    runs = []
+    for op in (T.gated_gelu, lambda a, b: T.mul(T.gelu(a), b)):
+        a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+        with Tape() as tape:
+            out = op(a, b)
+            loss = sum_all(T.mul(out, w))
+        tape.backward(loss)
+        runs.append((op(Tensor(a0), Tensor(b0)).data, out.data, a.grad, b.grad))
+    for got, want in zip(*runs):                # untaped, taped, both gradients
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(a0, a_copy)
+    np.testing.assert_array_equal(b0, b_copy)
+
+
+def test_gated_gelu_with_a_wider_b_multiplies_in_b_dtype():
+    a0 = rand(3, 4, seed=55, lo=-3.0, hi=3.0).astype(np.float32)
+    b0 = rand(3, 4, seed=56)
+    runs = []
+    for op in (T.gated_gelu, lambda a, b: T.mul(T.gelu(a), b)):
+        a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+        with Tape() as tape:
+            out = op(a, b)
+            loss = sum_all(out)
+        tape.backward(loss)
+        runs.append((out.data, a.grad, b.grad))
+    (out, a_grad, b_grad), (want_out, want_a, want_b) = runs
+    assert (out.dtype, a_grad.dtype, b_grad.dtype) == (np.float64, np.float32, np.float64)
+    np.testing.assert_array_equal(out, want_out)
+    np.testing.assert_array_equal(b_grad, want_b)
+    # a's gradient is rounded to float32 once, not after each factor
+    np.testing.assert_allclose(a_grad, want_a, rtol=1e-6)
+
+
+def test_gated_gelu_tape_holds_its_two_inputs_and_no_third_array():
+    # once the caller drops a, b and the output, the tape keeps a's and b's
+    # data for backward; mul(gelu(a), b) would keep gelu(a), its slope and b
+    x = Tensor(rand(1024, 1024, seed=53), requires_grad=True)     # 8 MiB
+    y = Tensor(rand(1024, 1024, seed=54), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            a, b = T.scale(x, 1.0), T.scale(y, 1.0)
+            out = T.gated_gelu(a, b)
+            del a, b, out
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2.5 * x.data.nbytes, retained / x.data.nbytes
+    assert len(tape) == 3
+
+
 def test_concat_shapes_add():
     a, b = Tensor(np.zeros((2, 3))), Tensor(np.ones((2, 5)))
     out = T.concat([a, b], axis=1)
@@ -368,6 +427,8 @@ _W, _B = Tensor(np.zeros((2, 2, 3, 3))), Tensor(np.zeros(2))
     (lambda: T.bilinear_resize(Tensor(np.zeros(4)), 2, 2),
      r"bilinear_resize: needs a 3-d \[H,W,C\] input, got shape \(4,\)"),
     (lambda: T.sub(Tensor(np.zeros(3)), Tensor(np.zeros(4))), r"sub: shapes \(3,\) vs \(4,\)"),
+    (lambda: T.gated_gelu(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2)))),
+     r"gated_gelu: shapes \(2, 3\) vs \(3, 2\)"),
     (lambda: T.add_bias(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2))),
      r"add_bias: trailing dims \(2, 3\) vs \(2,\)"),
     (lambda: T.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2)))),
@@ -377,8 +438,8 @@ _W, _B = Tensor(np.zeros((2, 2, 3, 3))), Tensor(np.zeros(2))
     (lambda: T.pixel_shuffle(Tensor(np.zeros((2, 2, 6))), 2),
      r"pixel_shuffle: 6 channels not divisible by r\^2=4"),
 ], ids=["conv2d-2d-x", "conv2d-3d-w", "pixel_unshuffle-2d", "pixel_shuffle-4d",
-        "adaptive_avg_pool-2d", "bilinear_resize-1d", "sub", "add_bias", "matmul-1d",
-        "layer_norm", "pixel_shuffle-channels"])
+        "adaptive_avg_pool-2d", "bilinear_resize-1d", "sub", "gated_gelu", "add_bias",
+        "matmul-1d", "layer_norm", "pixel_shuffle-channels"])
 def test_shape_errors_name_the_op_and_the_shapes(call, message):
     with pytest.raises(T.ShapeError, match=f"^{message}$"):
         call()
@@ -468,6 +529,61 @@ def test_views_never_scan(view):
             T.scale(v, 1.0)                        # the first computing op scans
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_scan_finds_one_non_finite_value_anywhere(bad, dtype):
+    for pos in (0, 61, 119):                   # first, middle, last of 120
+        hwc_data = rand(4, 5, 6, seed=pos).astype(dtype)
+        hwc_data.flat[pos] = bad
+        # row-major, and the [C,H,W] view of an [H,W,C] array that conv2d
+        # returns (scale's output keeps its input's layout)
+        for x in (hwc_data, hwc_data.transpose(2, 0, 1)):
+            with pytest.raises(T.NonFiniteError, match="^scale produced non-finite values$"):
+                T.scale(Tensor(x), 1.0)
+        with pytest.raises(T.NonFiniteError, match="^mean produced non-finite values$"):
+            T.mean_all(Tensor(hwc_data))          # a 0-d output
+    with T.no_nan_checks():
+        out = T.scale(Tensor(hwc_data.transpose(2, 0, 1)), 1.0)
+    assert out.data.base is None and not out.data.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float32, 1e20), (np.float64, 1e200)])
+def test_scan_passes_huge_finite_values_and_an_empty_output(dtype, big):
+    # squares of 1e20 (float32) and 1e200 (float64) overflow
+    x = np.full((3, 4), big, dtype=dtype)
+    x[1, 2] = -big
+    np.testing.assert_array_equal(T.scale(Tensor(x), 1.0).data, x)
+    assert T.mean_all(Tensor(x)).item() == pytest.approx(big * 10 / 12, rel=1e-6)
+    empty = T.scale(Tensor(np.zeros((0, 3), dtype=dtype)), 1.0)
+    assert empty.shape == (0, 3)
+
+
+def test_no_nan_checks_skips_the_scan(monkeypatch):
+    def fail(a):
+        raise AssertionError("scanned")
+    monkeypatch.setattr(T, "_finite", fail)
+    with T.no_nan_checks():
+        out = T.scale(Tensor(np.array([np.nan, 1.0])), 2.0)
+    assert np.isnan(out.data[0]) and out.data[1] == 2.0
+    with pytest.raises(AssertionError, match="scanned"):
+        T.scale(Tensor(np.ones(2)), 2.0)
+
+
+@pytest.mark.parametrize("layout", ["row-major", "conv2d"])
+def test_scan_allocates_no_array_the_size_of_the_output(layout):
+    hwc_data = np.ones((64, 128, 128), dtype=np.float32)          # 4 MiB
+    out = hwc_data if layout == "row-major" else hwc_data.transpose(2, 0, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        T._finish(out, (), lambda g: (g,), "probe")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes / 8, peak / out.nbytes
+
+
 # ---------------------------------------------------------------------------
 # backward
 
@@ -552,7 +668,7 @@ def test_backward_softmax_cross_entropy_vs_finite_differences():
 
 @pytest.mark.parametrize("op_name", [
     "conv", "conv_stride1", "depthwise", "layer_norm", "pool", "shuffle", "resize",
-    "concat", "abs", "bias", "linear", "embedding", "softmax_axis",
+    "concat", "abs", "bias", "linear", "embedding", "softmax_axis", "gated_gelu",
 ])
 def test_backward_each_op_vs_finite_differences(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -621,6 +737,11 @@ def test_backward_each_op_vs_finite_differences(op_name):
         c = Tensor(rng.uniform(0.5, 1.5, (2, 5, 4)))
         fn = lambda: sum_all(T.mul(T.softmax(x, axis=-2), c))
         params = [x]
+    elif op_name == "gated_gelu":
+        a = Tensor(rng.uniform(-3, 3, (3, 4, 2)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, (3, 4, 2)), requires_grad=True)
+        fn = lambda: sum_all(T.gated_gelu(a, b))
+        params = [a, b]
     else:  # embedding
         w = Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
         ids = np.array([0, 2, 2, 5])
@@ -670,14 +791,52 @@ def test_no_tape_means_no_graph():
 
 
 def test_leaf_grads_do_not_alias():
-    # add hands one g to both parents; each leaf must still own its .grad
-    x = Tensor(rand(3, 4, seed=40), requires_grad=True)
-    y = Tensor(rand(3, 4, seed=41), requires_grad=True)
+    # backward hands a leaf its gradient array without a copy only when that
+    # array owns its data and no other leaf took it; each leaf must still own
+    # its .grad. Every case's loss is a plain sum, so each .grad is all ones
+    cases = {
+        # add hands one g to both parents
+        "add": ([(3, 4), (3, 4)], lambda x, y: T.add(x, y)),
+        # x's gradient is a view of the g that y takes
+        "transpose": ([(4, 3), (3, 4)], lambda x, y: T.add(T.transpose(x, (1, 0)), y)),
+        "reshape": ([(12,), (3, 4)], lambda x, y: T.add(T.reshape(x, (3, 4)), y)),
+        # with a 1-d x, lead is () and add_bias hands g to both too
+        "add_bias-1d": ([(4,), (4,)], lambda x, b: T.add_bias(x, b)),
+    }
+    for name, (shapes, op) in cases.items():
+        leaves = [Tensor(rand(*shape, seed=40 + i), requires_grad=True)
+                  for i, shape in enumerate(shapes)]
+        with Tape() as tape:
+            tape.backward(sum_all(op(*leaves)))
+        grads = [leaf.grad for leaf in leaves]
+        for i, gi in enumerate(grads):
+            assert gi.shape == shapes[i], name
+            for gj in grads[i + 1:]:
+                assert not np.shares_memory(gi, gj), name
+        for i, gi in enumerate(grads):
+            gi *= 0.5
+            for j, gj in enumerate(grads):
+                np.testing.assert_array_equal(gj, 0.5 if j == i else 1.0, err_msg=name)
+            gi *= 2.0
+
+
+def test_backward_hands_an_owned_leaf_gradient_over_without_a_copy():
+    x = Tensor(rand(2, 1024, seed=43), requires_grad=True)
+    w = Tensor(rand(1024, 1024, seed=44), requires_grad=True)   # 8 MiB
     with Tape() as tape:
-        tape.backward(sum_all(T.add(x, y)))
-    assert not np.shares_memory(x.grad, y.grad)
-    x.grad *= 0.5
-    np.testing.assert_array_equal(y.grad, np.ones((3, 4)))
+        loss = sum_all(T.matmul(x, w))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the matmul's fresh gradient, and no second copy of it
+    assert peak < 1.5 * w.data.nbytes, peak / w.data.nbytes
+    np.testing.assert_allclose(w.grad, np.repeat(x.data.sum(axis=0)[:, None], 1024, axis=1),
+                               rtol=1e-12)
 
 
 def test_tape_holds_no_output_backward_does_not_read():

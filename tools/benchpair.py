@@ -11,8 +11,11 @@ that workload, so the files form a trajectory. The file holds each pair's
 two result lines (the details line and the result object run.py prints),
 and per end-to-end metric of BENCHMARK.json: both sides' medians, the
 change median relative to the parent's, whether it is worse than the
-parent's by more than the metric's bound, the parent's interquartile range
-and in how many pairs the change was better.
+parent's by more than the metric's bound, the parent's interquartile range,
+in how many pairs the change was better, and whether that is a gain: at
+least ten pairs were run, the change is better in at least 9/10 of them
+(ties count for neither side), and its median is better than the parent's
+by more than the parent's interquartile range.
 
 Exits 1 when a run fails; a metric worse beyond its bound is reported, not
 an exit status.
@@ -65,14 +68,18 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         sign = 1.0 if m["better"] == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"]))
         q = statistics.quantiles(vals["parent"], n=4) if len(pairs) > 1 else [0.0, 0.0, 0.0]
+        iqr = q[2] - q[0]
         p_med, c_med = statistics.median(vals["parent"]), statistics.median(vals["change"])
         # (change - parent) / |parent|; a change away from a parent median of 0 is infinite
         rel = (c_med - p_med) / abs(p_med) if p_med else math.copysign(
             math.inf if c_med else 0.0, c_med)
+        gain = (len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+                and sign * (c_med - p_med) > iqr)
         out[name] = {"unit": m["unit"], "better": m["better"],
                      "parent_median": p_med, "change_median": c_med, "change_rel": rel,
                      "worse_beyond_bound": -sign * rel > m["bound"],
-                     "parent_iqr": q[2] - q[0], "change_wins": wins}
+                     "gain": gain,
+                     "parent_iqr": iqr, "change_wins": wins}
     return out
 
 
@@ -120,7 +127,9 @@ def main() -> int:
               f"{s['unit']} ({s['change_rel']:+.1%}"
               f"{', WORSE BEYOND BOUND' if s['worse_beyond_bound'] else ''}), "
               f"parent IQR {s['parent_iqr']:.3g}, "
-              f"change better in {s['change_wins']}/{len(pairs)}")
+              f"change better in {s['change_wins']}/{len(pairs)}, "
+              f"{'a gain' if s['gain'] else 'no gain'} "
+              f"(>= 10 pairs, >= 9/10 better, median gap > IQR)")
     print(f"written {path}")
     return 0
 
