@@ -2,11 +2,13 @@
 
 All renderers map float images [H,W,3] in [0,1] to the same range. beta is
 the severity in [0,1] and beta = 0 renders as the exact identity (a copy) for
-every kind; gamma is the per-kind feature parameter (blur angle, rain slant,
-haze blob seed); alpha seeds the snow mask. Above beta = 0 the amount of snow
-does not follow beta: alpha draws 15-39 flakes and the mask stops growing at
-15% of the image. Re-rendering with an identical spec is bit-identical, which
-the ground-truth consistency checks rely on.
+every kind: lowlight, haze and blur by their own formulas (a scale by 1, a
+transmission of 1, a 1x1 kernel), rain and snow by returning a copy. gamma is
+the per-kind feature parameter (blur angle, rain slant, haze blob seed);
+alpha seeds the snow mask. Above beta = 0 the amount of snow does not follow
+beta: alpha draws 15-39 flakes and the mask stops growing at 15% of the
+image. Re-rendering with an identical spec is bit-identical, which the
+ground-truth consistency checks rely on.
 
 Cost: rain is one ordered scatter-add (np.add.at) of every streak sample's
 four bilinear weights, in passes of at most _SPLAT_ENTRIES entries so the
@@ -111,8 +113,6 @@ def check_removal(present, removed) -> tuple[list[str], list[str]]:
 
 def apply_lowlight(img: np.ndarray, beta: float) -> np.ndarray:
     """Uniform brightness reduction; retained fraction 1 - 0.85*beta."""
-    if beta == 0.0:
-        return img.copy()
     return img * (1.0 - LOWLIGHT_RETAIN * beta)
 
 
@@ -154,16 +154,12 @@ def _convolve_edge(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 def apply_blur(img: np.ndarray, beta: float, gamma: float) -> np.ndarray:
     """Linear motion blur; length 1 + round(beta*14) at angle gamma degrees."""
     length = 1 + round(beta * BLUR_MAX_LEN)
-    if length <= 1:
-        return img.copy()
     return np.clip(_convolve_edge(img, motion_kernel(length, gamma)), 0.0, 1.0)
 
 
 def apply_haze(img: np.ndarray, beta: float, gamma: int) -> np.ndarray:
     """Spatially varying haze: transmission 1 - beta*G clamped to >= 0.25,
     G a max-normalized sum of Gaussian blobs placed by the gamma seed."""
-    if beta == 0.0:
-        return img.copy()
     h, w = img.shape[:2]
     rng = np.random.default_rng(int(gamma))
     n_blobs = int(rng.integers(3, 7))
@@ -228,7 +224,7 @@ def apply_rain(img: np.ndarray, beta: float, gamma: float,
                rng_stream: int) -> np.ndarray:
     """Anti-aliased rain streaks at slant gamma (degrees off vertical)."""
     n = rain_streak_count(beta, img.shape)
-    if n == 0:
+    if n == 0:      # no streaks: _splat_lines would index an empty ends[-1]
         return img.copy()
     h, w = img.shape[:2]
     rng = np.random.default_rng(int(rng_stream))
@@ -271,7 +267,7 @@ def snow_mask(alpha: int, shape) -> np.ndarray:
 
 def apply_snow(img: np.ndarray, alpha: int, beta: float) -> np.ndarray:
     """Snow flakes from the alpha seed; beta = 0 is the identity."""
-    if beta == 0.0:
+    if beta == 0.0:     # beta's only effect: the mask does not depend on it
         return img.copy()
     m = snow_mask(alpha, img.shape)[:, :, None]
     return img * (1.0 - m) + m
@@ -289,33 +285,23 @@ def apply_spec(img: np.ndarray, spec: DegradationSpec) -> np.ndarray:
     return apply_snow(img, spec.alpha, spec.beta)
 
 
-def render(clean: np.ndarray, specs) -> np.ndarray:
-    """Apply specs in the canonical composition order haze -> rain -> snow
-    -> blur -> lowlight (fixes ground-truth semantics)."""
-    out, done = clean.copy(), set()
-    for s in sorted(specs, key=lambda s: RENDER_ORDER.index(s.kind)):
-        if s.kind in done:
-            raise ValueError(f"duplicate degradation kind {s.kind!r}")
-        done.add(s.kind)
-        out = apply_spec(out, s)
-    return out
-
-
 def compose_sample(clean: np.ndarray, present_specs, removed_kinds):
     """Render the degraded image (all specs) and the ground truth (specs
-    not being removed, identical parameter values); check_removal checks the kinds.
+    not being removed, identical parameter values), each in the composition
+    order haze -> rain -> snow -> blur -> lowlight (RENDER_ORDER, which fixes
+    ground-truth semantics), whatever the order of present_specs.
+    check_removal checks the kinds, in the order given.
 
-    Both share the kinds that come before the first removed one in
-    RENDER_ORDER; that prefix is rendered once and both images branch from
-    it, which gives the same bits as rendering each from the clean image.
+    Both images are one array until the first removed kind; that shared
+    prefix is rendered once, which gives the same bits as rendering each
+    from the clean image. Neither output shares memory with clean.
     """
     specs = list(present_specs)
     _, removed = check_removal((s.kind for s in specs), removed_kinds)
-    specs.sort(key=lambda s: RENDER_ORDER.index(s.kind))
-    split = min(i for i, s in enumerate(specs) if s.kind in removed)
-    degraded = gt = render(clean, specs[:split])
-    for s in specs[split:]:
+    degraded = gt = clean
+    for s in sorted(specs, key=lambda s: RENDER_ORDER.index(s.kind)):
+        shared = gt is degraded
         degraded = apply_spec(degraded, s)
         if s.kind not in removed:
-            gt = apply_spec(gt, s)
-    return degraded, gt
+            gt = degraded if shared else apply_spec(gt, s)
+    return degraded, clean.copy() if gt is clean else gt

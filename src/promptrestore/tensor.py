@@ -163,8 +163,11 @@ class Tape:
         return self
 
     def __exit__(self, *exc):
+        # two interleaved generators can exit their tapes out of order on one
+        # thread; popping another tape would corrupt the stack
         stack = _state.tapes
-        assert stack and stack[-1] is self, "tape stack corrupted"
+        if not stack or stack[-1] is not self:
+            raise RuntimeError("tape exited out of order: it is not the innermost open tape")
         stack.pop()
         return False
 
@@ -184,17 +187,20 @@ class Tape:
         accumulate into leaves, so calling backward for several losses (e.g.
         per-sample in a batch) sums their gradients. The walk writes into no
         array: a second contribution allocates the sum. Each leaf's .grad
-        is an array the leaf alone owns: a leaf with no .grad takes its
-        table array itself when that array owns its data and no other leaf
-        took it, else a copy (a view, or the one array add hands both its
-        parents); a leaf with a .grad gets a fresh sum.
+        is memory the leaf alone holds: a leaf with no .grad takes its table
+        array itself when that array covers its whole base (it owns its
+        data, or is a view of every element of the array that does) and no
+        other leaf took that base, else a copy (a slice such as np.split
+        hands out, or the one array add hands both its parents); a leaf with
+        a .grad gets a fresh sum.
 
         Handing the table's arrays over is sound because, after the walk,
-        the table is their only holder. Every op must keep the rule that
-        makes this so: a backward closure keeps no gradient, and returns
-        arrays derived from its g (g itself, a view of it, or a result
-        computed from it) or fresh ones, never an array something else
-        holds, such as an input's data or an array the closure captured.
+        the table is the only holder of their bases. Every op must keep the
+        rule that makes this so: a backward closure keeps no gradient, and
+        returns arrays derived from its g (g itself, a view of it, or a
+        result computed from it) or fresh ones, never an array something
+        else holds or a view of one, such as an input's data or an array
+        the closure captured.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -211,13 +217,14 @@ class Tape:
             for ref, pg in zip(refs, backward(g)):
                 if ref is not None:
                     table[ref] = pg if ref not in table else table[ref] + pg
-        handed = set()      # ids of the arrays a leaf took as its .grad
+        taken = set()       # ids of the bases a leaf took as (a view of) its .grad
         for leaf, g in table.items():
             assert g.shape == leaf.data.shape
+            base = g if g.base is None else g.base
             if leaf.grad is not None:
                 leaf.grad = leaf.grad + g
-            elif g.base is None and id(g) not in handed:
-                handed.add(id(g))
+            elif g.size == base.size and id(base) not in taken:
+                taken.add(id(base))
                 leaf.grad = g
             else:
                 leaf.grad = g.copy()

@@ -1,6 +1,6 @@
 """Contract tests for the degradation renderers: bit-equality with the
 one-primitive-at-a-time loop forms in helpers.py, the beta = 0 identity,
-the [0,1] range and the composition order; for from_record, the one
+the [0,1] range and compose_sample's composition order; for from_record, the one
 reader of every stored JSON record; for check_removal, the one rule for a
 removal request; and for check_int, the one rule for an integer field."""
 
@@ -104,25 +104,51 @@ def test_every_kind_stays_in_unit_range(kind, beta):
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
-def test_render_follows_render_order_whatever_the_spec_order():
+def _apply_in_render_order(img, specs):
+    # the composition oracle: apply_spec over the specs in RENDER_ORDER
+    out = img
+    for kind in G.RENDER_ORDER:
+        for s in specs:
+            if s.kind == kind:
+                out = G.apply_spec(out, s)
+    return out
+
+
+def test_compose_sample_follows_render_order_whatever_the_spec_order():
     img = _image(32, 32)
     specs = {k: _spec(k, 0.6) for k in G.KINDS}
-    expect = img
-    for kind in G.RENDER_ORDER:
-        expect = G.apply_spec(expect, specs[kind])
+    want = (_apply_in_render_order(img, specs.values()),
+            _apply_in_render_order(img, [s for k, s in specs.items() if k != "snow"]))
     for perm in itertools.permutations(G.KINDS):
-        assert np.array_equal(G.render(img, [specs[k] for k in perm]), expect), perm
+        degraded, gt = G.compose_sample(img, [specs[k] for k in perm], ["snow"])
+        assert np.array_equal(degraded, want[0]) and np.array_equal(gt, want[1]), perm
 
 
-def test_render_rejects_duplicate_kinds():
-    with pytest.raises(ValueError, match="duplicate degradation kind 'rain'"):
-        G.render(_image(8, 8), [_spec("rain", 0.5), _spec("haze", 0.5), _spec("rain", 0.2)])
+def test_compose_sample_rejects_duplicate_kinds():
+    present = ["rain", "haze", "rain"]
+    message = (f"removed ['rain'] must be distinct kinds, a non-empty subset of the "
+               f"distinct present kinds {present}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        G.compose_sample(_image(8, 8), [_spec(k, 0.5) for k in present], ["rain"])
 
 
 def test_rerendering_a_spec_is_bit_identical():
     img = _image(40, 40)
+    before = img.copy()
     specs = [_spec(k, 0.7) for k in G.KINDS]
-    assert np.array_equal(G.render(img, specs), G.render(img.copy(), specs))
+    first = G.compose_sample(img, specs, ["rain", "blur"])
+    second = G.compose_sample(img.copy(), specs, ["rain", "blur"])
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    assert np.array_equal(img, before)      # the input is not written
+
+
+def test_compose_sample_outputs_never_alias_clean():
+    # with every kind removed the ground truth equals clean, as a copy
+    img = _image(16, 16)
+    specs = [_spec(k, 0.5) for k in G.KINDS]
+    degraded, gt = G.compose_sample(img, specs, G.KINDS)
+    assert np.array_equal(gt, img)
+    assert not np.shares_memory(gt, img) and not np.shares_memory(degraded, img)
 
 
 def test_spec_rejects_an_unknown_kind():
@@ -201,7 +227,7 @@ def test_compose_sample_renders_the_kept_prefix_once(monkeypatch):
             for r in range(1, k + 1):
                 for removed in itertools.combinations(present, r):
                     kept = [s for s in specs if s.kind not in removed]
-                    want = G.render(img, specs), G.render(img, kept)
+                    want = _apply_in_render_order(img, specs), _apply_in_render_order(img, kept)
                     calls.clear()
                     degraded, gt = G.compose_sample(img, specs, removed)
                     assert np.array_equal(degraded, want[0]) and np.array_equal(gt, want[1])

@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+from promptrestore import nn
 from promptrestore import tensor as T
 from promptrestore.tensor import Tape, Tensor
 
@@ -837,6 +838,40 @@ def test_backward_hands_an_owned_leaf_gradient_over_without_a_copy():
     assert peak < 1.5 * w.data.nbytes, peak / w.data.nbytes
     np.testing.assert_allclose(w.grad, np.repeat(x.data.sum(axis=0)[:, None], 1024, axis=1),
                                rtol=1e-12)
+
+
+def test_backward_hands_a_whole_view_gradient_over_without_a_copy():
+    # conv2d's weight gradients (dense and depthwise) and a resized leaf's
+    # gradient are views that cover their whole base: each leaf takes the
+    # closure's array, where a copy would own its data
+    rng = np.random.default_rng(45)
+    dense, depthwise = nn.Conv2d(4, 6, rng), nn.Conv2d(4, 4, rng, groups=4)
+    x = Tensor(rand(5, 7, 4, seed=46))
+    pos = Tensor(rand(3, 3, 4, seed=47), requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(dense(T.add(depthwise(x), T.bilinear_resize(pos, 5, 7))))
+    tape.backward(loss)
+    for name, g in (("dense", dense.weight.grad), ("depthwise", depthwise.weight.grad),
+                    ("resize", pos.grad)):
+        assert not g.flags.owndata and g.size == g.base.size, name
+
+
+def test_tape_exited_out_of_order_raises_and_keeps_the_stack():
+    # two interleaved generators can exit their tapes out of order on one
+    # thread; the stack must stay as it was, under python -O too
+    x = Tensor(np.ones(3), requires_grad=True)
+    a, b = Tape(), Tape()
+    a.__enter__()
+    b.__enter__()
+    with pytest.raises(RuntimeError, match="^tape exited out of order"):
+        a.__exit__(None, None, None)
+    T.mul(x, x)
+    assert (len(a), len(b)) == (0, 1)     # b is still the innermost tape
+    b.__exit__(None, None, None)
+    T.mul(x, x)
+    assert (len(a), len(b)) == (1, 1)
+    a.__exit__(None, None, None)
+    assert not T.mul(x, x).requires_grad
 
 
 def test_tape_holds_no_output_backward_does_not_read():

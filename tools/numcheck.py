@@ -6,12 +6,19 @@
 `dump` imports promptrestore from <checkout>/src and saves, for fixed seeds,
 the outputs of `RestorationModel.restore` (restored image and logits), the
 loss of a taped L1 + mean-logit loss and every parameter gradient, all in
-float64 (TOY_CONFIG computes in float32, so its runs are pinned at float64):
+float64 (TOY_CONFIG computes in float32, so its runs are pinned at float64);
+it also saves the rendered samples of the data group:
 
   toy     TOY_CONFIG at 64x64, forward and backward
   micro   MICRO_CONFIG at 16x16, forward and backward
   toy128  TOY_CONFIG at 128x128, forward only (twice the native resolution,
           so the position encodings are resized)
+  data    degradations.compose_sample's degraded image and ground truth at
+          16x16, for every non-empty set of kinds and every non-empty removal
+          set of it (211 requests), once for one spec per kind drawn from a
+          fixed seed (betas in dataset.BETA_RANGE) and once for the same
+          specs at beta = 0. The float arrays catch a change in the last bits
+          that the 8-bit PPM digests of the golden dataset test can miss.
 
 A checkout whose ModelConfig has no dtype field (before float32 models)
 computes in float64 throughout; dump it with that checkout's own numcheck.py.
@@ -34,6 +41,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"        # before numpy loads BLAS
 
 import argparse           # noqa: E402
+import itertools          # noqa: E402
 import sys                # noqa: E402
 from dataclasses import replace  # noqa: E402
 
@@ -41,10 +49,37 @@ import numpy as np        # noqa: E402
 
 TOLERANCE = 1e-12
 PROMPT = "remove the rain and the haze"
+DATA_SIZE = 16
+
+
+def _data(G, D) -> dict:
+    # the "data" group: every (present, removed) request over two spec sets
+    rng = np.random.default_rng(17)
+    clean = D.generate_clean_image(rng, DATA_SIZE)
+    beta = dict(zip(G.KINDS, (float(b) for b in rng.uniform(*D.BETA_RANGE, len(G.KINDS)))))
+    drawn = [G.DegradationSpec("blur", beta=beta["blur"], gamma=float(rng.uniform(0.0, 180.0))),
+             G.DegradationSpec("rain", beta=beta["rain"], gamma=float(rng.uniform(-20.0, 20.0)),
+                               rng_stream=int(rng.integers(0, 2 ** 63 - 1))),
+             G.DegradationSpec("haze", beta=beta["haze"], gamma=int(rng.integers(0, 2 ** 31 - 1))),
+             G.DegradationSpec("lowlight", beta=beta["lowlight"]),
+             G.DegradationSpec("snow", alpha=int(rng.integers(0, 2 ** 31 - 1)), beta=beta["snow"])]
+    out = {}
+    for tag, specs in (("drawn", drawn), ("beta0", [replace(s, beta=0.0) for s in drawn])):
+        for k in range(1, len(specs) + 1):
+            for present in itertools.combinations(specs, k):
+                kinds = [s.kind for s in present]
+                for r in range(1, k + 1):
+                    for removed in itertools.combinations(kinds, r):
+                        key = f"data.{tag}.{'+'.join(kinds)}.{'+'.join(removed)}"
+                        out[f"{key}.degraded"], out[f"{key}.gt"] = \
+                            G.compose_sample(clean, present, removed)
+    return out
 
 
 def dump(checkout: str, out_path: str) -> None:
     sys.path.insert(0, os.path.join(checkout, "src"))
+    from promptrestore import dataset as D
+    from promptrestore import degradations as G
     from promptrestore import tensor as T
     from promptrestore.model import MICRO_CONFIG, TOY_CONFIG, RestorationModel
 
@@ -70,6 +105,7 @@ def dump(checkout: str, out_path: str) -> None:
         tape.backward(loss)
         out[f"{tag}.loss"] = loss.data
         out.update({f"{tag}.grad.{n}": p.grad for n, p in m.named_parameters()})
+    out.update(_data(G, D))
     np.savez(out_path, **out)
     print(f"{len(out)} arrays written to {out_path}")
 
@@ -115,7 +151,7 @@ def compare(parent_path: str, change_path: str, change2_path: str | None) -> boo
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
-    d = sub.add_parser("dump", help="save restore outputs and gradients of a checkout")
+    d = sub.add_parser("dump", help="save restore outputs, gradients and rendered samples of a checkout")
     d.add_argument("checkout")
     d.add_argument("out")
     c = sub.add_parser("compare", help="compare a parent dump with one or two change dumps")
