@@ -2,8 +2,9 @@
 
 Every sample is reproducible from (seed, sample id): the per-sample RNG is
 np.random.default_rng((seed, sample_id)) and each stochastic degradation
-carries its own stream id, so regenerating a dataset or re-rendering one
-ground truth is byte-identical regardless of order or parallelism.
+carries its seed in its spec (rain's rng_stream, snow's alpha, haze's gamma),
+so regenerating a dataset or re-rendering one ground truth is byte-identical
+regardless of order or parallelism.
 
 Images are stored as binary PPM (P6, maxval 255); the manifest is UTF-8
 JSON lines, one record per line. A line holds only the sample's id, its

@@ -4,26 +4,28 @@ The op set is what the restoration model needs: matmul (a linear map of the
 last axis, or batched), conv2d (3x3, dense or depthwise), softmax, layer norm,
 pixel shuffle / unshuffle, adaptive average pooling, bilinear resize, embedding
 lookup, gated_gelu (gelu(a) * b, the gated FFN's gate, as one op that
-holds only a and b for backward) and a small elementwise suite, plus sub,
-exp, log, absolute and mean_all, which the model does not call: the library
-has no loss, and perfbench's train_64 L1 + BCE loss and tools/numcheck.py
-build theirs from them. Forward ops never mutate their inputs; gradients are
-recorded on an explicit Tape and replayed in reverse.
+holds only a and b for backward) and a small elementwise suite, plus mul,
+sub, exp, log, absolute and mean_all, which the model does not call: the
+library has no loss, and perfbench's train_64 L1 + BCE loss and
+tools/numcheck.py build theirs from them. Forward ops never mutate their
+inputs; gradients are recorded on an explicit Tape, one open tape per
+thread, and replayed in reverse.
 
 What a tape holds: per taped op, its backward closure and a reference to
-each parent that needs a gradient, nothing else. A parent made on the same
-tape is referred to by its node's index, any other (a leaf, or a tensor made
-on another tape) by the Tensor itself. Op outputs are not held: an
-activation lives as long as the caller keeps it or a closure that reads it
-in backward, and each closure captures only the arrays its backward reads.
-What backward keeps: from a loss the tape recorded, one table from a node
-index or a leaf Tensor to its gradient so far, a plain array that a later
-contribution replaces with a fresh sum, so backward writes into no array. A
-node's entry is dropped when the walk reaches it. A leaf's entry becomes its
-.grad without a copy when the array owns its data and no other leaf took it,
-is copied otherwise, and is added into a .grad the leaf already has; either
-way a leaf's .grad is an array no other leaf or op holds (Tape.backward
-states the rule every op's backward keeps for this).
+each parent that needs a gradient, with the parent's dtype, nothing else. A
+parent made on the same tape is referred to by its node's index, any other
+(a leaf, or a tensor made on an earlier tape) by the Tensor itself. Op
+outputs are not held: an activation lives as long as the caller keeps it or
+a closure that reads it in backward, and each closure captures only the
+arrays its backward reads. What backward keeps: from a loss the tape
+recorded, one table from a node index or a leaf Tensor to its gradient so
+far, a plain array that a later contribution replaces with a fresh sum, so
+backward writes into no array. A node's entry is dropped when the walk
+reaches it. A leaf's entry becomes its .grad without a copy when the array
+covers its whole base and no other leaf took that base, is copied
+otherwise, and is added into a .grad the leaf already has; either way a
+leaf's .grad is an array no other leaf or op holds (Tape.backward states
+the rule every op's backward keeps for this).
 
 Non-finite checks: with checks on (the default; see no_nan_checks) every op
 scans its output for NaN/Inf in `_finish` and raises NonFiniteError, except
@@ -37,8 +39,8 @@ Dtypes: a Tensor holds a float32 or float64 array; anything else is cast
 to DTYPE (float64). An op allocates in its inputs' dtype, and scalars are
 Python floats, which never upcast (NEP 50), so a float32 model runs in
 float32 end to end. An op that mixes dtypes computes in the wider one, and
-its backward hands each parent its gradient in that parent's dtype: a
-float64 loss target leaves a float32 model's gradients float32.
+the tape hands each parent its gradient in that parent's dtype: a float64
+loss target leaves a float32 model's gradients float32.
 
 Layout conventions:
   * op outputs are row-major, except conv2d's
@@ -76,10 +78,10 @@ class NonFiniteError(FloatingPointError):
 
 
 class _State(threading.local):
-    # per-thread: the stack of open tapes (innermost last) and the switch
-    # no_nan_checks flips; each thread starts with no tape and checks on
+    # per-thread: the open tape, if any, and the switch no_nan_checks flips;
+    # each thread starts with no tape and checks on
     def __init__(self):
-        self.tapes: list[Tape] = []
+        self.tape: Optional[Tape] = None
         self.nan_checks = True
 
 
@@ -142,33 +144,31 @@ class Tensor:
 class Tape:
     """Ordered record of ops for one backward pass.
 
-    A node is (parent refs, backward closure). A parent ref is the index of
-    the node that made the parent when this tape made it, else the parent
-    Tensor itself (a leaf, or a tensor made on another tape), or None when
-    the parent needs no gradient. The tape holds no op output, so an
-    activation no closure reads is freed as soon as the caller drops it.
+    A node is (parent refs, parent dtypes, backward closure). A parent ref
+    is the index of the node that made the parent when this tape made it,
+    else the parent Tensor itself (a leaf, or a tensor made on an earlier
+    tape), or None when the parent needs no gradient. The tape holds no op
+    output, so an activation no closure reads is freed once the caller
+    drops it.
 
     Nodes are appended in construction order, which is topological by
     definition (an op's inputs exist before the op). backward() walks the
     list once in reverse from a loss this tape recorded, and may be called
-    again. A Tape is single-owner; the stack of open tapes is per thread, so
-    tapes on different threads do not interact.
+    again. A Tape is single-owner; there is one open tape per thread
+    (entering a second raises RuntimeError), and threads do not interact.
     """
 
     def __init__(self):
-        self._nodes: list[tuple[tuple, Callable]] = []
+        self._nodes: list[tuple[tuple, tuple, Callable]] = []
 
     def __enter__(self) -> "Tape":
-        _state.tapes.append(self)
+        if _state.tape is not None:
+            raise RuntimeError("a tape is already open on this thread")
+        _state.tape = self
         return self
 
     def __exit__(self, *exc):
-        # two interleaved generators can exit their tapes out of order on one
-        # thread; popping another tape would corrupt the stack
-        stack = _state.tapes
-        if not stack or stack[-1] is not self:
-            raise RuntimeError("tape exited out of order: it is not the innermost open tape")
-        stack.pop()
+        _state.tape = None
         return False
 
     def __len__(self) -> int:
@@ -178,7 +178,7 @@ class Tape:
         refs = tuple(p._node if p._tape is self else p if p.requires_grad else None
                      for p in parents)
         out._tape, out._node = self, len(self._nodes)
-        self._nodes.append((refs, backward))
+        self._nodes.append((refs, tuple(p.data.dtype for p in parents), backward))
 
     def backward(self, loss: Tensor) -> None:
         """Populate .grad of every requires_grad leaf reachable from loss.
@@ -186,8 +186,10 @@ class Tape:
         loss must be a scalar this tape recorded, else ValueError. Grads
         accumulate into leaves, so calling backward for several losses (e.g.
         per-sample in a batch) sums their gradients. The walk writes into no
-        array: a second contribution allocates the sum. Each leaf's .grad
-        is memory the leaf alone holds: a leaf with no .grad takes its table
+        array: a second contribution allocates the sum. The tape hands each
+        parent its gradient in that parent's dtype: a mixed-dtype op's
+        closure returns the wider one, cast on the edge. Each leaf's .grad is
+        memory the leaf alone holds: a leaf with no .grad takes its table
         array itself when that array covers its whole base (it owns its
         data, or is a view of every element of the array that does) and no
         other leaf took that base, else a copy (a slice such as np.split
@@ -195,12 +197,13 @@ class Tape:
         a .grad gets a fresh sum.
 
         Handing the table's arrays over is sound because, after the walk,
-        the table is the only holder of their bases. Every op must keep the
-        rule that makes this so: a backward closure keeps no gradient, and
-        returns arrays derived from its g (g itself, a view of it, or a
-        result computed from it) or fresh ones, never an array something
-        else holds or a view of one, such as an input's data or an array
-        the closure captured.
+        the table is the only holder of their bases (an edge's cast returns
+        the array itself or a fresh one). Every op must keep the rule that
+        makes this so: a backward closure keeps no gradient, and returns
+        arrays derived from its g (g itself, a view of it, or a result
+        computed from it) or fresh ones, never an array something else holds
+        or a view of one, such as an input's data or an array the closure
+        captured.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -213,9 +216,10 @@ class Tape:
             if i not in table:
                 continue
             g = table.pop(i)
-            refs, backward = self._nodes[i]
-            for ref, pg in zip(refs, backward(g)):
+            refs, dtypes, backward = self._nodes[i]
+            for ref, dtype, pg in zip(refs, dtypes, backward(g)):
                 if ref is not None:
+                    pg = pg.astype(dtype, copy=False)
                     table[ref] = pg if ref not in table else table[ref] + pg
         taken = set()       # ids of the bases a leaf took as (a view of) its .grad
         for leaf, g in table.items():
@@ -232,8 +236,7 @@ class Tape:
 
 def _taped(parents: Sequence[Tensor]) -> Optional[Tape]:
     # the tape an op on parents records on, or None when it is not recorded
-    stack = _state.tapes
-    return stack[-1] if stack and any(p.requires_grad for p in parents) else None
+    return _state.tape if any(p.requires_grad for p in parents) else None
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -255,19 +258,8 @@ def _finish(out_data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
     tape = _taped(parents)
     if tape is not None:
         out.requires_grad = True
-        dtypes = tuple(p.data.dtype for p in parents)
-        if any(d != out.data.dtype for d in dtypes):
-            backward = _cast_grads(backward, dtypes)
         tape._record(out, tuple(parents), backward)
     return out
-
-
-def _cast_grads(backward: Callable, dtypes: tuple) -> Callable:
-    # a mixed-dtype op computes its gradients in the output's (wider) dtype;
-    # each parent receives its own in its dtype
-    def cast(g):
-        return tuple(pg.astype(d, copy=False) for pg, d in zip(backward(g), dtypes))
-    return cast
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +434,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     gamma/beta are 1-d with the normalized extent. eps = 1e-6 sits inside
     the sqrt denominator.
     """
-    xd, gd = x.data, gamma.data
+    gd = gamma.data
+    xd = x.data.astype(np.result_type(x.data, gd, beta.data), copy=False)   # the widest dtype
     n = xd.shape[-1]
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ShapeError("layer_norm: gamma/beta must match normalized extent")
@@ -496,7 +489,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
                          f"{groups} is neither a dense nor a stride-1 depthwise 3x3 conv")
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bias.shape}, expected ({cout},)")
-    xh = x.data.transpose(1, 2, 0)      # free for nn.Conv2d's transposed input
+    # a mixed call computes in the widest dtype; each cast is a no-op when the
+    # dtypes match, so the transpose of nn.Conv2d's transposed input is free
+    dt = np.result_type(x.data, w.data, bias.data)
+    xh, wd = x.data.astype(dt, copy=False).transpose(1, 2, 0), w.data.astype(dt, copy=False)
     # each path's backward captures only what it reads: the padded copy on
     # the dense path, the input view on the depthwise one
     if dense:
@@ -507,7 +503,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
         wins = [(slice(i, i + (ho - 1) * stride + 1, stride),
                  slice(j, j + (wo - 1) * stride + 1, stride))
                 for i in range(3) for j in range(3)]
-        wt = w.data.transpose(2, 3, 1, 0).reshape(9, cin, cout)  # a copy, per tap contiguous
+        wt = wd.transpose(2, 3, 1, 0).reshape(9, cin, cout)  # a copy, per tap contiguous
         out = np.zeros((ho, wo, cout), dtype=xh.dtype)
         buf = np.empty_like(out)
         for t, win in enumerate(wins):
@@ -524,7 +520,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
             gw = gwt.reshape(3, 3, cin, cout).transpose(3, 2, 0, 1)
             return gxp[1:-1, 1:-1].transpose(2, 0, 1), gw, g.sum(axis=(1, 2))
     else:
-        wk, w_shape = w.data.reshape(cin, 3, 3), w.shape
+        wk, w_shape = wd.reshape(cin, 3, 3), w.shape
         out = _kernels.depthwise3x3(xh, wk)
 
         def backward(g):

@@ -47,3 +47,14 @@ def test_compare_fails_on_a_dtype_mismatch(numcheck, tmp_path, capsys):
     assert "dtypes differ (key, parent, change): [('a', 'float64', 'float32')]" in out
     # two change runs that differ only in dtype are not bit-identical either
     assert not numcheck.compare(parent, parent, change)
+
+
+def test_compare_wants_float32_arrays_bit_equal(numcheck, tmp_path, capsys):
+    # one float32 ulp at 1e-6 is far inside the float64 tolerance
+    a32 = np.full(3, 1e-6, dtype=np.float32)
+    b32 = np.nextafter(a32, np.float32(1))
+    parent = _save(tmp_path / "parent.npz", a=a32, b=a32.astype(np.float64))
+    change = _save(tmp_path / "change.npz", a=b32, b=b32.astype(np.float64))
+    assert not numcheck.compare(parent, change, None)
+    ulp = float(np.abs(b32 - a32).max())
+    assert f"0 bit-equal, over tolerance: [('a', {ulp!r})]" in capsys.readouterr().out

@@ -465,24 +465,45 @@ def test_tensor_keeps_float32_and_float64_and_casts_the_rest_to_float64(data, dt
         assert t.data is data                   # kept as given, not copied
 
 
-@pytest.mark.parametrize("op", [T.add, T.sub, T.mul], ids=["add", "sub", "mul"])
-def test_mixed_dtype_op_hands_each_leaf_a_gradient_in_its_own_dtype(op):
-    a32 = rand(3, 4, seed=80).astype(np.float32)
-    b = rand(3, 4, seed=81)
-    grads = []
-    for a_data in (a32.astype(np.float64), a32):
-        a, bt = Tensor(a_data, requires_grad=True), Tensor(b, requires_grad=True)
+# each case: the op, its inputs' shapes and which input is float32 (the rest
+# are float64); gated_gelu's gelu(a) is in a's dtype, so there b is the float32 one
+_MIXED = {
+    "add": (T.add, [(3, 4), (3, 4)], 0),
+    "sub": (T.sub, [(3, 4), (3, 4)], 0),
+    "mul": (T.mul, [(3, 4), (3, 4)], 0),
+    "layer_norm": (T.layer_norm, [(3, 4), (4,), (4,)], 0),
+    "conv2d-dense": (lambda x, w, b: T.conv2d(x, w, b, stride=2), [(3, 6, 5), (4, 3, 3, 3), (4,)], 0),
+    "conv2d-depthwise": (lambda x, w, b: T.conv2d(x, w, b, groups=3),
+                         [(3, 6, 5), (3, 1, 3, 3), (3,)], 0),
+    "matmul": (T.matmul, [(2, 3, 4), (4, 5)], 0),
+    "add_bias": (T.add_bias, [(3, 4), (4,)], 0),
+    "gated_gelu": (T.gated_gelu, [(3, 4), (3, 4)], 1),
+    "concat": (lambda a, b: T.concat([a, b], axis=1), [(3, 4), (3, 2)], 0),
+}
+
+
+@pytest.mark.parametrize("op, shapes, narrow", list(_MIXED.values()), ids=list(_MIXED))
+def test_mixed_dtype_op_hands_each_leaf_a_gradient_in_its_own_dtype(op, shapes, narrow):
+    data = [rand(*shape, seed=80 + i) for i, shape in enumerate(shapes)]
+    data[narrow] = data[narrow].astype(np.float32)
+    runs = []
+    for arrays in ([d.astype(np.float64) for d in data], data):
+        leaves = [Tensor(d, requires_grad=True) for d in arrays]
         with Tape() as tape:
-            out = op(a, bt)
-            loss = T.mean_all(out)
-        assert out.data.dtype == np.float64     # computed in the wider dtype
+            out = op(*leaves)
+            loss = sum_all(T.mul(out, Tensor(rand(*out.shape, seed=90))))
+        untaped = op(*(Tensor(d) for d in arrays)).data
+        # computed in the wider dtype, taped or not
+        assert out.data.dtype == untaped.dtype == np.float64
+        np.testing.assert_array_equal(out.data, untaped)
         tape.backward(loss)
-        grads.append((a.grad, bt.grad))
-    (a64_grad, b64_grad), (a32_grad, b_grad) = grads
-    assert (a32_grad.dtype, b_grad.dtype) == (np.float32, np.float64)
+        runs.append((out.data, [leaf.grad for leaf in leaves]))
+    (want_out, want_grads), (out, grads) = runs
     # the float64 computation, each gradient then cast to its leaf's dtype
-    np.testing.assert_array_equal(a32_grad, a64_grad.astype(np.float32))
-    np.testing.assert_array_equal(b_grad, b64_grad)
+    np.testing.assert_array_equal(out, want_out)
+    for d, g, want in zip(data, grads, want_grads):
+        assert g.dtype == d.dtype
+        np.testing.assert_array_equal(g, want.astype(d.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -856,21 +877,31 @@ def test_backward_hands_a_whole_view_gradient_over_without_a_copy():
         assert not g.flags.owndata and g.size == g.base.size, name
 
 
-def test_tape_exited_out_of_order_raises_and_keeps_the_stack():
-    # two interleaved generators can exit their tapes out of order on one
-    # thread; the stack must stay as it was, under python -O too
+def test_a_second_tape_on_a_thread_raises_and_the_open_tape_keeps_recording():
     x = Tensor(np.ones(3), requires_grad=True)
-    a, b = Tape(), Tape()
-    a.__enter__()
-    b.__enter__()
-    with pytest.raises(RuntimeError, match="^tape exited out of order"):
-        a.__exit__(None, None, None)
-    T.mul(x, x)
-    assert (len(a), len(b)) == (0, 1)     # b is still the innermost tape
-    b.__exit__(None, None, None)
-    T.mul(x, x)
-    assert (len(a), len(b)) == (1, 1)
-    a.__exit__(None, None, None)
+    with Tape() as tape:
+        with pytest.raises(RuntimeError, match="^a tape is already open on this thread$"):
+            with Tape():
+                pass
+        T.mul(x, x)
+    assert len(tape) == 1
+    assert not T.mul(x, x).requires_grad
+
+    # two interleaved generators on one thread: the second cannot open a tape
+    # while the first holds one, and the first's keeps recording
+    def square_on_a_tape():
+        with Tape() as tape:
+            yield tape
+            T.mul(x, x)
+            yield tape
+
+    first, second = square_on_a_tape(), square_on_a_tape()
+    tape = next(first)
+    with pytest.raises(RuntimeError, match="^a tape is already open on this thread$"):
+        next(second)
+    next(first)
+    assert len(tape) == 1
+    first.close()                     # exits the tape
     assert not T.mul(x, x).requires_grad
 
 
@@ -938,16 +969,17 @@ def test_backward_mutates_no_array_a_closure_returned(monkeypatch):
         np.testing.assert_array_equal(pg, snapshot)
 
 
-def test_outer_tape_tensor_is_a_leaf_of_the_inner_tape():
+def test_closed_tape_tensor_is_a_leaf_of_the_next_tape():
     x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    with Tape() as outer:
+    with Tape() as first:
         h = T.scale(x, 3.0)
-        with Tape() as inner:
-            loss = sum_all(T.mul(h, h))
-        inner.backward(loss)
-        np.testing.assert_array_equal(h.grad, 2 * h.data)
-        assert x.grad is None
-        outer.backward(sum_all(h))
+        h_sum = sum_all(h)
+    with Tape() as second:
+        loss = sum_all(T.mul(h, h))
+    second.backward(loss)
+    np.testing.assert_array_equal(h.grad, 2 * h.data)
+    assert x.grad is None
+    first.backward(h_sum)
     np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
 

@@ -5,14 +5,17 @@
 
 `dump` imports promptrestore from <checkout>/src and saves, for fixed seeds,
 the outputs of `RestorationModel.restore` (restored image and logits), the
-loss of a taped L1 + mean-logit loss and every parameter gradient, all in
-float64 (TOY_CONFIG computes in float32, so its runs are pinned at float64);
-it also saves the rendered samples of the data group:
+loss of a taped L1 loss against a float64 target plus the mean logit, and
+every parameter gradient; it also saves the rendered samples of the data
+group:
 
-  toy     TOY_CONFIG at 64x64, forward and backward
+  toy     TOY_CONFIG pinned at float64, at 64x64, forward and backward
+  toy32   TOY_CONFIG as shipped (float32) at 64x64, forward and backward;
+          its loss mixes dtypes, so the tape casts the float64 gradient to
+          float32 on the way into the model
   micro   MICRO_CONFIG at 16x16, forward and backward
-  toy128  TOY_CONFIG at 128x128, forward only (twice the native resolution,
-          so the position encodings are resized)
+  toy128  TOY_CONFIG pinned at float64, at 128x128, forward only (twice the
+          native resolution, so the position encodings are resized)
   data    degradations.compose_sample's degraded image and ground truth at
           16x16, for every non-empty set of kinds and every non-empty removal
           set of it (211 requests), once for one spec per kind drawn from a
@@ -24,9 +27,11 @@ A checkout whose ModelConfig has no dtype field (before float32 models)
 computes in float64 throughout; dump it with that checkout's own numcheck.py.
 
 `compare` prints, over the arrays of both files, the worst difference scaled
-by max(1, max|parent|), how many arrays are bit-equal and which exceed
-1e-12 * max(1, max|parent|). With a third file it also reports whether the
-two change runs are bit-identical. It exits 1 when an array is over the
+by max(1, max|parent|), how many arrays are bit-equal and which are over the
+tolerance: 1e-12 * max(1, max|parent|) for a float64 array, none for a
+float32 one, which passes only when bit-equal (a change that alters float32
+rounding declares it). With a third file it also reports whether the two
+change runs are bit-identical. It exits 1 when an array is over the
 tolerance, a key is missing, a key's shapes or dtypes differ, or the change
 runs differ.
 
@@ -86,20 +91,22 @@ def dump(checkout: str, out_path: str) -> None:
     toy = replace(TOY_CONFIG, dtype="float64")
     out = {}
     for tag, cfg, size, taped in (("toy", toy, 64, True),
+                                  ("toy32", TOY_CONFIG, 64, True),
                                   ("micro", MICRO_CONFIG, 16, True),
                                   ("toy128", toy, 128, False)):
         m = RestorationModel(cfg, seed=3)
         rng = np.random.default_rng(11)
         # output_conv is zero-initialised, which would make restored == input
         # and stop every gradient behind it
-        m.output_conv.weight.data = rng.normal(0.0, 0.02, m.output_conv.weight.shape)
+        w = m.output_conv.weight
+        w.data = rng.normal(0.0, 0.02, w.shape).astype(cfg.dtype)
         img, gt = rng.uniform(0, 1, (size, size, 3)), rng.uniform(0, 1, (size, size, 3))
         r = m.restore(img, PROMPT)
         out[f"{tag}.restored"], out[f"{tag}.logits"] = r.restored.data, r.logits.data
         if not taped:
             continue
         with T.Tape() as tape:
-            r = m.restore(T.Tensor(img), PROMPT)
+            r = m.restore(img, PROMPT)
             loss = T.add(T.mean_all(T.absolute(T.sub(r.restored, T.Tensor(gt)))),
                          T.mean_all(r.logits))
         tape.backward(loss)
@@ -130,7 +137,7 @@ def compare(parent_path: str, change_path: str, change2_path: str | None) -> boo
         d = float(np.abs(x - y).max())
         worst = max(worst, d / scale)
         equal += bool(np.array_equal(x, y))
-        if not d <= TOLERANCE * scale:
+        if not d <= (TOLERANCE * scale if x.dtype == np.float64 else 0.0):
             bad.append((key, d))
     print(f"{len(a.files)} arrays, worst scaled diff {worst:.3g}, {equal} bit-equal, "
           f"over tolerance: {bad}")
