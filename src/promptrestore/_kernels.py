@@ -2,9 +2,13 @@
 
 One numpy implementation per kernel. The depthwise kernels take
 channels-last [H,W,C] arrays (any strides) and return fresh contiguous
-[H,W,C] arrays. No padded copy is made: each of the 9 taps accumulates a
-shifted slice, a block of rows at a time. The contract tests compare every
-kernel against an independent oracle.
+[H,W,C] arrays. They walk the input a block of rows at a time: each block
+and its two halo rows are copied into one reused zero-padded scratch, and
+a single einsum over a strided view of its 9 taps sums the block. Each
+output of the correlation is summed from zero, tap by tap in (i, j) order,
+each product rounded before its add (no FMA), so its bits are those of
+the sequential sum whatever the input's layout or memory offset. The
+contract tests compare every kernel against an independent oracle.
 
 All kernels are dtype-generic: they inherit the input array's dtype.
 """
@@ -12,6 +16,7 @@ All kernels are dtype-generic: they inherit the input array's dtype.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 # there are no compiled kernels; perfbench's machine facts read this flag
 _HAVE_NUMBA = False
@@ -20,45 +25,39 @@ _GELU_K = 0.7978845608028654  # sqrt(2/pi)
 _GELU_C = 0.044715
 
 
-# rows per pass of the forward correlation: a block this size stays in L2
-# across all 9 taps instead of streaming the whole array from memory 9 times
+# rows per block: a block's padded copy stays in L2 across all 9 taps
+# instead of streaming the whole array from memory 9 times
 _BLOCK_BYTES = 1 << 18
 
 
-def _taps(h, w, c, r0=0, r1=None):
-    """Yield (i, j, dst, src) for the off-centre taps of a zero-padded 3x3
-    correlation on [H, W*C] rows, restricted to output rows r0:r1:
-    out[dst] += x[src] * w[:, i, j]."""
-    r1 = h if r1 is None else r1
-    for i in range(3):
-        for j in range(3):
-            if i == 1 and j == 1:
-                continue
-            di, dj = i - 1, j - 1
-            y0, y1 = max(r0, -di), min(r1, h - max(0, di))
-            x0, x1 = max(0, -dj) * c, (w - max(0, dj)) * c
-            if y0 < y1 and x0 < x1:
-                yield i, j, (slice(y0, y1), slice(x0, x1)), \
-                    (slice(y0 + di, y1 + di), slice(x0 + dj * c, x1 + dj * c))
+def _row_blocks(x):
+    """Walk x[H,W,C] in row blocks; yield (r0, r1, taps), taps a read-only
+    [3, 3, r1-r0, W*C] view with taps[i, j, y, u*C + ch] = x[r0+y+i-1, u+j-1, ch]
+    (zero outside x). Each block and its two halo rows are copied into one
+    reused zero-padded scratch, so a view is valid until the next yield."""
+    h, wd, c = x.shape
+    rows = max(1, min(h, _BLOCK_BYTES // max(1, wd * c * x.itemsize)))
+    pad = np.zeros((rows + 2, (wd + 2) * c), dtype=x.dtype)
+    body = pad[:, c:(wd + 1) * c].reshape(rows + 2, wd, c)   # pad row p holds x row r0-1+p
+    s0, s1 = pad.strides
+    for r0 in range(0, h, rows):
+        r1 = min(h, r0 + rows)
+        lo, hi = max(0, r0 - 1), min(h, r1 + 1)
+        body[lo - r0 + 1:hi - r0 + 1] = x[lo:hi]
+        if hi == r1:                    # below the last row: zero, not a stale row
+            body[r1 - r0 + 1] = 0
+        yield r0, r1, as_strided(pad, (3, 3, r1 - r0, wd * c), (s0, c * s1, s0, s1),
+                                 writeable=False)
 
 
 def _correlate3x3(x, w):
     # out[y,x,c] = sum_ij w[c,i,j] * x[y+i-1, x+j-1, c]
     h, wd, c = x.shape
-    x2 = x.reshape(h, wd * c)       # a copy only when x is a strided view
     # per-tap weights tiled along a row: wt[i, j, x*C + ch] = w[ch, i, j]
     wt = np.tile(w.astype(x.dtype, copy=False).transpose(1, 2, 0), (1, 1, wd))
-    out = np.empty_like(x2)
-    rows = max(1, _BLOCK_BYTES // max(1, x2[:1].nbytes))
-    scratch = np.empty((min(rows, h), wd * c), dtype=x.dtype)
-    for r0 in range(0, h, rows):
-        r1 = min(h, r0 + rows)
-        np.multiply(x2[r0:r1], wt[1, 1], out=out[r0:r1])
-        for i, j, dst, src in _taps(h, wd, c, r0, r1):
-            xs = x2[src]
-            buf = scratch[:xs.shape[0], :xs.shape[1]]
-            np.multiply(xs, wt[i, j, dst[1]], out=buf)
-            out[dst] += buf
+    out = np.empty((h, wd * c), dtype=x.dtype)
+    for r0, r1, taps in _row_blocks(x):
+        np.einsum("ijhk,ijk->hk", taps, wt, out=out[r0:r1])
     return out.reshape(h, wd, c)
 
 
@@ -75,11 +74,12 @@ def depthwise3x3_grad_input(g, w):
 def depthwise3x3_grad_weight(x, g):
     """Gradient of depthwise3x3 in w: gw[c,i,j] = sum_yx g[y,x,c] x[y+i-1,x+j-1,c]."""
     h, wd, c = g.shape
-    gw = np.zeros((c, 3, 3), dtype=g.dtype)
-    gw[:, 1, 1] = np.einsum("hwc,hwc->c", g, x)
-    for i, j, dst, src in _taps(h, wd, 1):
-        gw[:, i, j] = np.einsum("hwc,hwc->c", g[dst], x[src])
-    return gw
+    g = np.ascontiguousarray(g)         # else the einsum's sum order follows g's strides
+    # rows and columns are summed inside the einsum: no [3,3,W*C] partial sums
+    gw = np.zeros((3, 3, c), dtype=g.dtype)
+    for r0, r1, taps in _row_blocks(x):
+        gw += np.einsum("ijhwc,hwc->ijc", taps.reshape(3, 3, r1 - r0, wd, c), g[r0:r1])
+    return gw.transpose(2, 0, 1)
 
 
 def gelu(x, slope=True):

@@ -302,14 +302,14 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 def gated_gelu(a: Tensor, b: Tensor) -> Tensor:
     """gelu(a) * b, the gate of the gated FFN, as one op. Backward
     recomputes gelu(a) and its slope from a, so a taped call holds a's and
-    b's data and no third array. For a and b of one dtype, values and
-    gradients are bit-equal to mul(gelu(a), b)."""
+    b's data (in the wider dtype) and no third array. Values and gradients
+    are bit-equal to mul(gelu(a), b) with both inputs in the wider dtype."""
     if a.shape != b.shape:
         raise ShapeError(f"gated_gelu: shapes {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
+    dt = np.result_type(a.data, b.data)
+    ad, bd = a.data.astype(dt, copy=False), b.data.astype(dt, copy=False)
     y = _kernels.gelu(ad, False)[0]
-    # in place unless b is the wider dtype
-    out = np.multiply(y, bd, out=y if np.can_cast(bd.dtype, y.dtype) else None)
+    out = np.multiply(y, bd, out=y)
 
     def backward(g):
         y, slope = _kernels.gelu(ad, True)
@@ -606,15 +606,20 @@ def _resize_matrix(n_in: int, n_out: int, dtype: np.dtype) -> np.ndarray:
     return m
 
 
+# rows first, then cols: the path optimize=True picks, forward and backward,
+# at every pool and resize shape of the presets, given so no call searches
+_SANDWICH_PATH = ["einsum_path", (0, 2), (0, 1)]
+
+
 def _sandwich(x: Tensor, matrix: Callable, out_h: int, out_w: int, opname: str) -> Tensor:
     # out[i,j,c] = sum_hw rows[i,h] cols[j,w] x[h,w,c], rows and cols cached per
     # (n_in, n_out, dtype) and built in x's dtype; backward is its adjoint
     h, w, _ = _hwc(x, opname)
     rows, cols = matrix(h, out_h, x.data.dtype), matrix(w, out_w, x.data.dtype)
-    out = np.einsum("ih,jw,hwc->ijc", rows, cols, x.data, optimize=True)
+    out = np.einsum("ih,jw,hwc->ijc", rows, cols, x.data, optimize=_SANDWICH_PATH)
 
     def backward(g):
-        return (np.einsum("ih,jw,ijc->hwc", rows, cols, g, optimize=True),)
+        return (np.einsum("ih,jw,ijc->hwc", rows, cols, g, optimize=_SANDWICH_PATH),)
 
     return _finish(out, (x,), backward, opname)
 

@@ -6,9 +6,10 @@ loop-form adjoints (all written for [C,H,W], so applied through transposes),
 for both layouts tensor.conv2d hands them. Each layout is named by the
 [C,H,W] argument conv2d receives: "chw", a contiguous [C,H,W] array, gives
 the kernel a non-contiguous [H,W,C] view; "hwc_view", nn.Conv2d's transposed
-view of a channels-last feature, gives it a contiguous [H,W,C] array. GELU
-is checked against its closed form and its slope against central
-differences.
+view of a channels-last feature, gives it a contiguous [H,W,C] array. Row
+blocks are checked in float64 and float32, and the kernels' bits must not
+depend on the input's layout or memory offset. GELU is checked against its
+closed form and its slope against central differences.
 """
 
 import math
@@ -113,17 +114,76 @@ def test_depthwise3x3_grad_weight_vs_loops(shape, layout):
     assert np.abs(gw - grad_weight_oracle(chw(x), chw(g))).max() <= 1e-12
 
 
+def oracles(x, w, g):
+    """The float64 oracles of the three depthwise kernels, in kernel order."""
+    x, w, g = (a.astype(np.float64) for a in (x, w, g))
+    return (hwc(conv2d_oracle(chw(x), w[:, None], padding=1, groups=x.shape[2])),
+            hwc(grad_input_oracle(chw(g), w)), grad_weight_oracle(chw(x), chw(g)))
+
+
+def run_kernels(x, w, g):
+    return (_kernels.depthwise3x3(x, w), _kernels.depthwise3x3_grad_input(g, w),
+            _kernels.depthwise3x3_grad_weight(x, g))
+
+
 @pytest.mark.parametrize("rows", [1, 2, 4])
 def test_depthwise3x3_row_blocks(monkeypatch, rows):
     # blocks of `rows` rows, so 7 rows end in a partial block
     shape = (7, 5, 3)
     monkeypatch.setattr(_kernels, "_BLOCK_BYTES", rows * 5 * 3 * 8)
-    x, w = make(shape, 7, "hwc_view"), weights(3, 8)
-    ref = hwc(conv2d_oracle(chw(x), w[:, None], padding=1, groups=3))
-    assert np.abs(_kernels.depthwise3x3(x, w) - ref).max() <= 1e-12
-    g = make(shape, 14, "hwc_view")
-    assert np.abs(_kernels.depthwise3x3_grad_input(g, w)
-                  - hwc(grad_input_oracle(chw(g), w))).max() <= 1e-12
+    x, w, g = make(shape, 7, "hwc_view"), weights(3, 8), make(shape, 14, "hwc_view")
+    for got, ref in zip(run_kernels(x, w, g), oracles(x, w, g)):
+        assert np.abs(got - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_float32_row_blocks_match_the_float64_oracles(monkeypatch, layout):
+    # 2-row blocks: 4 of them over 7 rows, the last one partial
+    shape = (7, 5, 3)
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 2 * 5 * 3 * 4)
+    x, g = make(shape, 15, layout, np.float32), make(shape, 16, layout, np.float32)
+    w = weights(3, 17, np.float32)
+    for got, ref in zip(run_kernels(x, w, g), oracles(x, w, g)):
+        assert got.dtype == np.float32
+        assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
+def sequential_correlation(x, w):
+    # the documented order: from zero, tap by tap in (i, j) order, each
+    # product rounded before its add
+    h, wd, c = x.shape
+    xp = np.zeros((h + 2, wd + 2, c), dtype=x.dtype)
+    xp[1:-1, 1:-1] = x
+    out = np.zeros_like(xp[1:-1, 1:-1])
+    for i in range(3):
+        for j in range(3):
+            out = out + xp[i:i + h, j:j + wd] * w[:, i, j]
+    return out
+
+
+def shifted(a, offset, layout):
+    """a's values in the given layout, starting `offset` items into a buffer."""
+    base = chw(a) if layout == "chw" else a
+    buf = np.empty(base.size + offset, dtype=a.dtype)
+    out = buf[offset:].reshape(base.shape)
+    out[...] = base
+    return hwc(out) if layout == "chw" else out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_depthwise_bits_do_not_depend_on_layout_or_memory_offset(monkeypatch, dtype):
+    # 3-row blocks over 8 rows; the correlation is the sequential sum bit for bit
+    shape = (8, 9, 6)
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 3 * 9 * 6 * np.dtype(dtype).itemsize)
+    x0, g0 = make(shape, 18, "hwc_view", dtype), make(shape, 19, "hwc_view", dtype)
+    w = weights(6, 20, dtype)
+    want = (sequential_correlation(x0, w), sequential_correlation(g0, w[:, ::-1, ::-1]),
+            _kernels.depthwise3x3_grad_weight(x0, g0))
+    for layout in LAYOUTS:
+        for offset in range(16):
+            x, g = shifted(x0, offset, layout), shifted(g0, offset, layout)
+            for got, ref in zip(run_kernels(x, w, g), want):
+                np.testing.assert_array_equal(got, ref)
 
 
 def test_kernels_keep_float32():

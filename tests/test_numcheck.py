@@ -58,3 +58,16 @@ def test_compare_wants_float32_arrays_bit_equal(numcheck, tmp_path, capsys):
     assert not numcheck.compare(parent, change, None)
     ulp = float(np.abs(b32 - a32).max())
     assert f"0 bit-equal, over tolerance: [('a', {ulp!r})]" in capsys.readouterr().out
+
+
+def test_compare_prints_one_line_per_group(numcheck, tmp_path, capsys):
+    # the group is the key's first part; data.* stays equal, toy.* does not
+    parent = _save(tmp_path / "parent.npz", **{"toy.a": np.ones(2), "toy.b": np.full(2, 4.0),
+                                                 "data.c": np.zeros(2)})
+    change = _save(tmp_path / "change.npz", **{"toy.a": np.ones(2), "toy.b": np.full(2, 5.0),
+                                                 "data.c": np.zeros(2)})
+    assert not numcheck.compare(parent, change, None)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("3 arrays, worst scaled diff 0.25, 2 bit-equal")
+    assert lines[1:] == ["  data: 1 arrays, 0 over tolerance, worst scaled diff 0",
+                         "  toy: 2 arrays, 1 over tolerance, worst scaled diff 0.25"]

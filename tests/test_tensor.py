@@ -7,6 +7,7 @@ import pytest
 
 from promptrestore import nn
 from promptrestore import tensor as T
+from promptrestore.model import MICRO_CONFIG, TOY_CONFIG, RestorationModel
 from promptrestore.tensor import Tape, Tensor
 
 from helpers import (adaptive_pool_oracle, check_gradients, conv2d_oracle, matmul_oracle,
@@ -304,12 +305,14 @@ def test_gated_gelu_is_bit_equal_to_mul_of_gelu(dtype):
     np.testing.assert_array_equal(b0, b_copy)
 
 
-def test_gated_gelu_with_a_wider_b_multiplies_in_b_dtype():
+def test_gated_gelu_with_a_wider_b_computes_in_b_dtype():
+    # gelu(a) too is computed in float64: the all-float64 mul(gelu(a), b),
+    # with a's gradient rounded to float32 once at the end
     a0 = rand(3, 4, seed=55, lo=-3.0, hi=3.0).astype(np.float32)
     b0 = rand(3, 4, seed=56)
     runs = []
-    for op in (T.gated_gelu, lambda a, b: T.mul(T.gelu(a), b)):
-        a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+    for op, a_data in ((T.gated_gelu, a0), (lambda a, b: T.mul(T.gelu(a), b), a0.astype(np.float64))):
+        a, b = Tensor(a_data, requires_grad=True), Tensor(b0, requires_grad=True)
         with Tape() as tape:
             out = op(a, b)
             loss = sum_all(out)
@@ -319,8 +322,7 @@ def test_gated_gelu_with_a_wider_b_multiplies_in_b_dtype():
     assert (out.dtype, a_grad.dtype, b_grad.dtype) == (np.float64, np.float32, np.float64)
     np.testing.assert_array_equal(out, want_out)
     np.testing.assert_array_equal(b_grad, want_b)
-    # a's gradient is rounded to float32 once, not after each factor
-    np.testing.assert_allclose(a_grad, want_a, rtol=1e-6)
+    np.testing.assert_array_equal(a_grad, want_a.astype(np.float32))
 
 
 def test_gated_gelu_tape_holds_its_two_inputs_and_no_third_array():
@@ -411,6 +413,41 @@ def test_pool_and_resize_matrices_are_built_per_dtype():
         np.testing.assert_array_equal(got, want)
 
 
+def test_pool_and_resize_give_the_bits_of_optimize_true_at_every_preset_shape(monkeypatch):
+    # their einsums take a fixed contraction path in place of optimize=True's
+    # search; at every pool and resize a preset makes, forward and backward
+    # must give the bits the search would
+    calls = set()
+    real = T._sandwich
+
+    def record(x, matrix, out_h, out_w, opname):
+        calls.add((opname, x.shape, out_h, out_w, x.data.dtype))
+        return real(x, matrix, out_h, out_w, opname)
+
+    monkeypatch.setattr(T, "_sandwich", record)
+    for cfg, size in ((TOY_CONFIG, 64), (TOY_CONFIG, 128), (MICRO_CONFIG, 16), (MICRO_CONFIG, 32)):
+        RestorationModel(cfg, seed=0).restore(rand(size, size, 3, seed=1, lo=0.0), "remove the rain")
+    monkeypatch.undo()
+    # the paper-scale config's agent pools at its base resolution (a restore
+    # there takes seconds); its 1x1 pools are the presets' ones at more channels
+    calls |= {("adaptive_avg_pool", (s, s, 48 * 128 // s), 12, 12, np.dtype(np.float32))
+              for s in (128, 64, 32, 16)}
+    assert {c[0] for c in calls} == {"adaptive_avg_pool", "bilinear_resize"}
+    for opname, shape, out_h, out_w, dtype in sorted(calls, key=str):
+        x, g = rand(*shape, seed=2).astype(dtype), rand(out_h, out_w, shape[2], seed=3).astype(dtype)
+        matrix = T._pool_matrix if opname == "adaptive_avg_pool" else T._resize_matrix
+        rows, cols = matrix(shape[0], out_h, dtype), matrix(shape[1], out_w, dtype)
+        leaf = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = getattr(T, opname)(leaf, out_h, out_w)
+            loss = sum_all(T.mul(out, Tensor(g)))      # hands backward g itself
+        tape.backward(loss)
+        np.testing.assert_array_equal(out.data, np.einsum("ih,jw,hwc->ijc", rows, cols, x,
+                                                          optimize=True))
+        np.testing.assert_array_equal(leaf.grad, np.einsum("ih,jw,ijc->hwc", rows, cols, g,
+                                                           optimize=True))
+
+
 _W, _B = Tensor(np.zeros((2, 2, 3, 3))), Tensor(np.zeros(2))
 
 
@@ -466,7 +503,7 @@ def test_tensor_keeps_float32_and_float64_and_casts_the_rest_to_float64(data, dt
 
 
 # each case: the op, its inputs' shapes and which input is float32 (the rest
-# are float64); gated_gelu's gelu(a) is in a's dtype, so there b is the float32 one
+# are float64)
 _MIXED = {
     "add": (T.add, [(3, 4), (3, 4)], 0),
     "sub": (T.sub, [(3, 4), (3, 4)], 0),
@@ -478,6 +515,7 @@ _MIXED = {
     "matmul": (T.matmul, [(2, 3, 4), (4, 5)], 0),
     "add_bias": (T.add_bias, [(3, 4), (4,)], 0),
     "gated_gelu": (T.gated_gelu, [(3, 4), (3, 4)], 1),
+    "gated_gelu-a": (T.gated_gelu, [(3, 4), (3, 4)], 0),
     "concat": (lambda a, b: T.concat([a, b], axis=1), [(3, 4), (3, 2)], 0),
 }
 
