@@ -24,7 +24,7 @@ class GatedDConvFFN(Module):
     holds the two paths for backward and not the GELU output too."""
 
     def __init__(self, channels: int, rng: np.random.Generator):
-        h = max(1, round(channels * GDFN_EXPANSION))
+        h = round(channels * GDFN_EXPANSION)
         self.proj1 = Linear(channels, h, rng)
         self.proj2 = Linear(channels, h, rng)
         self.dw1 = Conv2d(h, h, rng, groups=h)

@@ -2,12 +2,12 @@
 
 All renderers map float images [H,W,3] in [0,1] to the same range. beta is
 the severity in [0,1] and beta = 0 renders as the exact identity (a copy) for
-every kind: lowlight, haze and blur by their own formulas (a scale by 1, a
-transmission of 1, a 1x1 kernel), rain and snow by returning a copy. gamma is
-the per-kind feature parameter (blur angle, rain slant, haze blob seed);
-alpha seeds the snow mask. Above beta = 0 the amount of snow does not follow
-beta: alpha draws 15-39 flakes and the mask stops growing at 15% of the
-image. Re-rendering with an identical spec is bit-identical, which the
+every kind: lowlight, haze, blur and rain by their own formulas (a scale by
+1, a transmission of 1, a 1x1 kernel, no streaks), snow by returning a copy.
+gamma is the per-kind feature parameter (blur angle, rain slant, haze blob
+seed); alpha seeds the snow mask. Above beta = 0 the amount of snow does not
+follow beta: alpha draws 15-39 flakes and the mask stops growing at 15% of
+the image. Re-rendering with an identical spec is bit-identical, which the
 ground-truth consistency checks rely on.
 
 Cost: rain is one ordered scatter-add (np.add.at) of every streak sample's
@@ -197,10 +197,11 @@ def _splat_lines(h: int, w: int, lines: np.ndarray, angle_deg) -> np.ndarray:
     steps = np.maximum(2, (length * 2).astype(np.int64))
     spacing = length / (steps - 1)
     ends = np.cumsum(steps)              # one past each line's last sample
+    total = int(steps.sum())
     mask = np.zeros(h * w)
     per_pass = max(1, _SPLAT_ENTRIES // 4)
-    for lo in range(0, int(ends[-1]), per_pass):
-        j = np.arange(lo, min(lo + per_pass, int(ends[-1])))
+    for lo in range(0, total, per_pass):
+        j = np.arange(lo, min(lo + per_pass, total))
         line = np.searchsorted(ends, j, side="right")
         i = j - (ends[line] - steps[line])          # sample index on its line
         t = i * spacing[line]
@@ -224,8 +225,6 @@ def apply_rain(img: np.ndarray, beta: float, gamma: float,
                rng_stream: int) -> np.ndarray:
     """Anti-aliased rain streaks at slant gamma (degrees off vertical)."""
     n = rain_streak_count(beta, img.shape)
-    if n == 0:      # no streaks: _splat_lines would index an empty ends[-1]
-        return img.copy()
     h, w = img.shape[:2]
     rng = np.random.default_rng(int(rng_stream))
     # per streak: y0 ~ U(-4, h-4), x0 ~ U(0, w), length ~ U(0.08, 0.16) * h;

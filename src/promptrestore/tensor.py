@@ -296,7 +296,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add_bias: trailing dims {x.shape} vs {b.shape}")
     lead = tuple(range(x.ndim - b.ndim))
     return _finish(x.data + b.data, (x, b),
-                   lambda g: (g, g.sum(axis=lead) if lead else g), "add_bias")
+                   lambda g: (g, g.sum(axis=lead)), "add_bias")
 
 
 def gated_gelu(a: Tensor, b: Tensor) -> Tensor:
@@ -458,8 +458,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         s2 = (gxh * xhat).sum(axis=-1, keepdims=True)
         dx = (gxh - s1 / n - xhat * s2 / n) * inv
         red = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=red) if red else g * xhat
-        dbeta = g.sum(axis=red) if red else g
+        dgamma = (g * xhat).sum(axis=red)
+        dbeta = g.sum(axis=red)
         return dx, dgamma, dbeta
 
     return _finish(out.reshape(xd.shape), (x, gamma, beta), backward, "layer_norm")
@@ -593,16 +593,13 @@ def _pool_matrix(n_in: int, n_out: int, dtype: np.dtype) -> np.ndarray:
 def _resize_matrix(n_in: int, n_out: int, dtype: np.dtype) -> np.ndarray:
     # bilinear weights, align_corners convention (endpoints map to endpoints)
     m = np.zeros((n_out, n_in), dtype=dtype)
-    if n_out == 1 or n_in == 1:
-        m[:, 0] = 1.0
-    else:
-        pos = np.arange(n_out) * (n_in - 1) / (n_out - 1)
-        lo = np.floor(pos).astype(int)
-        hi = np.minimum(lo + 1, n_in - 1)
-        frac = pos - lo
-        for i in range(n_out):
-            m[i, lo[i]] += 1.0 - frac[i]
-            m[i, hi[i]] += frac[i]
+    pos = np.arange(n_out) * (n_in - 1) / max(n_out - 1, 1)
+    lo = np.floor(pos).astype(int)
+    hi = np.minimum(lo + 1, n_in - 1)
+    frac = pos - lo
+    for i in range(n_out):
+        m[i, lo[i]] += 1.0 - frac[i]
+        m[i, hi[i]] += frac[i]
     return m
 
 

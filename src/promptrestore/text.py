@@ -1,9 +1,9 @@
 """Prompt tokenization and the trainable prompt encoder.
 
 The prompt grammar is tiny (two templates over five degradation names), so
-the default encoder is a small two-layer transformer trained jointly with
-the restoration model. Two linear heads project the encoded sequence to the
-channel widths consumed by the two fusion points (8C and 4C).
+the encoder is a small transformer of ModelConfig.text_layers layers, and
+the library has no trainer for it yet. Two linear heads project the encoded
+sequence to the channel widths consumed by the two fusion points (8C and 4C).
 
 The token table is fixed: TOKENS (id = position, sorted) and VOCAB_SHA256,
 its digest, which checkpoints store so weights never load under another one.

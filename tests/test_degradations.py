@@ -60,6 +60,22 @@ def test_rain_streaks_starting_above_the_image_match_streak_loop():
                               rain_oracle(img, 1.0, slant, stream))
 
 
+def test_splat_of_no_lines_is_an_all_zero_mask():
+    mask = G._splat_lines(5, 7, np.zeros((0, 3)), 0.0)
+    assert mask.shape == (5, 7)
+    assert not mask.any()
+
+
+def test_rain_with_no_streaks_renders_by_its_formula():
+    # at 8x8 the streak count 0.5 * 120 * 64 / 128^2 rounds to 0; the image
+    # comes back unchanged in float64, the dtype of a render with streaks
+    img = _image(8, 8).astype(np.float32)
+    assert G.rain_streak_count(0.5, img.shape) == 0
+    out = G.apply_rain(img, 0.5, 10.0, 3)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, img)
+
+
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("cap", [G.SNOW_COVERAGE_CAP, 0.01], ids=["cap", "tight-cap"])
 def test_snow_mask_matches_flake_loop(monkeypatch, size, cap):

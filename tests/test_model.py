@@ -157,6 +157,21 @@ def test_float32_step_with_a_float64_target_gives_float32_gradients():
         [(name, np.float32) for name, _ in model.named_parameters()]
 
 
+@pytest.mark.parametrize("size", [(8, 8), (16, 16), (24, 40)])
+def test_toy_restore_below_the_agent_grid(size):
+    # latent fields of 1x1, 2x2 and 3x5 clamp the 4x4 agent grid, and every
+    # position table is resized (to one pixel at 8x8)
+    model = toy_model(seed=50)
+    _nonzero_output_head(model, 51)
+    img = rand_image(*size, seed=52)
+    with pytest.warns(UserWarning, match="agent grid clamped"):
+        a, b = (model.restore(img, "Remove rain.") for _ in range(2))
+    assert a.restored.shape == (*size, 3)
+    assert np.isfinite(a.restored.data).all() and np.isfinite(a.logits.data).all()
+    np.testing.assert_array_equal(a.restored.data, b.restored.data)
+    np.testing.assert_array_equal(a.logits.data, b.logits.data)
+
+
 def _numcheck_gradients(config):
     # tools/numcheck.py's taped case at 16x16: model seed 3, data seed 11,
     # L1 + mean-logit loss

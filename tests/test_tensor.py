@@ -368,6 +368,27 @@ def test_bilinear_resize_identity_and_corners():
     np.testing.assert_allclose(up[-1, -1], x[-1, -1], atol=1e-12)
 
 
+def _resize_matrix_oracle(n_in, n_out):
+    # align-corners bilinear weights, one output sample at a time: a single
+    # output samples input 0, a single input is every output's only tap
+    m = [[0.0] * n_in for _ in range(n_out)]
+    for i in range(n_out):
+        p = 0.0 if n_out == 1 else i * (n_in - 1) / (n_out - 1)
+        lo = int(p)
+        hi = min(lo + 1, n_in - 1)
+        m[i][lo] += 1.0 - (p - lo)
+        m[i][hi] += p - lo
+    return m
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_in, n_out", [(1, 1), (1, 5), (5, 1), (4, 7), (7, 4)])
+def test_resize_matrix_matches_a_loop_oracle_at_sides_of_one(n_in, n_out, dtype):
+    got = T._resize_matrix(n_in, n_out, np.dtype(dtype))
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, np.array(_resize_matrix_oracle(n_in, n_out), dtype=dtype))
+
+
 def test_embedding_lookup_and_range_check():
     w = Tensor(rand(7, 4, seed=20))
     out = T.embedding(w, np.array([2, 2, 6]))

@@ -16,6 +16,9 @@ group:
   micro   MICRO_CONFIG at 16x16, forward and backward
   toy128  TOY_CONFIG pinned at float64, at 128x128, forward only (twice the
           native resolution, so the position encodings are resized)
+  small   TOY_CONFIG pinned at float64, at 8x8 and 24x40, forward only:
+          below the agent grid, which clamps (its warning is silenced), and
+          with every position encoding resized, to one pixel at 8x8
   data    degradations.compose_sample's degraded image and ground truth at
           16x16, for every non-empty set of kinds and every non-empty removal
           set of it (211 requests), once for one spec per kind drawn from a
@@ -50,6 +53,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse           # noqa: E402
 import itertools          # noqa: E402
 import sys                # noqa: E402
+import warnings           # noqa: E402
 from dataclasses import replace  # noqa: E402
 
 import numpy as np        # noqa: E402
@@ -92,28 +96,33 @@ def dump(checkout: str, out_path: str) -> None:
 
     toy = replace(TOY_CONFIG, dtype="float64")
     out = {}
-    for tag, cfg, size, taped in (("toy", toy, 64, True),
-                                  ("toy32", TOY_CONFIG, 64, True),
-                                  ("micro", MICRO_CONFIG, 16, True),
-                                  ("toy128", toy, 128, False)):
-        m = RestorationModel(cfg, seed=3)
-        rng = np.random.default_rng(11)
-        # output_conv is zero-initialised, which would make restored == input
-        # and stop every gradient behind it
-        w = m.output_conv.weight
-        w.data = rng.normal(0.0, 0.02, w.shape).astype(cfg.dtype)
-        img, gt = rng.uniform(0, 1, (size, size, 3)), rng.uniform(0, 1, (size, size, 3))
-        r = m.restore(img, PROMPT)
-        out[f"{tag}.restored"], out[f"{tag}.logits"] = r.restored.data, r.logits.data
-        if not taped:
-            continue
-        with T.Tape() as tape:
+    with warnings.catch_warnings():
+        # the small group's fields are smaller than the agent grid
+        warnings.filterwarnings("ignore", message="agent grid clamped")
+        for tag, cfg, shape, taped in (("toy", toy, (64, 64), True),
+                                       ("toy32", TOY_CONFIG, (64, 64), True),
+                                       ("micro", MICRO_CONFIG, (16, 16), True),
+                                       ("toy128", toy, (128, 128), False),
+                                       ("small.8x8", toy, (8, 8), False),
+                                       ("small.24x40", toy, (24, 40), False)):
+            m = RestorationModel(cfg, seed=3)
+            rng = np.random.default_rng(11)
+            # output_conv is zero-initialised, which would make restored == input
+            # and stop every gradient behind it
+            w = m.output_conv.weight
+            w.data = rng.normal(0.0, 0.02, w.shape).astype(cfg.dtype)
+            img, gt = rng.uniform(0, 1, (*shape, 3)), rng.uniform(0, 1, (*shape, 3))
             r = m.restore(img, PROMPT)
-            loss = T.add(T.mean_all(T.absolute(T.sub(r.restored, T.Tensor(gt)))),
-                         T.mean_all(r.logits))
-        tape.backward(loss)
-        out[f"{tag}.loss"] = loss.data
-        out.update({f"{tag}.grad.{n}": p.grad for n, p in m.named_parameters()})
+            out[f"{tag}.restored"], out[f"{tag}.logits"] = r.restored.data, r.logits.data
+            if not taped:
+                continue
+            with T.Tape() as tape:
+                r = m.restore(img, PROMPT)
+                loss = T.add(T.mean_all(T.absolute(T.sub(r.restored, T.Tensor(gt)))),
+                             T.mean_all(r.logits))
+            tape.backward(loss)
+            out[f"{tag}.loss"] = loss.data
+            out.update({f"{tag}.grad.{n}": p.grad for n, p in m.named_parameters()})
     out.update(_data(G, D))
     np.savez(out_path, **out)
     print(f"{len(out)} arrays written to {out_path}")
