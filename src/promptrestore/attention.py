@@ -26,17 +26,21 @@ from .tensor import Tensor
 
 @dataclass(frozen=True)
 class AttnConfig:
+    """One attention module's shape, each field an int >= 1. Both agent modules
+    read all six: heads split channels, agent_h x agent_w is the agent grid,
+    height x width the position encodings' grid. VanillaSelfAttention reads
+    only channels and heads, but takes an AttnConfig as perfbench's attention
+    sweep builds it so (until ROADMAP item 9)."""
     channels: int
     heads: int
     agent_h: int
     agent_w: int
-    height: int          # stage resolution the position encodings live at
+    height: int
     width: int
-    text_len: int = 0    # cross attention only
 
     def __post_init__(self):
-        for f in fields(self):      # text_len is 0 for self attention
-            check_int(f.name, getattr(self, f.name), int(f.name != "text_len"))
+        for f in fields(self):
+            check_int(f.name, getattr(self, f.name), 1)
         if self.channels % self.heads:
             raise ValueError(f"channels {self.channels} not divisible by heads {self.heads}")
         if self.agent_h > self.height or self.agent_w > self.width:
@@ -117,29 +121,28 @@ class AgentSelfAttention(Module):
 
 
 class AgentCrossAttention(Module):
-    """Fuse a text feature [L,C] into an image feature [H,W,C].
+    """Fuse a text feature [text_len,C] into an image feature [H,W,C].
 
     Q comes from the image (plus learnable image position encoding), K/V
-    from the text (plus text position encoding). The pooled agent grid
-    mediates both softmax stages; the result is added back onto the image
-    feature, which is also the module output (no output projection).
+    from the text (plus a [text_len,C] text position encoding; text_len is
+    an int >= 1). The pooled agent grid mediates both softmax stages; the
+    result is added back onto the image feature (no output projection).
     """
 
-    def __init__(self, cfg: AttnConfig, rng: np.random.Generator):
-        if cfg.text_len <= 0:
-            raise ValueError("cross attention needs cfg.text_len")
+    def __init__(self, cfg: AttnConfig, text_len: int, rng: np.random.Generator):
+        check_int("text_len", text_len, 1)
         c = cfg.channels
         self.cfg = cfg
         self.w_q = Linear(c, c, rng)
         self.w_k = Linear(c, c, rng)
         self.w_v = Linear(c, c, rng)
         self.pos_img = param(rng.normal(0.0, 0.02, (cfg.height, cfg.width, c)))
-        self.pos_txt = param(rng.normal(0.0, 0.02, (cfg.text_len, c)))
+        self.pos_txt = param(rng.normal(0.0, 0.02, (text_len, c)))
 
     def __call__(self, f_img: Tensor, f_txt: Tensor) -> Tensor:
         h, w, c = f_img.shape
-        if f_txt.shape != (self.cfg.text_len, c):
-            raise T.ShapeError(f"text feature {f_txt.shape} != ({self.cfg.text_len}, {c})")
+        if f_txt.shape != self.pos_txt.shape:
+            raise T.ShapeError(f"text feature {f_txt.shape} != {self.pos_txt.shape}")
         q = T.add(self.w_q(f_img), _pos_at(self.pos_img, h, w))
         k = T.add(self.w_k(f_txt), self.pos_txt)
         v = T.add(self.w_v(f_txt), self.pos_txt)

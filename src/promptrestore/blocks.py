@@ -78,10 +78,10 @@ class Upsample(Module):
 class DegradationClassifier(Module):
     """Multi-label head on the encoder latent: which degradations are present.
 
-    A stride-2 3x3 conv + channel LayerNorm + GELU compresses the latent,
-    global average pooling removes the spatial extent, and three linear
-    layers map to one raw logit per degradation kind (sigmoid belongs to
-    the loss / metrics).
+    One call maps the latent [H,W,C] to [len(KINDS)] raw logits: a stride-2
+    3x3 conv + channel LayerNorm + GELU compresses it, global average pooling
+    removes the spatial extent, and three linear layers (GELU between them)
+    give one logit per degradation kind (sigmoid belongs to the loss).
     """
 
     def __init__(self, channels: int, rng: np.random.Generator):
@@ -91,15 +91,7 @@ class DegradationClassifier(Module):
         self.fc2 = Linear(max(1, channels // 2), max(1, channels // 4), rng)
         self.fc3 = Linear(max(1, channels // 4), len(KINDS), rng)
 
-    def compress(self, x: Tensor) -> Tensor:
-        # [H,W,C] -> half-resolution [H',W',C] feature
-        return T.gelu(self.norm(self.conv(x)))
-
-    def head(self, feat: Tensor) -> Tensor:
-        # global mean over the spatial grid, then the classifier stack
-        pooled = T.adaptive_avg_pool(feat, 1, 1)
+    def __call__(self, x: Tensor) -> Tensor:
+        pooled = T.adaptive_avg_pool(T.gelu(self.norm(self.conv(x))), 1, 1)
         logits = self.fc3(T.gelu(self.fc2(T.gelu(self.fc1(pooled)))))
         return T.reshape(logits, (logits.shape[-1],))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.head(self.compress(x))

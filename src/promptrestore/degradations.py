@@ -286,15 +286,18 @@ def apply_spec(img: np.ndarray, spec: DegradationSpec) -> np.ndarray:
 
 def compose_sample(clean: np.ndarray, present_specs, removed_kinds):
     """Render the degraded image (all specs) and the ground truth (specs
-    not being removed, identical parameter values), each in the composition
-    order haze -> rain -> snow -> blur -> lowlight (RENDER_ORDER, which fixes
-    ground-truth semantics), whatever the order of present_specs.
-    check_removal checks the kinds, in the order given.
+    not being removed, identical parameter values) from clean [H,W,3], each in
+    the order haze -> rain -> snow -> blur -> lowlight (RENDER_ORDER, which
+    fixes ground-truth semantics), whatever the order of present_specs.
+    check_removal checks the kinds, in the order given; any other shape of
+    clean raises ValueError naming it, before any rendering.
 
     Both images are one array until the first removed kind; that shared
     prefix is rendered once, which gives the same bits as rendering each
     from the clean image. Neither output shares memory with clean.
     """
+    if clean.ndim != 3 or clean.shape[2] != 3:
+        raise ValueError(f"compose_sample: clean image must be [H,W,3], got shape {clean.shape}")
     specs = list(present_specs)
     _, removed = check_removal((s.kind for s in specs), removed_kinds)
     degraded = gt = clean

@@ -106,11 +106,10 @@ class RestorationOutput:
     logits: Tensor              # [n_labels] raw degradation scores
 
 
-def _attn(cfg: ModelConfig, level: int, channels: int, text_len: int = 0) -> AttnConfig:
+def _attn(cfg: ModelConfig, level: int, channels: int) -> AttnConfig:
     # one head per C channels, on the grid of ladder level `level`
     res = cfg.base_resolution >> level
-    return AttnConfig(channels, channels // cfg.channels, cfg.agent_h, cfg.agent_w,
-                      res, res, text_len)
+    return AttnConfig(channels, channels // cfg.channels, cfg.agent_h, cfg.agent_w, res, res)
 
 
 def _stage(cfg: ModelConfig, level: int, n_blocks: int, channels: int, rng) -> Sequential:
@@ -137,11 +136,11 @@ class RestorationModel(Module):
 
         self.classifier = DegradationClassifier(c3, rng)
 
-        self.fuse_latent = AgentCrossAttention(_attn(config, 3, c3, PROMPT_LEN), rng)
+        self.fuse_latent = AgentCrossAttention(_attn(config, 3, c3), PROMPT_LEN, rng)
 
         self.up2 = Upsample(c3, rng)
         self.reduce2 = Linear(2 * c2, c2, rng)
-        self.fuse_mid = AgentCrossAttention(_attn(config, 2, c2, PROMPT_LEN), rng)
+        self.fuse_mid = AgentCrossAttention(_attn(config, 2, c2), PROMPT_LEN, rng)
         self.dec2 = _stage(config, 2, blocks[2], c2, rng)
 
         self.up1 = Upsample(c2, rng)

@@ -3,9 +3,9 @@
 The op set is what the restoration model needs: matmul (a linear map of the
 last axis, or batched), conv2d (3x3, dense or depthwise), softmax, layer norm,
 pixel shuffle / unshuffle, adaptive average pooling, bilinear resize, embedding
-lookup, gated_gelu (gelu(a) * b, the gated FFN's gate, as one op that
-holds only a and b for backward) and a small elementwise suite, plus mul,
-sub, exp, log, absolute and mean_all, which the model does not call: the
+lookup at integer ids, gated_gelu (gelu(a) * b, the gated FFN's gate, as one
+op that holds only a and b for backward) and a small elementwise suite, plus
+mul, sub, exp, log, absolute and mean_all, which the model does not call: the
 library has no loss, and perfbench's train_64 L1 + BCE loss and
 tools/numcheck.py build theirs from them. Forward ops never mutate their
 inputs; gradients are recorded on an explicit Tape, one open tape per
@@ -640,7 +640,9 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup: weight[V,E] gathered at integer ids -> [len(ids), E]."""
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":          # a float or bool id would truncate
+        raise TypeError(f"embedding: ids must be integers, got dtype {ids.dtype}")
     v = weight.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= v):
         raise IndexError(f"embedding: id out of range 0..{v - 1}")

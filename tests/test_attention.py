@@ -77,15 +77,13 @@ def test_attn_config_rejects_an_agent_grid_beyond_either_side(agent_h, agent_w):
     (dict(agent_w=-2), "agent_w must be an int >= 1, got -2"),
     (dict(height=True), "height must be an int >= 1, got True"),
     (dict(width=np.int64(8)), "width must be an int >= 1, got np.int64\\(8\\)"),
-    (dict(text_len=-1), "text_len must be an int >= 0, got -1"),
-    (dict(text_len=False), "text_len must be an int >= 0, got False"),
 ], ids=["zero-channels", "float-channels", "zero-heads", "zero-agents", "negative-agent-w",
-        "bool-height", "numpy-width", "negative-text-len", "bool-text-len"])
+        "bool-height", "numpy-width"])
 def test_attn_config_rejects_bad_fields(changes, message):
     # the text encoder's and perfbench's scaling-sweep configs stay valid
     AttnConfig(8, 2, 1, 1, 1, 1)
     AttnConfig(channels=48, heads=1, agent_h=12, agent_w=12, height=64, width=64)
-    fields = dict(channels=8, heads=2, agent_h=2, agent_w=2, height=8, width=8, text_len=0)
+    fields = dict(channels=8, heads=2, agent_h=2, agent_w=2, height=8, width=8)
     AttnConfig(**fields)
     with pytest.raises(ValueError, match=f"^{message}$"):
         AttnConfig(**{**fields, **changes})
@@ -93,9 +91,9 @@ def test_attn_config_rejects_bad_fields(changes, message):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: AttnConfig(6, 4, 1, 1, 2, 2), "channels 6 not divisible by heads 4"),
-    (lambda: AgentCrossAttention(AttnConfig(8, 2, 1, 1, 2, 2), np.random.default_rng(0)),
-     "cross attention needs cfg.text_len"),
-], ids=["heads-not-dividing-channels", "cross-without-text"])
+    *((lambda n=n: AgentCrossAttention(AttnConfig(8, 2, 1, 1, 2, 2), n, rng(0)),
+       f"text_len must be an int >= 1, got {n}") for n in (0, -1, False)),
+], ids=["heads-not-dividing-channels", "cross-without-text", "negative-text-len", "bool-text-len"])
 def test_attention_rejects_a_config_it_cannot_run(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
@@ -163,20 +161,18 @@ def test_mhasa_resized_position_encoding():
 
 
 def table4_cfg():
-    return AttnConfig(channels=384, heads=8, agent_h=12, agent_w=12,
-                      height=16, width=16, text_len=20)
+    return AttnConfig(channels=384, heads=8, agent_h=12, agent_w=12, height=16, width=16)
 
 
 def test_mhaca_table4_shape():
-    m = AgentCrossAttention(table4_cfg(), rng(16))
+    m = AgentCrossAttention(table4_cfg(), 20, rng(16))
     out = m(Tensor(rng(17).normal(size=(16, 16, 384))),
             Tensor(rng(18).normal(size=(20, 384))))
     assert out.shape == (16, 16, 384)
 
 
 def test_mhaca_zero_value_path_passes_image_through():
-    cfg = AttnConfig(16, 2, 2, 2, 4, 4, text_len=5)
-    m = AgentCrossAttention(cfg, rng(19))
+    m = AgentCrossAttention(AttnConfig(16, 2, 2, 2, 4, 4), 5, rng(19))
     m.w_v.weight.data = np.zeros_like(m.w_v.weight.data)
     m.w_v.bias.data = np.zeros_like(m.w_v.bias.data)
     m.pos_txt.data = np.zeros_like(m.pos_txt.data)
@@ -186,8 +182,7 @@ def test_mhaca_zero_value_path_passes_image_through():
 
 
 def test_mhaca_single_text_token_closed_form():
-    cfg = AttnConfig(8, 2, 2, 2, 4, 4, text_len=1)
-    m = AgentCrossAttention(cfg, rng(22))
+    m = AgentCrossAttention(AttnConfig(8, 2, 2, 2, 4, 4), 1, rng(22))
     f_img = Tensor(rng(23).normal(size=(4, 4, 8)))
     f_txt = Tensor(rng(24).normal(size=(1, 8)))
     out = m(f_img, f_txt).data
@@ -197,14 +192,13 @@ def test_mhaca_single_text_token_closed_form():
 
 
 def test_mhaca_text_length_mismatch():
-    m = AgentCrossAttention(AttnConfig(16, 2, 2, 2, 4, 4, text_len=5), rng(25))
-    with pytest.raises(T.ShapeError):
+    m = AgentCrossAttention(AttnConfig(16, 2, 2, 2, 4, 4), 5, rng(25))
+    with pytest.raises(T.ShapeError, match=r"^text feature \(7, 16\) != \(5, 16\)$"):
         m(Tensor(np.zeros((4, 4, 16))), Tensor(np.zeros((7, 16))))
 
 
 def test_mhaca_gradients():
-    cfg = AttnConfig(8, 2, 2, 2, 4, 4, text_len=3)
-    m = AgentCrossAttention(cfg, rng(29))
+    m = AgentCrossAttention(AttnConfig(8, 2, 2, 2, 4, 4), 3, rng(29))
     f_img = Tensor(rng(30).normal(size=(4, 4, 8)), requires_grad=True)
     f_txt = Tensor(rng(31).normal(size=(3, 8)), requires_grad=True)
     params = [f_img, f_txt] + list(m.parameters())
@@ -216,8 +210,7 @@ def test_mhaca_gradients():
 
 
 def test_mhaca_agent_grid_clamp_and_position_resize_match_mhasa():
-    cfg = AttnConfig(8, 2, 4, 4, 8, 8, text_len=3)
-    m = AgentCrossAttention(cfg, rng(40))
+    m = AgentCrossAttention(AttnConfig(8, 2, 4, 4, 8, 8), 3, rng(40))
     f_img = Tensor(rng(41).normal(size=(2, 3, 8)))
     with pytest.warns(UserWarning, match="^agent grid clamped to 2x3 for spatial 2x3$"):
         out = m(f_img, Tensor(rng(42).normal(size=(3, 8))))
@@ -230,11 +223,11 @@ def test_mhaca_agent_grid_clamp_and_position_resize_match_mhasa():
 def test_agent_attention_calls_keep_no_state():
     # a call must not leave activations (e.g. attention maps) or flags on the
     # module, also when a field smaller than the agent grid clamps it
-    cfg = AttnConfig(8, 2, 2, 2, 4, 4, text_len=3)
+    cfg = AttnConfig(8, 2, 2, 2, 4, 4)
     txt = Tensor(rng(47).normal(size=(3, 8)))
     for x in (Tensor(rng(44).normal(size=(4, 4, 8))), Tensor(rng(48).normal(size=(1, 3, 8)))):
         for m, args in ((AgentSelfAttention(cfg, rng(45)), (x,)),
-                        (AgentCrossAttention(cfg, rng(46)), (x, txt))):
+                        (AgentCrossAttention(cfg, 3, rng(46)), (x, txt))):
             before = dict(vars(m))
             if x.shape[0] < cfg.agent_h:
                 with pytest.warns(UserWarning, match="^agent grid clamped to 1x2 for spatial 1x3$"):

@@ -152,12 +152,15 @@ def test_mdp_logits_length_five(spatial):
 
 
 def test_mdp_spatial_permutation_invariance():
+    # with conv and norm as identities, m(x) is the pooled head on gelu(x):
+    # permuting x's spatial positions must leave the logits unchanged
     m = DegradationClassifier(16, rng(27))
+    m.conv = m.norm = lambda t: t
     feat = Tensor(rng(28).normal(size=(4, 4, 16)))
-    logits = m.head(feat).data
+    logits = m(feat).data
     perm = rng(29).permutation(16)
     shuffled = feat.data.reshape(16, 16)[perm].reshape(4, 4, 16)
-    logits_perm = m.head(Tensor(shuffled)).data
+    logits_perm = m(Tensor(shuffled)).data
     np.testing.assert_allclose(logits, logits_perm, atol=1e-12)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from promptrestore import degradations as G
-from promptrestore.attention import AttnConfig
+from promptrestore.attention import AgentCrossAttention, AttnConfig
 from promptrestore.dataset import DatasetConfig, SampleRecord, build_dataset, read_manifest
 from promptrestore.model import MICRO_CONFIG, TOY_CONFIG, ModelConfig
 from helpers import rain_oracle, snow_mask_oracle
@@ -148,6 +148,18 @@ def test_compose_sample_rejects_duplicate_kinds():
         G.compose_sample(_image(8, 8), [_spec(k, 0.5) for k in present], ["rain"])
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (8, 8, 4), (8, 8, 1), (1, 8, 8, 3)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_compose_sample_rejects_a_clean_image_that_is_not_rgb(monkeypatch, shape):
+    def no_render(*_):
+        raise AssertionError("rendered before the shape check")
+    monkeypatch.setattr(G, "apply_spec", no_render)
+    message = f"compose_sample: clean image must be [H,W,3], got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        G.compose_sample(np.full(shape, 0.5), [_spec("haze", 0.5), _spec("lowlight", 0.5)],
+                         ["haze"])
+
+
 def test_rerendering_a_spec_is_bit_identical():
     img = _image(40, 40)
     before = img.copy()
@@ -178,11 +190,13 @@ def test_check_removal_reads_each_iterable_once():
         (["haze", "snow"], ["haze", "snow"])
 
 
-_ATTN_FIELDS = dict(channels=8, heads=2, agent_h=2, agent_w=2, height=8, width=8, text_len=0)
+_ATTN_FIELDS = dict(channels=8, heads=2, agent_h=2, agent_w=2, height=8, width=8)
 _MODEL_FIELDS = asdict(MICRO_CONFIG)
 # (class, keyword arguments of a valid instance, integer field, least value)
 _INT_FIELDS = [
-    *((AttnConfig, _ATTN_FIELDS, name, int(name != "text_len")) for name in _ATTN_FIELDS),
+    *((AttnConfig, _ATTN_FIELDS, name, 1) for name in _ATTN_FIELDS),
+    (AgentCrossAttention, dict(cfg=AttnConfig(**_ATTN_FIELDS), text_len=3,
+                               rng=np.random.default_rng(0)), "text_len", 1),
     *((ModelConfig, _MODEL_FIELDS, name, 1) for name in _MODEL_FIELDS
       if name not in ("stage_blocks", "dtype")),
     *((ModelConfig, _MODEL_FIELDS, f"stage_blocks[{i}]", 1) for i in range(4)),

@@ -398,6 +398,18 @@ def test_embedding_lookup_and_range_check():
         T.embedding(w, np.array([7]))
 
 
+def test_embedding_takes_only_integer_ids():
+    w = Tensor(rand(7, 4, seed=21))
+    for ids in (np.array([2, 6], dtype=np.int32), np.array([2, 6], dtype=np.uint8), [2, 6]):
+        np.testing.assert_array_equal(T.embedding(w, ids).data, w.data[[2, 6]])
+    assert T.embedding(w, np.array([], dtype=np.int64)).shape == (0, 4)
+    for ids, dtype in ((np.array([2.9, 6.0]), "float64"), (np.array([True, False]), "bool"),
+                       ([2.0], "float64")):
+        message = f"^embedding: ids must be integers, got dtype {dtype}$"
+        with pytest.raises(TypeError, match=message):
+            T.embedding(w, ids)
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_dense_conv_and_embedding_compute_in_their_input_dtype(stride):
     # every leaf is float32; an op that allocated float64 buffers would give

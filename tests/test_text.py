@@ -118,3 +118,10 @@ def test_encoder_rejects_out_of_range_id():
     ids = np.full(PROMPT_LEN, len(TOKENS), dtype=np.int64)
     with pytest.raises(IndexError):
         enc(ids)
+
+
+def test_encoder_rejects_ids_that_are_not_integers():
+    # 2.9 would otherwise truncate to id 2 and encode as that prompt
+    enc = make_encoder(c=16)
+    with pytest.raises(TypeError, match="^embedding: ids must be integers, got dtype float64$"):
+        enc(np.full(PROMPT_LEN, 2.9))
