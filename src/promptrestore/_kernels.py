@@ -16,7 +16,6 @@ All kernels are dtype-generic: they inherit the input array's dtype.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 # there are no compiled kernels; perfbench's machine facts read this flag
 _HAVE_NUMBA = False
@@ -46,8 +45,9 @@ def _row_blocks(x):
         body[lo - r0 + 1:hi - r0 + 1] = x[lo:hi]
         if hi == r1:                    # below the last row: zero, not a stale row
             body[r1 - r0 + 1] = 0
-        yield r0, r1, as_strided(pad, (3, 3, r1 - r0, wd * c), (s0, c * s1, s0, s1),
-                                 writeable=False)
+        taps = np.ndarray((3, 3, r1 - r0, wd * c), pad.dtype, pad, 0, (s0, c * s1, s0, s1))
+        taps.flags.writeable = False
+        yield r0, r1, taps
 
 
 def _correlate3x3(x, w):

@@ -1,15 +1,17 @@
 """Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 The op set is what the restoration model needs: matmul (a linear map of the
-last axis, or batched), conv2d (3x3, dense or depthwise), softmax, layer norm,
-pixel shuffle / unshuffle, adaptive average pooling, bilinear resize, embedding
-lookup at integer ids, gated_gelu (gelu(a) * b, the gated FFN's gate, as one
-op that holds only a and b for backward) and a small elementwise suite, plus
-mul, sub, exp, log, absolute and mean_all, which the model does not call: the
-library has no loss, and perfbench's train_64 L1 + BCE loss and
-tools/numcheck.py build theirs from them. Forward ops never mutate their
-inputs; gradients are recorded on an explicit Tape, one open tape per
-thread, and replayed in reverse.
+last axis, or batched), conv2d (3x3, dense or depthwise; the dense conv makes
+one GEMM per tap forward and two per tap backward, each over the whole
+image), softmax, layer norm, pixel shuffle / unshuffle, adaptive average
+pooling and bilinear resize (two matmuls each way), embedding lookup at
+integer ids (copied, so backward reads the ids of its forward), gated_gelu
+(gelu(a) * b, the gated FFN's gate, as one op that holds only a and b for
+backward) and a small elementwise suite, plus mul, sub, exp, log, absolute
+and mean_all, which the model does not call: the library has no loss, and
+perfbench's train_64 L1 + BCE loss and tools/numcheck.py build theirs from
+them. Forward ops never mutate their inputs; gradients are recorded on an
+explicit Tape, one open tape per thread, and replayed in reverse.
 
 What a tape holds: per taped op, its backward closure and a reference to
 each parent that needs a gradient, with the parent's dtype, nothing else. A
@@ -63,6 +65,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _kernels
+from .degradations import check_int
 
 DTYPE = np.float64          # what a Tensor casts any non-float32/64 data to
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
@@ -159,7 +162,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._nodes: list[tuple[tuple, tuple, Callable]] = []
+        self._nodes: list[tuple[list, list, Callable]] = []
 
     def __enter__(self) -> "Tape":
         if _state.tape is not None:
@@ -175,10 +178,12 @@ class Tape:
         return len(self._nodes)
 
     def _record(self, out: Tensor, parents, backward) -> None:
-        refs = tuple(p._node if p._tape is self else p if p.requires_grad else None
-                     for p in parents)
+        refs, dtypes = [], []
+        for p in parents:
+            refs.append(p._node if p._tape is self else p if p.requires_grad else None)
+            dtypes.append(p.data.dtype)
         out._tape, out._node = self, len(self._nodes)
-        self._nodes.append((refs, tuple(p.data.dtype for p in parents), backward))
+        self._nodes.append((refs, dtypes, backward))
 
     def backward(self, loss: Tensor) -> None:
         """Populate .grad of every requires_grad leaf reachable from loss.
@@ -219,7 +224,8 @@ class Tape:
             refs, dtypes, backward = self._nodes[i]
             for ref, dtype, pg in zip(refs, dtypes, backward(g)):
                 if ref is not None:
-                    pg = pg.astype(dtype, copy=False)
+                    if pg.dtype is not dtype:
+                        pg = pg.astype(dtype, copy=False)
                     table[ref] = pg if ref not in table else table[ref] + pg
         taken = set()       # ids of the bases a leaf took as (a view of) its .grad
         for leaf, g in table.items():
@@ -236,7 +242,8 @@ class Tape:
 
 def _taped(parents: Sequence[Tensor]) -> Optional[Tape]:
     # the tape an op on parents records on, or None when it is not recorded
-    return _state.tape if any(p.requires_grad for p in parents) else None
+    tape = _state.tape
+    return tape if tape is not None and any(p.requires_grad for p in parents) else None
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -254,7 +261,9 @@ def _finish(out_data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
     # scan is False only for views (reshape, transpose)
     if scan and _state.nan_checks and not _finite(out_data):
         raise NonFiniteError(f"{opname} produced non-finite values")
-    out = Tensor(out_data)
+    # every op output is a float32 or float64 array: no cast or dtype test
+    out = Tensor.__new__(Tensor)
+    out.data, out.requires_grad, out.grad, out._tape, out._node = out_data, False, None, None, -1
     tape = _taped(parents)
     if tape is not None:
         out.requires_grad = True
@@ -359,10 +368,9 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    # a view; ops that need contiguity make their own copies
-    return _finish(x.data.transpose(axes), (x,),
-                   lambda g: (g.transpose(inv),), "transpose", scan=False)
+    out = x.data.transpose(axes)    # a view; ops that need contiguity make their own copies
+    inv = tuple(map(axes.index, range(len(axes))))
+    return _finish(out, (x,), lambda g: (g.transpose(inv),), "transpose", scan=False)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -474,8 +482,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
     zero padding 1, plus bias[C_out]: out[C_out, (H-1)//stride+1, (W-1)//stride+1].
 
     The shapes choose one of the model's two convs: depthwise (groups == C_in
-    == C_out, stride 1) runs the _kernels kernels; dense (groups == 1) sums
-    one GEMM per tap of strided windows of the padded input. Both compute
+    == C_out, stride 1) runs the _kernels kernels; dense (groups == 1) makes
+    one GEMM per tap over every output position of the whole image (a row
+    slice of the flattened padded input), summed in tap order, and backward
+    makes two per tap, one for w's gradient and one for x's. Both compute
     channels-last and return a [C,H,W] view of a fresh [H,W,C] array. Any
     other kernel size or grouping raises ShapeError.
     """
@@ -496,39 +506,42 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
     # each path's backward captures only what it reads: the padded copy on
     # the dense path, the input view on the depthwise one
     if dense:
-        ho, wo = (h - 1) // stride + 1, (wdt - 1) // stride + 1
-        xp = np.zeros((h + 2, wdt + 2, cin), dtype=xh.dtype)
+        ho, wo, wp = (h - 1) // stride + 1, (wdt - 1) // stride + 1, wdt + 2
+        xp = np.zeros((h + 2, wp, cin), dtype=xh.dtype)
         xp[1:-1, 1:-1] = xh
-        # tap t = 3i + j reads the padded input at rows i::stride, cols j::stride
-        wins = [(slice(i, i + (ho - 1) * stride + 1, stride),
-                 slice(j, j + (wo - 1) * stride + 1, stride))
-                for i in range(3) for j in range(3)]
+        # on the padded image flattened to rows of pixels, output (y, x) at row
+        # p = y*wp + x reads tap t = 3i + j at pixel stride*p + i*wp + j, so a
+        # tap's input is one row slice: n rows, every stride-th from off[t]
+        # (the x >= wo rows of the output grid are discarded)
+        n, offs = (ho - 1) * wp + wo, [i * wp + j for i in range(3) for j in range(3)]
+        taps = [xp.reshape(-1, cin)[off:off + stride * (n - 1) + 1:stride] for off in offs]
         wt = wd.transpose(2, 3, 1, 0).reshape(9, cin, cout)  # a copy, per tap contiguous
-        out = np.zeros((ho, wo, cout), dtype=xh.dtype)
-        buf = np.empty_like(out)
-        for t, win in enumerate(wins):
-            out += np.matmul(xp[win], wt[t], out=buf)
+        acc, prod = np.zeros((ho * wp, cout), dtype=xh.dtype), np.empty((n, cout), dtype=xh.dtype)
+        for t in range(9):              # one GEMM per tap, summed in tap order
+            acc[:n] += np.matmul(taps[t], wt[t], out=prod)
+        out = acc.reshape(ho, wp, cout)[:, :wo] + bias.data
 
         def backward(g):
-            gh = g.transpose(1, 2, 0)
+            ge = np.zeros((ho, wp, cout), dtype=g.dtype)   # g on the padded-width grid
+            ge[:, :wo] = g.transpose(1, 2, 0)
+            ge = ge.reshape(-1, cout)[:n]
             gwt, gxp = np.empty_like(wt), np.zeros_like(xp)
-            for t, win in enumerate(wins):
-                # window^T g per output row, summed over the rows
-                gwt[t] = np.matmul(xp[win].transpose(0, 2, 1), gh).sum(axis=0)
-                # the tap's input gradient, scattered onto the positions it read
-                gxp[win] += np.matmul(gh, wt[t].T)
+            gtaps = [gxp.reshape(-1, cin)[off:off + stride * (n - 1) + 1:stride] for off in offs]
+            for t in range(9):          # per tap one GEMM for w's gradient and one for x's
+                np.matmul(taps[t].T, ge, out=gwt[t])
+                gtaps[t] += np.matmul(ge, wt[t].T)
             gw = gwt.reshape(3, 3, cin, cout).transpose(3, 2, 0, 1)
             return gxp[1:-1, 1:-1].transpose(2, 0, 1), gw, g.sum(axis=(1, 2))
     else:
         wk, w_shape = wd.reshape(cin, 3, 3), w.shape
         out = _kernels.depthwise3x3(xh, wk)
+        out += bias.data
 
         def backward(g):
             gh = g.transpose(1, 2, 0)
             gxh = _kernels.depthwise3x3_grad_input(gh, wk)
             gw = _kernels.depthwise3x3_grad_weight(xh, gh).reshape(w_shape)
             return gxh.transpose(2, 0, 1), gw, g.sum(axis=(1, 2))
-    out += bias.data                    # out is a fresh array on both paths
 
     return _finish(out.transpose(2, 0, 1), (x, w, bias), backward, "conv2d")
 
@@ -560,6 +573,7 @@ def _hwc(x: Tensor, opname: str) -> tuple[int, int, int]:
 def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
     """[H,W,C] -> [H/r,W/r,C*r*r]; sub-pixel (i,j) of c lands at c*r*r+i*r+j."""
     h, w, _ = _hwc(x, "pixel_unshuffle")
+    check_int("pixel_unshuffle: r", r, 1)
     if h % r or w % r:
         raise ShapeError(f"pixel_unshuffle: {h}x{w} not divisible by r={r}")
     return _finish(np.ascontiguousarray(_unshuffle(x.data, r)), (x,),
@@ -569,6 +583,7 @@ def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
 def pixel_shuffle(x: Tensor, r: int) -> Tensor:
     """[H,W,C*r*r] -> [H*r,W*r,C]; exact inverse of pixel_unshuffle."""
     crr = _hwc(x, "pixel_shuffle")[2]
+    check_int("pixel_shuffle: r", r, 1)
     if crr % (r * r):
         raise ShapeError(f"pixel_shuffle: {crr} channels not divisible by r^2={r * r}")
     return _finish(np.ascontiguousarray(_shuffle(x.data, r)), (x,),
@@ -603,20 +618,16 @@ def _resize_matrix(n_in: int, n_out: int, dtype: np.dtype) -> np.ndarray:
     return m
 
 
-# rows first, then cols: the path optimize=True picks, forward and backward,
-# at every pool and resize shape of the presets, given so no call searches
-_SANDWICH_PATH = ["einsum_path", (0, 2), (0, 1)]
-
-
 def _sandwich(x: Tensor, matrix: Callable, out_h: int, out_w: int, opname: str) -> Tensor:
     # out[i,j,c] = sum_hw rows[i,h] cols[j,w] x[h,w,c], rows and cols cached per
     # (n_in, n_out, dtype) and built in x's dtype; backward is its adjoint
-    h, w, _ = _hwc(x, opname)
+    h, w, c = _hwc(x, opname)
     rows, cols = matrix(h, out_h, x.data.dtype), matrix(w, out_w, x.data.dtype)
-    out = np.einsum("ih,jw,hwc->ijc", rows, cols, x.data, optimize=_SANDWICH_PATH)
+    # two matmuls: one GEMM maps the rows of the [H, W*C] view, then cols map each row
+    out = np.matmul(cols, np.matmul(rows, x.data.reshape(h, w * c)).reshape(out_h, w, c))
 
     def backward(g):
-        return (np.einsum("ih,jw,ijc->hwc", rows, cols, g, optimize=_SANDWICH_PATH),)
+        return (np.matmul(rows.T, np.matmul(cols.T, g).reshape(out_h, w * c)).reshape(h, w, c),)
 
     return _finish(out, (x,), backward, opname)
 
@@ -643,6 +654,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if ids.dtype.kind not in "iu":          # a float or bool id would truncate
         raise TypeError(f"embedding: ids must be integers, got dtype {ids.dtype}")
+    ids = ids.copy()                        # backward must not see the caller's later edits
     v = weight.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= v):
         raise IndexError(f"embedding: id out of range 0..{v - 1}")

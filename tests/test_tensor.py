@@ -1,3 +1,4 @@
+import re
 import threading
 import tracemalloc
 import zlib
@@ -85,6 +86,11 @@ def test_conv2d_ones_kernel_constant_image():
     (1, 1, 3, 4),      # dense
     (2, 1, 4, 6),      # dense, stride 2 over an odd (7) and an even (8) extent
     (1, 5, 5, 5),      # depthwise
+    # the model's dense convs at TOY_CONFIG's C = 16: the input conv (3 -> C),
+    # the output conv (2C -> 3) and the classifier's stride-2 conv (8C -> 8C)
+    (1, 1, 3, 16),
+    (1, 1, 32, 3),
+    (2, 1, 128, 128),
 ])
 def test_conv2d_vs_nested_loop(stride, groups, cin, cout):
     x = rand(cin, 7, 8, seed=7)
@@ -241,6 +247,15 @@ def test_pixel_unshuffle_channel_major_packing():
 def test_pixel_unshuffle_indivisible():
     with pytest.raises(T.ShapeError):
         T.pixel_unshuffle(Tensor(np.zeros((5, 4, 1))), 2)
+
+
+@pytest.mark.parametrize("op", ["pixel_shuffle", "pixel_unshuffle"])
+@pytest.mark.parametrize("r", [0, -2, 2.0, True, np.int64(2)], ids=repr)
+def test_pixel_shuffle_factor_must_be_an_int_of_at_least_one(op, r):
+    # 0 used to divide by zero, -2 to reach a numpy reshape error
+    message = f"^{op}: r must be an int >= 1, got {re.escape(repr(r))}$"
+    with pytest.raises(ValueError, match=message):
+        getattr(T, op)(Tensor(np.zeros((4, 4, 4))), r)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +425,17 @@ def test_embedding_takes_only_integer_ids():
             T.embedding(w, ids)
 
 
+def test_embedding_backward_reads_the_ids_of_its_forward():
+    # ids the caller changes in place between the forward and backward must
+    # not move the gradient to other rows
+    w, ids = Tensor(rand(4, 3, seed=22), requires_grad=True), np.array([1, 2])
+    with Tape() as tape:
+        loss = T.mean_all(T.embedding(w, ids))
+    ids[0] = 3
+    tape.backward(loss)
+    np.testing.assert_allclose(w.grad.sum(axis=1), [0.0, 0.5, 0.5, 0.0], atol=1e-15)
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_dense_conv_and_embedding_compute_in_their_input_dtype(stride):
     # every leaf is float32; an op that allocated float64 buffers would give
@@ -446,10 +472,24 @@ def test_pool_and_resize_matrices_are_built_per_dtype():
         np.testing.assert_array_equal(got, want)
 
 
-def test_pool_and_resize_give_the_bits_of_optimize_true_at_every_preset_shape(monkeypatch):
-    # their einsums take a fixed contraction path in place of optimize=True's
-    # search; at every pool and resize a preset makes, forward and backward
-    # must give the bits the search would
+def _sandwich_oracle(rows, cols, x):
+    # out[i,j,c] = sum_hw rows[i,h] cols[j,w] x[h,w,c], one output pixel at a
+    # time in float64 over the matrices' nonzero weights; its adjoint is the
+    # sandwich of the transposed matrices
+    rows, cols, x = (np.asarray(a, dtype=np.float64) for a in (rows, cols, x))
+    out = np.zeros((rows.shape[0], cols.shape[0], x.shape[2]))
+    for i, row in enumerate(rows):
+        hs = np.flatnonzero(row)
+        for j, col in enumerate(cols):
+            ws = np.flatnonzero(col)
+            weights = np.outer(row[hs], col[ws])[:, :, None]
+            out[i, j] = (weights * x[np.ix_(hs, ws)]).sum(axis=(0, 1))
+    return out
+
+
+def test_pool_and_resize_match_a_loop_oracle_at_every_preset_shape(monkeypatch):
+    # at every pool and resize a preset makes, forward and backward match the
+    # float64 loop over the same matrices, and a second call gives the same bits
     calls = set()
     real = T._sandwich
 
@@ -470,15 +510,21 @@ def test_pool_and_resize_give_the_bits_of_optimize_true_at_every_preset_shape(mo
         x, g = rand(*shape, seed=2).astype(dtype), rand(out_h, out_w, shape[2], seed=3).astype(dtype)
         matrix = T._pool_matrix if opname == "adaptive_avg_pool" else T._resize_matrix
         rows, cols = matrix(shape[0], out_h, dtype), matrix(shape[1], out_w, dtype)
-        leaf = Tensor(x, requires_grad=True)
-        with Tape() as tape:
-            out = getattr(T, opname)(leaf, out_h, out_w)
-            loss = sum_all(T.mul(out, Tensor(g)))      # hands backward g itself
-        tape.backward(loss)
-        np.testing.assert_array_equal(out.data, np.einsum("ih,jw,hwc->ijc", rows, cols, x,
-                                                          optimize=True))
-        np.testing.assert_array_equal(leaf.grad, np.einsum("ih,jw,ijc->hwc", rows, cols, g,
-                                                           optimize=True))
+        runs = []
+        for _ in range(2):
+            leaf = Tensor(x, requires_grad=True)
+            with Tape() as tape:
+                out = getattr(T, opname)(leaf, out_h, out_w)
+                loss = sum_all(T.mul(out, Tensor(g)))      # hands backward g itself
+            tape.backward(loss)
+            runs.append((out.data, leaf.grad))
+        np.testing.assert_array_equal(runs[1][0], runs[0][0])
+        np.testing.assert_array_equal(runs[1][1], runs[0][1])
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        for got, want in ((runs[0][0], _sandwich_oracle(rows, cols, x)),
+                          (runs[0][1], _sandwich_oracle(rows.T, cols.T, g))):
+            assert got.dtype == dtype
+            assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
 
 
 _W, _B = Tensor(np.zeros((2, 2, 3, 3))), Tensor(np.zeros(2))
