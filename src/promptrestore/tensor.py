@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -271,6 +272,14 @@ def _finish(out_data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
     return out
 
 
+def _lead_sum(a: np.ndarray, tail: tuple) -> np.ndarray:
+    # a summed over its leading axes down to the trailing shape tail, as one
+    # GEMV of a ones vector with the [rows, prod(tail)] view: numpy's reduce
+    # runs one inner loop per row of a few channels
+    a2 = a.reshape(-1, math.prod(tail))
+    return (np.ones(len(a2), dtype=a.dtype) @ a2).reshape(tail)
+
+
 # ---------------------------------------------------------------------------
 # elementwise / arithmetic
 
@@ -303,9 +312,8 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """x + b with b broadcast over x's leading axes (b matches trailing dims)."""
     if x.shape[x.ndim - b.ndim:] != b.shape:
         raise ShapeError(f"add_bias: trailing dims {x.shape} vs {b.shape}")
-    lead = tuple(range(x.ndim - b.ndim))
-    return _finish(x.data + b.data, (x, b),
-                   lambda g: (g, g.sum(axis=lead)), "add_bias")
+    tail = b.shape
+    return _finish(x.data + b.data, (x, b), lambda g: (g, _lead_sum(g, tail)), "add_bias")
 
 
 def gated_gelu(a: Tensor, b: Tensor) -> Tensor:
@@ -461,14 +469,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     inv = inv.reshape(*xd.shape[:-1], 1)
 
     def backward(g):
-        gxh = g * gd
-        s1 = gxh.sum(axis=-1, keepdims=True)
-        s2 = (gxh * xhat).sum(axis=-1, keepdims=True)
+        # row sums are GEMVs against a ones vector, as the forward's mean is
+        gxh, ones = g * gd, np.ones(n, dtype=g.dtype)
+        s1 = (gxh @ ones)[..., None]
+        s2 = ((gxh * xhat) @ ones)[..., None]
         dx = (gxh - s1 / n - xhat * s2 / n) * inv
-        red = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=red)
-        dbeta = g.sum(axis=red)
-        return dx, dgamma, dbeta
+        return dx, _lead_sum(g * xhat, (n,)), _lead_sum(g, (n,))
 
     return _finish(out.reshape(xd.shape), (x, gamma, beta), backward, "layer_norm")
 
@@ -531,7 +537,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
                 np.matmul(taps[t].T, ge, out=gwt[t])
                 gtaps[t] += np.matmul(ge, wt[t].T)
             gw = gwt.reshape(3, 3, cin, cout).transpose(3, 2, 0, 1)
-            return gxp[1:-1, 1:-1].transpose(2, 0, 1), gw, g.sum(axis=(1, 2))
+            return gxp[1:-1, 1:-1].transpose(2, 0, 1), gw, _lead_sum(g.transpose(1, 2, 0), (cout,))
     else:
         wk, w_shape = wd.reshape(cin, 3, 3), w.shape
         out = _kernels.depthwise3x3(xh, wk)
@@ -541,7 +547,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
             gh = g.transpose(1, 2, 0)
             gxh = _kernels.depthwise3x3_grad_input(gh, wk)
             gw = _kernels.depthwise3x3_grad_weight(xh, gh).reshape(w_shape)
-            return gxh.transpose(2, 0, 1), gw, g.sum(axis=(1, 2))
+            return gxh.transpose(2, 0, 1), gw, _lead_sum(g.transpose(1, 2, 0), (cout,))
 
     return _finish(out.transpose(2, 0, 1), (x, w, bias), backward, "conv2d")
 
