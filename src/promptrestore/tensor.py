@@ -11,7 +11,9 @@ backward) and a small elementwise suite, plus mul, sub, exp, log, absolute
 and mean_all, which the model does not call: the library has no loss, and
 perfbench's train_64 L1 + BCE loss and tools/numcheck.py build theirs from
 them. Forward ops never mutate their inputs; gradients are recorded on an
-explicit Tape, one open tape per thread, and replayed in reverse.
+explicit Tape, one open tape per thread, and replayed in reverse. Sums
+across many short rows (bias and layer-norm gradients, layer-norm row sums)
+are GEMVs against a ones vector: numpy's reduce runs one loop per row.
 
 What a tape holds: per taped op, its backward closure and a reference to
 each parent that needs a gradient, with the parent's dtype, nothing else. A
@@ -537,7 +539,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
                 np.matmul(taps[t].T, ge, out=gwt[t])
                 gtaps[t] += np.matmul(ge, wt[t].T)
             gw = gwt.reshape(3, 3, cin, cout).transpose(3, 2, 0, 1)
-            return gxp[1:-1, 1:-1].transpose(2, 0, 1), gw, _lead_sum(g.transpose(1, 2, 0), (cout,))
+            gb = _lead_sum(g.transpose(1, 2, 0), (cout,))
+            return gxp[1:-1, 1:-1].transpose(2, 0, 1), gw, gb
     else:
         wk, w_shape = wd.reshape(cin, 3, 3), w.shape
         out = _kernels.depthwise3x3(xh, wk)
