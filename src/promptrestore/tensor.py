@@ -3,14 +3,15 @@
 The op set is what the restoration model needs: matmul (a linear map of the
 last axis, or batched), conv2d (3x3, dense or depthwise; the dense conv makes
 one GEMM per tap forward and two per tap backward, each over the whole
-image), softmax, layer norm, pixel shuffle / unshuffle, adaptive average
-pooling and bilinear resize (two matmuls each way), embedding lookup at
-integer ids (copied, so backward reads the ids of its forward), gated_gelu
-(gelu(a) * b, the gated FFN's gate, as one op that holds only a and b for
-backward) and a small elementwise suite, plus mul, sub, exp, log, absolute
-and mean_all, which the model does not call: the library has no loss, and
-perfbench's train_64 L1 + BCE loss and tools/numcheck.py build theirs from
-them. Forward ops never mutate their inputs; gradients are recorded on an
+image, or, when 9 * C_out <= C_in, one GEMM for all nine taps forward and
+two backward), softmax, layer norm, pixel shuffle / unshuffle, adaptive
+average pooling and bilinear resize (two matmuls each way), embedding lookup
+at integer ids (copied, so backward reads the ids of its forward),
+gated_gelu (gelu(a) * b, the gated FFN's gate, as one op that holds only a
+and b for backward) and a small elementwise suite, plus mul, sub, exp, log,
+absolute and mean_all, which the model does not call: the library has no
+loss, and perfbench's train_64 L1 + BCE loss and tools/numcheck.py build
+theirs from them. Forward ops never mutate their inputs; gradients are recorded on an
 explicit Tape, one open tape per thread, and replayed in reverse. Sums
 across many short rows (bias and layer-norm gradients, layer-norm row sums)
 are GEMVs against a ones vector: numpy's reduce runs one loop per row.
@@ -493,7 +494,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
     == C_out, stride 1) runs the _kernels kernels; dense (groups == 1) makes
     one GEMM per tap over every output position of the whole image (a row
     slice of the flattened padded input), summed in tap order, and backward
-    makes two per tap, one for w's gradient and one for x's. Both compute
+    makes two per tap, one for w's gradient and one for x's. A narrow dense
+    conv (9 * C_out <= C_in) makes one GEMM for all nine taps forward and two
+    backward, each with the nine taps stacked along C_out. Both compute
     channels-last and return a [C,H,W] view of a fresh [H,W,C] array. Any
     other kernel size or grouping raises ShapeError.
     """
@@ -521,26 +524,52 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
         # p = y*wp + x reads tap t = 3i + j at pixel stride*p + i*wp + j, so a
         # tap's input is one row slice: n rows, every stride-th from off[t]
         # (the x >= wo rows of the output grid are discarded)
-        n, offs = (ho - 1) * wp + wo, [i * wp + j for i in range(3) for j in range(3)]
-        taps = [xp.reshape(-1, cin)[off:off + stride * (n - 1) + 1:stride] for off in offs]
-        wt = wd.transpose(2, 3, 1, 0).reshape(9, cin, cout)  # a copy, per tap contiguous
-        acc, prod = np.zeros((ho * wp, cout), dtype=xh.dtype), np.empty((n, cout), dtype=xh.dtype)
-        for t in range(9):              # one GEMM per tap, summed in tap order
-            acc[:n] += np.matmul(taps[t], wt[t], out=prod)
-        out = acc.reshape(ho, wp, cout)[:, :wo] + bias.data
+        n, x2 = (ho - 1) * wp + wo, xp.reshape(-1, cin)
+        wins = [slice(off, off + stride * (n - 1) + 1, stride)
+                for off in (i * wp + j for i in range(3) for j in range(3))]
+        gb = lambda g: _lead_sum(g.transpose(1, 2, 0), (cout,))
+        if 9 * cout <= cin:
+            # a narrow conv (the output conv, 2C -> 3): a GEMM with C_out
+            # columns runs far below BLAS speed, so one GEMM makes all nine
+            # taps' products as rows of pt[9*C_out, pixels], no larger than xp
+            wall = wd.transpose(1, 2, 3, 0).reshape(cin, 9 * cout)  # [C_in, tap*C_out + o]
+            pt, acc = np.matmul(wall.T, x2.T), np.zeros((cout, ho * wp), dtype=xh.dtype)
+            for t, win in enumerate(wins):      # summed in tap order
+                acc[:, :n] += pt[t * cout:(t + 1) * cout, win]
+            out = np.empty((ho, wo, cout), dtype=xh.dtype)
+            np.add(acc.reshape(cout, ho, wp)[:, :, :wo].transpose(1, 2, 0), bias.data, out=out)
 
-        def backward(g):
-            ge = np.zeros((ho, wp, cout), dtype=g.dtype)   # g on the padded-width grid
-            ge[:, :wo] = g.transpose(1, 2, 0)
-            ge = ge.reshape(-1, cout)[:n]
-            gwt, gxp = np.empty_like(wt), np.zeros_like(xp)
-            gtaps = [gxp.reshape(-1, cin)[off:off + stride * (n - 1) + 1:stride] for off in offs]
-            for t in range(9):          # per tap one GEMM for w's gradient and one for x's
-                np.matmul(taps[t].T, ge, out=gwt[t])
-                gtaps[t] += np.matmul(ge, wt[t].T)
-            gw = gwt.reshape(3, 3, cin, cout).transpose(3, 2, 0, 1)
-            gb = _lead_sum(g.transpose(1, 2, 0), (cout,))
-            return gxp[1:-1, 1:-1].transpose(2, 0, 1), gw, gb
+            def backward(g):
+                # g on the padded-width grid, shifted once per tap into the
+                # rows of gt: one GEMM gives x's gradient and one gives w's
+                ge = np.zeros((cout, ho, wp), dtype=g.dtype)
+                ge[:, :, :wo] = g
+                ge = ge.reshape(cout, -1)[:, :n]
+                gt = np.zeros((9 * cout, len(x2)), dtype=g.dtype)
+                for t, win in enumerate(wins):
+                    gt[t * cout:(t + 1) * cout, win] = ge
+                gx = np.matmul(wall, gt).reshape(cin, h + 2, wp)[:, 1:-1, 1:-1]
+                gw = np.matmul(x2.T, gt.T).reshape(cin, 3, 3, cout).transpose(3, 0, 1, 2)
+                return gx, gw, gb(g)
+        else:
+            taps = [x2[win] for win in wins]
+            wt = wd.transpose(2, 3, 1, 0).reshape(9, cin, cout)  # a copy, per tap contiguous
+            acc, prod = np.zeros((ho * wp, cout), dtype=xh.dtype), np.empty((n, cout), xh.dtype)
+            for t in range(9):              # one GEMM per tap, summed in tap order
+                acc[:n] += np.matmul(taps[t], wt[t], out=prod)
+            out = acc.reshape(ho, wp, cout)[:, :wo] + bias.data
+
+            def backward(g):
+                ge = np.zeros((ho, wp, cout), dtype=g.dtype)   # g on the padded-width grid
+                ge[:, :wo] = g.transpose(1, 2, 0)
+                ge = ge.reshape(-1, cout)[:n]
+                gwt, gxp = np.empty_like(wt), np.zeros_like(xp)
+                gtaps = [gxp.reshape(-1, cin)[win] for win in wins]
+                for t in range(9):          # per tap one GEMM for w's gradient and one for x's
+                    np.matmul(taps[t].T, ge, out=gwt[t])
+                    gtaps[t] += np.matmul(ge, wt[t].T)
+                gw = gwt.reshape(3, 3, cin, cout).transpose(3, 2, 0, 1)
+                return gxp[1:-1, 1:-1].transpose(2, 0, 1), gw, gb(g)
     else:
         wk, w_shape = wd.reshape(cin, 3, 3), w.shape
         out = _kernels.depthwise3x3(xh, wk)

@@ -589,6 +589,7 @@ _MIXED = {
     "mul": (T.mul, [(3, 4), (3, 4)], 0),
     "layer_norm": (T.layer_norm, [(3, 4), (4,), (4,)], 0),
     "conv2d-dense": (lambda x, w, b: T.conv2d(x, w, b, stride=2), [(3, 6, 5), (4, 3, 3, 3), (4,)], 0),
+    "conv2d-dense-narrow": (T.conv2d, [(9, 6, 5), (1, 9, 3, 3), (1,)], 0),
     "conv2d-depthwise": (lambda x, w, b: T.conv2d(x, w, b, groups=3),
                          [(3, 6, 5), (3, 1, 3, 3), (3,)], 0),
     "matmul": (T.matmul, [(2, 3, 4), (4, 5)], 0),
@@ -806,8 +807,8 @@ def test_backward_softmax_cross_entropy_vs_finite_differences():
 
 
 @pytest.mark.parametrize("op_name", [
-    "conv", "conv_stride1", "depthwise", "layer_norm", "pool", "shuffle", "resize",
-    "concat", "abs", "bias", "linear", "embedding", "softmax_axis", "gated_gelu",
+    "conv", "conv_stride1", "conv_narrow", "conv_narrow_stride2", "depthwise", "layer_norm",
+    "pool", "shuffle", "resize", "concat", "abs", "bias", "linear", "embedding", "softmax_axis", "gated_gelu",
 ])
 def test_backward_each_op_vs_finite_differences(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -822,6 +823,13 @@ def test_backward_each_op_vs_finite_differences(op_name):
         w = Tensor(rng.uniform(-1, 1, (3, 4, 3, 3)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
         fn = lambda: sum_all(T.gelu(T.conv2d(x, w, b)))
+        params = [x, w, b]
+    elif op_name.startswith("conv_narrow"):     # 9 * C_out <= C_in: the stacked-taps path
+        stride = 2 if op_name.endswith("stride2") else 1
+        x = Tensor(rng.uniform(-1, 1, (18, 5, 7)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (2, 18, 3, 3)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, 2), requires_grad=True)
+        fn = lambda: sum_all(T.gelu(T.conv2d(x, w, b, stride=stride)))
         params = [x, w, b]
     elif op_name == "depthwise":
         x = Tensor(rng.uniform(-1, 1, (5, 6, 6)), requires_grad=True)
