@@ -11,10 +11,11 @@ gated_gelu (gelu(a) * b, the gated FFN's gate, as one op that holds only a
 and b for backward) and a small elementwise suite, plus mul, sub, exp, log,
 absolute and mean_all, which the model does not call: the library has no
 loss, and perfbench's train_64 L1 + BCE loss and tools/numcheck.py build
-theirs from them. Forward ops never mutate their inputs; gradients are recorded on an
-explicit Tape, one open tape per thread, and replayed in reverse. Sums
-across many short rows (bias and layer-norm gradients, layer-norm row sums)
-are GEMVs against a ones vector: numpy's reduce runs one loop per row.
+theirs from them. Forward ops never mutate their inputs; gradients are
+recorded on an explicit Tape, one open tape per thread, and replayed in
+reverse. Sums across many short rows (bias and layer-norm gradients,
+layer-norm row sums) are GEMVs against a ones vector: numpy's reduce runs
+one loop per row.
 
 What a tape holds: per taped op, its backward closure and a reference to
 each parent that needs a gradient, with the parent's dtype, nothing else. A
@@ -514,6 +515,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
     # dtypes match, so the transpose of nn.Conv2d's transposed input is free
     dt = np.result_type(x.data, w.data, bias.data)
     xh, wd = x.data.astype(dt, copy=False).transpose(1, 2, 0), w.data.astype(dt, copy=False)
+    def bias_grad(g):
+        return _lead_sum(g.transpose(1, 2, 0), (cout,))
+
     # each path's backward captures only what it reads: the padded copy on
     # the dense path, the input view on the depthwise one
     if dense:
@@ -527,7 +531,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
         n, x2 = (ho - 1) * wp + wo, xp.reshape(-1, cin)
         wins = [slice(off, off + stride * (n - 1) + 1, stride)
                 for off in (i * wp + j for i in range(3) for j in range(3))]
-        gb = lambda g: _lead_sum(g.transpose(1, 2, 0), (cout,))
         if 9 * cout <= cin:
             # a narrow conv (the output conv, 2C -> 3): a GEMM with C_out
             # columns runs far below BLAS speed, so one GEMM makes all nine
@@ -550,7 +553,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
                     gt[t * cout:(t + 1) * cout, win] = ge
                 gx = np.matmul(wall, gt).reshape(cin, h + 2, wp)[:, 1:-1, 1:-1]
                 gw = np.matmul(x2.T, gt.T).reshape(cin, 3, 3, cout).transpose(3, 0, 1, 2)
-                return gx, gw, gb(g)
+                return gx, gw, bias_grad(g)
         else:
             taps = [x2[win] for win in wins]
             wt = wd.transpose(2, 3, 1, 0).reshape(9, cin, cout)  # a copy, per tap contiguous
@@ -569,7 +572,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
                     np.matmul(taps[t].T, ge, out=gwt[t])
                     gtaps[t] += np.matmul(ge, wt[t].T)
                 gw = gwt.reshape(3, 3, cin, cout).transpose(3, 2, 0, 1)
-                return gxp[1:-1, 1:-1].transpose(2, 0, 1), gw, gb(g)
+                return gxp[1:-1, 1:-1].transpose(2, 0, 1), gw, bias_grad(g)
     else:
         wk, w_shape = wd.reshape(cin, 3, 3), w.shape
         out = _kernels.depthwise3x3(xh, wk)
@@ -579,7 +582,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
             gh = g.transpose(1, 2, 0)
             gxh = _kernels.depthwise3x3_grad_input(gh, wk)
             gw = _kernels.depthwise3x3_grad_weight(xh, gh).reshape(w_shape)
-            return gxh.transpose(2, 0, 1), gw, _lead_sum(g.transpose(1, 2, 0), (cout,))
+            return gxh.transpose(2, 0, 1), gw, bias_grad(g)
 
     return _finish(out.transpose(2, 0, 1), (x, w, bias), backward, "conv2d")
 
