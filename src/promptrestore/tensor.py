@@ -280,8 +280,8 @@ def _lead_sum(a: np.ndarray, tail: tuple) -> np.ndarray:
     # a summed over its leading axes down to the trailing shape tail, as one
     # GEMV of a ones vector with the [rows, prod(tail)] view: numpy's reduce
     # runs one inner loop per row of a few channels
-    a2 = a.reshape(-1, math.prod(tail))
-    return (np.ones(len(a2), dtype=a.dtype) @ a2).reshape(tail)
+    rows = math.prod(a.shape[:a.ndim - len(tail)])  # not -1: an empty tail leaves it open
+    return (np.ones(rows, dtype=a.dtype) @ a.reshape(rows, math.prod(tail))).reshape(tail)
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,16 @@ def test_resize_matrix_matches_a_loop_oracle_at_sides_of_one(n_in, n_out, dtype)
     np.testing.assert_array_equal(got, np.array(_resize_matrix_oracle(n_in, n_out), dtype=dtype))
 
 
+def test_add_bias_hands_an_empty_bias_its_empty_gradient():
+    # the bias gradient sums over the leading axes as one GEMV; an empty
+    # trailing axis must still give a (0,) gradient, as numpy's sum does
+    x, b = Tensor(np.zeros((3, 0)), requires_grad=True), Tensor(np.zeros(0), requires_grad=True)
+    with Tape() as tape:
+        loss = T.mean_all(T.concat([T.add_bias(x, b), Tensor(np.ones((3, 1)))], axis=1))
+    tape.backward(loss)
+    assert (x.grad.shape, b.grad.shape) == ((3, 0), (0,))
+
+
 def test_embedding_lookup_and_range_check():
     w = Tensor(rand(7, 4, seed=20))
     out = T.embedding(w, np.array([2, 2, 6]))
