@@ -28,9 +28,11 @@ from .tensor import Tensor
 class AttnConfig:
     """One attention module's shape, each field an int >= 1. Both agent modules
     read all six: heads split channels, agent_h x agent_w is the agent grid,
-    height x width the position encodings' grid. VanillaSelfAttention reads
-    only channels and heads, but takes an AttnConfig as perfbench's attention
-    sweep builds it so (until ROADMAP item 9)."""
+    height x width the position encodings' grid. The model always passes a
+    square agent grid, ModelConfig.agent_grid on both sides. The two sides
+    stay, and VanillaSelfAttention (which reads only channels and heads) takes
+    an AttnConfig, because perfbench's attention sweep builds one by keyword
+    (until ROADMAP item 9)."""
     channels: int
     heads: int
     agent_h: int

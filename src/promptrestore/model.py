@@ -42,13 +42,16 @@ class ModelConfig:
     memory bandwidth, so half the bytes per value halves a restore, and the
     paper-scale training step fits in memory. MICRO_CONFIG computes in
     float64, the precision its finite-difference gradient checks need.
+
+    agent_grid is the side of the agent grid every image attention layer
+    pools its queries onto, square as Agent Attention (arXiv 2312.08873)
+    pools to a square grid of agents; it must fit the latent stage's grid.
     """
 
     channels: int = 48
     stage_blocks: tuple[int, ...] = (4, 6, 6, 8)
     refinement_blocks: int = 4
-    agent_h: int = 12
-    agent_w: int = 12
+    agent_grid: int = 12
     base_resolution: int = 128
     text_embed_dim: int = 128
     text_layers: int = 2
@@ -69,9 +72,8 @@ class ModelConfig:
         if self.base_resolution % 8:
             raise ValueError("base_resolution must be divisible by 8")
         r = self.base_resolution // 8     # the latent stage's grid side
-        if self.agent_h > r or self.agent_w > r:
-            raise ValueError(f"agent_h x agent_w = {self.agent_h}x{self.agent_w} exceeds "
-                             f"the latent stage's {r}x{r} grid (base_resolution // 8)")
+        if self.agent_grid > r:
+            raise ValueError(f"agent_grid {self.agent_grid} exceeds the latent {r}x{r} grid")
         if self.text_embed_dim % TEXT_HEADS:
             raise ValueError(f"text_embed_dim {self.text_embed_dim} not divisible by "
                              f"the {TEXT_HEADS} text encoder heads")
@@ -90,14 +92,12 @@ class ModelConfig:
 
 # preset small enough for end-to-end runs on a laptop CPU
 TOY_CONFIG = ModelConfig(channels=16, stage_blocks=(1, 1, 1, 2),
-                         refinement_blocks=1, agent_h=4, agent_w=4,
-                         base_resolution=64)
+                         refinement_blocks=1, agent_grid=4, base_resolution=64)
 
 # preset for micro gradient checks, in float64 for their finite differences
 MICRO_CONFIG = ModelConfig(channels=8, stage_blocks=(1, 1, 1, 1),
-                           refinement_blocks=1, agent_h=2, agent_w=2,
-                           base_resolution=16, text_embed_dim=32,
-                           text_layers=1, dtype="float64")
+                           refinement_blocks=1, agent_grid=2, base_resolution=16,
+                           text_embed_dim=32, text_layers=1, dtype="float64")
 
 
 @dataclass
@@ -108,8 +108,8 @@ class RestorationOutput:
 
 def _attn(cfg: ModelConfig, level: int, channels: int) -> AttnConfig:
     # one head per C channels, on the grid of ladder level `level`
-    res = cfg.base_resolution >> level
-    return AttnConfig(channels, channels // cfg.channels, cfg.agent_h, cfg.agent_w, res, res)
+    res, a = cfg.base_resolution >> level, cfg.agent_grid
+    return AttnConfig(channels, channels // cfg.channels, a, a, res, res)
 
 
 def _stage(cfg: ModelConfig, level: int, n_blocks: int, channels: int, rng) -> Sequential:
@@ -211,7 +211,7 @@ class RestorationModel(Module):
 # ---------------------------------------------------------------------------
 # checkpoint: an uncompressed npz archive, members read back by name
 
-_VERSION = 4
+_VERSION = 5
 # not an intact npz archive: BadZipFile includes a failed CRC-32, RuntimeError
 # a set encryption flag and (as NotImplementedError) an unknown compression
 _UNREADABLE = (zipfile.BadZipFile, OSError, ValueError, EOFError, RuntimeError)

@@ -6,16 +6,16 @@ one GEMM per tap forward and two per tap backward, each over the whole
 image, or, when 9 * C_out <= C_in, one GEMM for all nine taps forward and
 two backward), softmax, layer norm, pixel shuffle / unshuffle, adaptive
 average pooling and bilinear resize (two matmuls each way), embedding lookup
-at integer ids (copied, so backward reads the ids of its forward),
-gated_gelu (gelu(a) * b, the gated FFN's gate, as one op that holds only a
-and b for backward) and a small elementwise suite, plus mul, sub, exp, log,
-absolute and mean_all, which the model does not call: the library has no
-loss, and perfbench's train_64 L1 + BCE loss and tools/numcheck.py build
-theirs from them. Forward ops never mutate their inputs; gradients are
-recorded on an explicit Tape, one open tape per thread, and replayed in
-reverse. Sums across many short rows (bias and layer-norm gradients,
-layer-norm row sums) are GEMVs against a ones vector: numpy's reduce runs
-one loop per row.
+at integer ids (copied, so backward reads the ids of its forward), gelu and
+gated_gelu (gelu(a) * b, the gated FFN's gate, as one op), whose backwards
+hold only their inputs' data and recompute the GELU slope from it, and a
+small elementwise suite, plus mul, sub, exp, log, absolute and mean_all,
+which the model does not call: the library has no loss, and perfbench's
+train_64 L1 + BCE loss and tools/numcheck.py build theirs from them.
+Forward ops never mutate their inputs; gradients are recorded on an explicit
+Tape, one open tape per thread, and replayed in reverse. Sums across many
+short rows (bias and layer-norm gradients, layer-norm row sums) are GEMVs
+against a ones vector: numpy's reduce runs one loop per row.
 
 What a tape holds: per taped op, its backward closure and a reference to
 each parent that needs a gradient, with the parent's dtype, nothing else. A
@@ -341,9 +341,10 @@ def gated_gelu(a: Tensor, b: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     # tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)));
-    # the slope is computed only when _finish will record the op
-    out, slope = _kernels.gelu(x.data, _taped((x,)) is not None)
-    return _finish(out, (x,), lambda g: (g * slope,), "gelu")
+    # backward recomputes the slope from x, as gated_gelu's does
+    xd = x.data
+    return _finish(_kernels.gelu(xd, False)[0], (x,),
+                   lambda g: (g * _kernels.gelu(xd, True)[1],), "gelu")
 
 
 def exp(x: Tensor) -> Tensor:
@@ -410,12 +411,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: inner dims {ad.shape} vs {bd.shape}")
     if bd.ndim == 2:
-        a_shape = ad.shape
-        a2 = ad.reshape(-1, a_shape[-1])
+        # the leading axes fold to an explicit row count: numpy cannot infer a
+        # -1 beside an empty axis (a [3, 0] operand, or a [3, 0] gradient)
+        a_shape, rows = ad.shape, math.prod(ad.shape[:-1])
+        a2 = ad.reshape(rows, a_shape[-1])
         out = np.matmul(a2, bd).reshape(*a_shape[:-1], bd.shape[1])
 
         def backward(g):
-            g2 = g.reshape(-1, bd.shape[1])
+            g2 = g.reshape(rows, bd.shape[1])
             return np.matmul(g2, bd.T).reshape(a_shape), np.matmul(a2.T, g2)
 
         return _finish(out, (a, b), backward, "matmul")
@@ -501,6 +504,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, groups: int = 1)
     channels-last and return a [C,H,W] view of a fresh [H,W,C] array. Any
     other kernel size or grouping raises ShapeError.
     """
+    check_int("conv2d: stride", stride, 1)
+    check_int("conv2d: groups", groups, 1)
     if x.ndim != 3 or w.ndim != 4:
         raise ShapeError(f"conv2d: needs a 3-d x and a 4-d w, got x {x.shape} and w {w.shape}")
     cin, h, wdt = x.shape
@@ -675,6 +680,8 @@ def _sandwich(x: Tensor, matrix: Callable, out_h: int, out_w: int, opname: str) 
 
 def adaptive_avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Mean-pool x[H,W,C] onto an out_h x out_w grid (floor/ceil windows)."""
+    check_int("adaptive_avg_pool: out_h", out_h, 1)
+    check_int("adaptive_avg_pool: out_w", out_w, 1)
     h, w, _ = _hwc(x, "adaptive_avg_pool")
     if out_h > h or out_w > w:
         raise ShapeError(f"adaptive_avg_pool: output {out_h}x{out_w} exceeds input {h}x{w}")
@@ -683,6 +690,8 @@ def adaptive_avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinearly resize x[H,W,C] to [out_h,out_w,C] (align-corners)."""
+    check_int("bilinear_resize: out_h", out_h, 1)
+    check_int("bilinear_resize: out_w", out_w, 1)
     return _sandwich(x, _resize_matrix, out_h, out_w, "bilinear_resize")
 
 

@@ -220,6 +220,7 @@ def test_gelu_vs_closed_form_and_central_difference():
 
 
 def test_gelu_slope_only_when_taped(monkeypatch):
+    # a forward, taped or not, asks for no slope; backward recomputes it once
     asked = []
     real = _kernels.gelu
 
@@ -232,11 +233,12 @@ def test_gelu_slope_only_when_taped(monkeypatch):
     leaf = Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True)
     const = Tensor(r.uniform(-2, 2, (3, 4)))
     T.gelu(leaf)                     # no tape
-    with Tape():
+    with Tape() as tape:
         T.gelu(const)                # taped, but nothing to differentiate
-    assert asked == [False, False]
-    with Tape():
         y = T.gelu(leaf)
-    assert asked[-1] is True and y.requires_grad
+        loss = sum_all(y)
+    assert asked == [False] * 3 and y.requires_grad
+    tape.backward(loss)
+    assert asked == [False] * 3 + [True]
     check_gradients(lambda: sum_all(T.mul(T.gelu(leaf), const)), [leaf],
                     rtol=1e-6, max_per_tensor=12, rng=r)

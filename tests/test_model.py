@@ -263,26 +263,30 @@ LADDER_HEADS = dict(enc0=1, enc1=2, enc2=4, latent=8, fuse_latent=8, fuse_mid=4,
                     dec2=4, dec1=2, dec0=2, refine=2)
 
 
-def _attention_heads(module, found):
-    # heads of every module under `module` that carries an AttnConfig
+def _attn_configs(module, found):
+    # the AttnConfig of every module under `module` that carries one
     if isinstance(getattr(module, "cfg", None), AttnConfig):
-        found.append(module.cfg.heads)
+        found.append(module.cfg)
     for child in vars(module).values():
         if isinstance(child, Module):
-            _attention_heads(child, found)
+            _attn_configs(child, found)
     return found
 
 
-@pytest.mark.parametrize("config", [TOY_CONFIG, ModelConfig()], ids=["toy", "default"])
+@pytest.mark.parametrize("config", [MICRO_CONFIG, TOY_CONFIG, ModelConfig()],
+                         ids=["micro", "toy", "default"])
 def test_attention_heads_follow_the_channel_ladder(config):
     model = RestorationModel(config)
     b0, b1, b2, b3 = config.stage_blocks
     sites = dict(enc0=b0, enc1=b1, enc2=b2, latent=b3, fuse_latent=1, fuse_mid=1,
                  dec2=b2, dec1=b1, dec0=b0, refine=config.refinement_blocks)
-    found = {name: _attention_heads(child, []) for name, child in vars(model).items()
+    found = {name: _attn_configs(child, []) for name, child in vars(model).items()
              if isinstance(child, Module) and name != "text_encoder"}
-    assert {name: heads for name, heads in found.items() if heads} == \
+    assert {name: [c.heads for c in cfgs] for name, cfgs in found.items() if cfgs} == \
         {name: [LADDER_HEADS[name]] * n for name, n in sites.items()}
+    # and every image attention module pools onto the square agent grid
+    assert {(c.agent_h, c.agent_w) for cfgs in found.values() for c in cfgs} == \
+        {(config.agent_grid, config.agent_grid)}
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +482,19 @@ def test_checkpoint_version_1_is_unsupported(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_of_the_last_version_is_unsupported(tmp_path):
+    # version 4 stored agent_h and agent_w where version 5 stores agent_grid;
+    # the version check comes before the config record is read
+    path = _saved(tmp_path, 28)
+    with np.load(path) as archive:
+        record = json.loads(str(archive["config"]))
+    side = record.pop("agent_grid")
+    _rewrite(path, version=np.array(4),
+             config=np.array(_edit_record(record, agent_h=side, agent_w=side)))
+    with pytest.raises(CheckpointError, match="^unsupported checkpoint version 4$"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_vocab_mismatch_raises_before_building(tmp_path, monkeypatch):
     path = _saved(tmp_path, 27)
     vocab = np.frombuffer(VOCAB_SHA256, dtype=np.uint8).copy()
@@ -510,8 +527,8 @@ def _edit_record(record, **changes):
     (lambda text: _edit_record(json.loads(text), stage_blocks=[1, 1, 1]),
      "stage_blocks must have 4 entries"),
     # MICRO_CONFIG's latent stage is 2x2 and its 2x2 agent grid fills it
-    (lambda text: _edit_record(json.loads(text), agent_h=3),
-     r"agent_h x agent_w = 3x2 exceeds the latent stage's 2x2 grid"),
+    (lambda text: _edit_record(json.loads(text), agent_grid=3),
+     r"agent_grid 3 exceeds the latent 2x2 grid"),
     (lambda text: _edit_record(json.loads(text), text_embed_dim=30),
      "text_embed_dim 30 not divisible by the 4 text encoder heads"),
 ], ids=["bad-json", "not-an-object", "unknown-key", "missing-key", "mistyped-key",
@@ -528,22 +545,18 @@ def test_checkpoint_bad_config_record_raises(tmp_path, edit, message):
 @pytest.mark.parametrize("changes, message", [
     (dict(channels=0), "channels must be an int >= 1, got 0"),
     (dict(channels=8.0), "channels must be an int >= 1, got 8.0"),
-    (dict(agent_w=True), "agent_w must be an int >= 1, got True"),
+    (dict(agent_grid=True), "agent_grid must be an int >= 1, got True"),
     (dict(stage_blocks=(1, 1, 0, 1)), r"stage_blocks\[2\] must be an int >= 1, got 0"),
     (dict(stage_blocks=(1, 1, 1)), "stage_blocks must have 4 entries"),
     (dict(stage_blocks=4), "stage_blocks must have 4 entries"),
     (dict(base_resolution=20), "base_resolution must be divisible by 8"),
-    (dict(base_resolution=64, agent_w=11),
-     r"agent_h x agent_w = 12x11 exceeds the latent stage's 8x8 grid"),
-    (dict(channels=8, stage_blocks=(1, 1, 1, 1), refinement_blocks=1, agent_h=1, agent_w=16,
-          base_resolution=32, text_embed_dim=32, text_layers=1),
-     r"agent_h x agent_w = 1x16 exceeds the latent stage's 4x4 grid"),
+    (dict(base_resolution=64, agent_grid=9), r"agent_grid 9 exceeds the latent 8x8 grid"),
     (dict(text_embed_dim=126), "text_embed_dim 126 not divisible by the 4 text encoder heads"),
     (dict(channels=7), r"channels must be even \(the first Downsample halves it\), got 7"),
     (dict(dtype="float16"), "dtype must be 'float32' or 'float64', got 'float16'"),
     (dict(dtype=np.float32), "dtype must be 'float32' or 'float64', got <class 'numpy.float32'>"),
 ], ids=["zero", "float", "bool", "zero-stage", "three-stages", "int-stages",
-        "base-resolution", "agent-grid", "agent-grid-side", "text-heads", "odd-channels",
+        "base-resolution", "agent-grid", "text-heads", "odd-channels",
         "float16", "dtype-object"])
 def test_model_config_rejects_bad_values(changes, message):
     with pytest.raises(ValueError, match=message):

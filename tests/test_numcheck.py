@@ -69,5 +69,5 @@ def test_compare_prints_one_line_per_group(numcheck, tmp_path, capsys):
     assert not numcheck.compare(parent, change, None)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("3 arrays, worst scaled diff 0.25, 2 bit-equal")
-    assert lines[1:] == ["  data: 1 arrays, 0 over tolerance, worst scaled diff 0",
-                         "  toy: 2 arrays, 1 over tolerance, worst scaled diff 0.25"]
+    assert lines[1:] == ["  data: 1 arrays, 1 bit-equal, 0 over tolerance, worst scaled diff 0",
+                         "  toy: 2 arrays, 1 bit-equal, 1 over tolerance, worst scaled diff 0.25"]

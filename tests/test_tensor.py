@@ -70,6 +70,24 @@ def test_matmul_batched_matches_per_slice():
         np.testing.assert_allclose(out[h], a[h] @ b[h], atol=1e-13)
 
 
+def test_matmul_folds_an_empty_axis_forward_and_backward():
+    # an empty inner axis sums nothing and gives zeros; these folds of [3, 0]
+    # and [2, 3, 0] operands and of a [3, 0] gradient used to fail to reshape
+    for shape in ((3, 0), (2, 3, 0)):
+        out = T.matmul(Tensor(np.zeros(shape)), Tensor(np.ones((0, 2))))
+        assert out.shape == (*shape[:-1], 2)
+        np.testing.assert_array_equal(out.data, 0.0)
+    a = Tensor(rand(3, 4, seed=60), requires_grad=True)
+    b, c = Tensor(np.ones((4, 0)), requires_grad=True), Tensor(np.ones((0, 2)), requires_grad=True)
+    with Tape() as tape:
+        y = T.matmul(a, b)                  # [3, 4] @ [4, 0]: backward folds g [3, 0]
+        loss = sum_all(T.matmul(y, c))      # [3, 0] @ [0, 2]: zeros
+    tape.backward(loss)
+    assert y.shape == (3, 0) and loss.item() == 0.0
+    assert (a.grad.shape, b.grad.shape, c.grad.shape) == ((3, 4), (4, 0), (0, 2))
+    np.testing.assert_array_equal(a.grad, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 
@@ -119,6 +137,27 @@ def test_conv2d_invalid_groups():
 def test_conv2d_kernel_too_large():
     with pytest.raises(T.ShapeError, match=NOT_A_MODEL_CONV):
         T.conv2d(Tensor(rand(1, 6, 6)), Tensor(rand(1, 1, 5, 5)), Tensor(rand(1)))
+
+
+_DENSE_W, _DEPTHWISE_W = (3, 3, 3, 3), (3, 1, 3, 3)
+_BAD_CONV_ARGS = [
+    ("stride", 0, _DENSE_W),            # used to divide by zero
+    ("stride", -1, _DENSE_W),           # used to reach numpy's "negative dimensions"
+    ("stride", 2.0, _DENSE_W),          # used to reach a TypeError from a slice
+    ("stride", True, _DENSE_W),         # used to run as stride 1
+    ("stride", np.int64(2), _DENSE_W),
+    ("groups", True, _DENSE_W),         # used to run as a dense conv
+    ("groups", 3.0, _DEPTHWISE_W),      # used to run as a depthwise conv
+    ("groups", 0, _DEPTHWISE_W),
+]
+
+
+@pytest.mark.parametrize("name, value, w_shape", _BAD_CONV_ARGS,
+                         ids=[f"{name}={value!r}" for name, value, _ in _BAD_CONV_ARGS])
+def test_conv2d_stride_and_groups_must_be_ints_of_at_least_one(name, value, w_shape):
+    message = f"^conv2d: {name} must be an int >= 1, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        T.conv2d(Tensor(rand(3, 6, 6)), Tensor(rand(*w_shape)), Tensor(rand(3)), **{name: value})
 
 
 @pytest.mark.parametrize("groups", [1, 4])
@@ -262,6 +301,17 @@ def test_pixel_shuffle_factor_must_be_an_int_of_at_least_one(op, r):
 # adaptive average pooling
 
 
+@pytest.mark.parametrize("op", ["adaptive_avg_pool", "bilinear_resize"])
+@pytest.mark.parametrize("side", ["out_h", "out_w"])
+@pytest.mark.parametrize("size", [0, -1, 2.0, True], ids=repr)
+def test_pool_and_resize_sizes_must_be_ints_of_at_least_one(op, side, size):
+    # 0 used to give an empty array, -1 to reach numpy's "negative dimensions",
+    # 2.0 a TypeError from np.zeros, and True to run as 1
+    message = f"^{op}: {side} must be an int >= 1, got {re.escape(repr(size))}$"
+    with pytest.raises(ValueError, match=message):
+        getattr(T, op)(Tensor(np.zeros((4, 4, 2))), **{"out_h": 2, "out_w": 2, side: size})
+
+
 def test_adaptive_pool_identity():
     x = hwc(rand(2, 4, 5, seed=16))
     out = T.adaptive_avg_pool(Tensor(x), 4, 5)
@@ -338,6 +388,35 @@ def test_gated_gelu_with_a_wider_b_computes_in_b_dtype():
     np.testing.assert_array_equal(out, want_out)
     np.testing.assert_array_equal(b_grad, want_b)
     np.testing.assert_array_equal(a_grad, want_a.astype(np.float32))
+
+
+def test_gelu_tape_holds_its_input_and_no_second_array():
+    # the tape keeps x's data for backward, which recomputes the slope: while
+    # the caller holds the input, the tape adds no array of its size, and
+    # after the caller drops it the tape still holds that one array
+    x = Tensor(rand(1024, 1024, seed=55), requires_grad=True)     # 8 MiB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            a = T.scale(x, 1.0)
+            T.gelu(a)                   # the output is dropped at once
+            held = tracemalloc.get_traced_memory()[0] - before
+            del a
+            retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1.5 * x.data.nbytes, held / x.data.nbytes
+    assert x.data.nbytes <= retained < 1.5 * x.data.nbytes, retained / x.data.nbytes
+    assert len(tape) == 2
+    # one forward, taped or not: the same bits in either dtype
+    for dtype in (np.float32, np.float64):
+        v = Tensor(rand(8, 8, 128, seed=56, lo=-6.0, hi=6.0).astype(dtype), requires_grad=True)
+        untaped = T.gelu(v).data
+        with Tape():
+            taped = T.gelu(v)
+        assert taped.requires_grad and (taped.data.dtype, untaped.dtype) == (dtype, dtype)
+        assert taped.data.tobytes() == untaped.tobytes()
 
 
 def test_gated_gelu_tape_holds_its_two_inputs_and_no_third_array():

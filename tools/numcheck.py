@@ -34,11 +34,11 @@ by max(1, max|parent|), how many arrays are bit-equal and which are over the
 tolerance: 1e-12 * max(1, max|parent|) for a float64 array, none for a
 float32 one, which passes only when bit-equal (a change that alters float32
 rounding declares it). Then, per group (the key's first part), one line
-with its array count, how many are over the tolerance and its worst scaled
-difference. With a third file it also reports whether the two
-change runs are bit-identical. It exits 1 when an array is over the
-tolerance, a key is missing, a key's shapes or dtypes differ, or the change
-runs differ.
+with its array count, how many are bit-equal, how many are over the
+tolerance and its worst scaled difference. With a third file it also
+reports whether the two change runs are bit-identical. It exits 1 when an
+array is over the tolerance, a key is missing, a key's shapes or dtypes
+differ, or the change runs differ.
 
 Both subcommands pin BLAS to one thread, as the benchmark does.
 """
@@ -136,7 +136,7 @@ def compare(parent_path: str, change_path: str, change2_path: str | None) -> boo
         print(f"keys in only one file: {missing}")
         ok = False
     worst, bad, equal, shapes, dtypes = 0.0, [], 0, [], []
-    groups = {}                     # group -> (arrays, over tolerance, worst scaled diff)
+    groups = {}         # group -> (arrays, bit-equal, over tolerance, worst scaled diff)
     for key in sorted(set(a.files) & set(b.files)):
         x, y = a[key], b[key]
         if x.shape != y.shape:
@@ -148,17 +148,19 @@ def compare(parent_path: str, change_path: str, change2_path: str | None) -> boo
         scale = max(1.0, float(np.abs(x).max()))
         d = float(np.abs(x - y).max())
         worst = max(worst, d / scale)
-        equal += bool(np.array_equal(x, y))
+        same = bool(np.array_equal(x, y))
+        equal += same
         over = not d <= (TOLERANCE * scale if x.dtype == np.float64 else 0.0)
         if over:
             bad.append((key, d))
         group = key.split(".")[0]
-        n, n_over, w = groups.get(group, (0, 0, 0.0))
-        groups[group] = (n + 1, n_over + over, max(w, d / scale))
+        n, n_equal, n_over, w = groups.get(group, (0, 0, 0, 0.0))
+        groups[group] = (n + 1, n_equal + same, n_over + over, max(w, d / scale))
     print(f"{len(a.files)} arrays, worst scaled diff {worst:.3g}, {equal} bit-equal, "
           f"over tolerance: {bad}")
-    for name, (n, n_over, w) in groups.items():
-        print(f"  {name}: {n} arrays, {n_over} over tolerance, worst scaled diff {w:.3g}")
+    for name, (n, n_equal, n_over, w) in groups.items():
+        print(f"  {name}: {n} arrays, {n_equal} bit-equal, {n_over} over tolerance, "
+              f"worst scaled diff {w:.3g}")
     if shapes:
         print(f"shapes differ (key, parent, change): {shapes}")
     if dtypes:
