@@ -20,8 +20,9 @@ GDFN_EXPANSION = 2.66       # gated FFN width over its channels (Restormer, arXi
 
 class GatedDConvFFN(Module):
     """Two 1x1-conv + depthwise-3x3 paths of GDFN_EXPANSION times the
-    channels; GELU(path1) gates path2 through tensor.gated_gelu, which
-    holds the two paths for backward and not the GELU output too."""
+    channels; GELU(path1) gates path2, and the gate and proj_out run as one
+    op, tensor.gated_linear, which holds the two paths for backward and
+    not the gate too. proj_out stays a Linear for its parameters."""
 
     def __init__(self, channels: int, rng: np.random.Generator):
         h = round(channels * GDFN_EXPANSION)
@@ -32,8 +33,8 @@ class GatedDConvFFN(Module):
         self.proj_out = Linear(h, channels, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        gated = T.gated_gelu(self.dw1(self.proj1(x)), self.dw2(self.proj2(x)))
-        return self.proj_out(gated)
+        return T.gated_linear(self.dw1(self.proj1(x)), self.dw2(self.proj2(x)),
+                              self.proj_out.weight, self.proj_out.bias)
 
 
 class ContextBlock(Module):

@@ -7,15 +7,18 @@ image, or, when 9 * C_out <= C_in, one GEMM for all nine taps forward and
 two backward), softmax, layer norm, pixel shuffle / unshuffle, adaptive
 average pooling and bilinear resize (two matmuls each way), embedding lookup
 at integer ids (copied, so backward reads the ids of its forward), gelu and
-gated_gelu (gelu(a) * b, the gated FFN's gate, as one op), whose backwards
-hold only their inputs' data and recompute the GELU slope from it, and a
-small elementwise suite, plus mul, sub, exp, log, absolute and mean_all,
-which the model does not call: the library has no loss, and perfbench's
-train_64 L1 + BCE loss and tools/numcheck.py build theirs from them.
-Forward ops never mutate their inputs; gradients are recorded on an explicit
-Tape, one open tape per thread, and replayed in reverse. Sums across many
-short rows (bias and layer-norm gradients, layer-norm row sums) are GEMVs
-against a ones vector: numpy's reduce runs one loop per row.
+gated_linear ((gelu(a) * b) @ w + bias, the gated FFN's gate and output
+projection as one op), and a small elementwise suite, plus mul, sub, exp,
+log, absolute and mean_all, which the model does not call: the library has
+no loss, and perfbench's train_64 L1 + BCE loss and tools/numcheck.py build
+theirs from them. The backwards of gelu and gated_linear recompute the GELU
+slope from their inputs' data, and gated_linear's recomputes the gate
+gelu(a) * b too, so a taped gated_linear holds a's and b's data and its
+parameters, and no array of the gate's size beyond them. Forward ops never
+mutate their inputs; gradients are recorded on an explicit Tape, one open
+tape per thread, and replayed in reverse. Sums across many short rows (bias
+and layer-norm gradients, layer-norm row sums) are GEMVs against a ones
+vector: numpy's reduce runs one loop per row.
 
 What a tape holds: per taped op, its backward closure and a reference to
 each parent that needs a gradient, with the parent's dtype, nothing else. A
@@ -320,28 +323,46 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _finish(x.data + b.data, (x, b), lambda g: (g, _lead_sum(g, tail)), "add_bias")
 
 
-def gated_gelu(a: Tensor, b: Tensor) -> Tensor:
-    """gelu(a) * b, the gate of the gated FFN, as one op. Backward
-    recomputes gelu(a) and its slope from a, so a taped call holds a's and
-    b's data (in the wider dtype) and no third array. Values and gradients
-    are bit-equal to mul(gelu(a), b) with both inputs in the wider dtype."""
+def gated_linear(a: Tensor, b: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """(gelu(a) * b) @ w + bias over the last axis: the gated FFN's gate and
+    output projection as one op. The forward adds the bias in place into the
+    fresh GEMM output, and backward recomputes gelu(a), its slope and the
+    gate from a and b, so a taped call holds a's and b's data (in the widest
+    dtype) and the parameters, not the gate. A mixed call computes in the
+    widest dtype of the four; values and gradients are bit-equal to
+    add_bias(matmul(mul(gelu(a), b), w), bias) with every input in it."""
     if a.shape != b.shape:
-        raise ShapeError(f"gated_gelu: shapes {a.shape} vs {b.shape}")
-    dt = np.result_type(a.data, b.data)
-    ad, bd = a.data.astype(dt, copy=False), b.data.astype(dt, copy=False)
-    y = _kernels.gelu(ad, False)[0]
-    out = np.multiply(y, bd, out=y)
+        raise ShapeError(f"gated_linear: shapes {a.shape} vs {b.shape}")
+    if w.ndim != 2 or a.shape[-1:] != w.shape[:1]:
+        raise ShapeError(f"gated_linear: inner dims {a.shape} vs {w.shape}")
+    if bias.shape != w.shape[1:]:
+        raise ShapeError(f"gated_linear: bias shape {bias.shape}, expected ({w.shape[1]},)")
+    dt = np.result_type(a.data, b.data, w.data, bias.data)
+    ad, bd, wd = (t.data.astype(dt, copy=False) for t in (a, b, w))
+    (k, n), rows = wd.shape, math.prod(a.shape[:-1])
+    gate = _kernels.gelu(ad, False)[0]
+    gate *= bd
+    out = np.matmul(gate.reshape(rows, k), wd)
+    out += bias.data
 
     def backward(g):
+        # the composed ops' products, in place into fresh arrays; the
+        # recomputed gate lives only until w's gradient is made
+        g2 = g.reshape(rows, n)
         y, slope = _kernels.gelu(ad, True)
-        return (g * bd) * slope, g * y
+        gw = np.matmul((y * bd).reshape(rows, k).T, g2)
+        gg = np.matmul(g2, wd.T).reshape(ad.shape)
+        gb = np.multiply(gg, y, out=y)
+        gg *= bd
+        gg *= slope
+        return gg, gb, gw, _lead_sum(g, (n,))
 
-    return _finish(out, (a, b), backward, "gated_gelu")
+    return _finish(out.reshape(*a.shape[:-1], n), (a, b, w, bias), backward, "gated_linear")
 
 
 def gelu(x: Tensor) -> Tensor:
     # tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)));
-    # backward recomputes the slope from x, as gated_gelu's does
+    # backward recomputes the slope from x, as gated_linear's does
     xd = x.data
     return _finish(_kernels.gelu(xd, False)[0], (x,),
                    lambda g: (g * _kernels.gelu(xd, True)[1],), "gelu")
@@ -387,7 +408,13 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    out = np.concatenate([t.data for t in tensors], axis=axis)
+    if not tensors:
+        raise ShapeError("concat: needs at least one tensor")
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError as exc:       # numpy's AxisError is a ValueError too
+        shapes = ", ".join(str(t.shape) for t in tensors)
+        raise ShapeError(f"concat: shapes {shapes} on axis {axis}") from exc
     sizes = [t.shape[axis] for t in tensors]
     bounds = np.cumsum(sizes)[:-1]
 
@@ -460,6 +487,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     gd = gamma.data
     xd = x.data.astype(np.result_type(x.data, gd, beta.data), copy=False)   # the widest dtype
     n = xd.shape[-1]
+    if n == 0:
+        raise ShapeError(f"layer_norm: an empty normalized axis in shape {x.shape}")
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ShapeError("layer_norm: gamma/beta must match normalized extent")
     # the row mean is a GEMV against a 1/n vector, the variance a row-wise dot
@@ -692,6 +721,9 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinearly resize x[H,W,C] to [out_h,out_w,C] (align-corners)."""
     check_int("bilinear_resize: out_h", out_h, 1)
     check_int("bilinear_resize: out_w", out_w, 1)
+    h, w, _ = _hwc(x, "bilinear_resize")
+    if not h or not w:
+        raise ShapeError(f"bilinear_resize: an empty side in input shape {x.shape}")
     return _sandwich(x, _resize_matrix, out_h, out_w, "bilinear_resize")
 
 

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,29 @@ def benchpair():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _stub_run(monkeypatch, benchpair, correct, failed):
+    # run.py's two output lines, exit status 0 whatever its checks found
+    result = {"correct": correct, "attempted": 7, "failed": failed, "metrics": {}}
+    stdout = json.dumps({"workload": "train_64"}) + "\n" + json.dumps(result) + "\n"
+    monkeypatch.setattr(benchpair.subprocess, "run", lambda cmd, **kw: subprocess.CompletedProcess(
+        cmd, 0, stdout=stdout, stderr=""))
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 2), (True, 1), (False, 0)],
+                         ids=["incorrect-failed", "correct-failed", "incorrect"])
+def test_run_once_exits_on_a_run_whose_operations_failed(benchpair, monkeypatch, correct, failed):
+    _stub_run(monkeypatch, benchpair, correct, failed)
+    message = rf"^error: train_64 seed 3 in /ck: correct={correct}, {failed} of 7 operations failed$"
+    with pytest.raises(SystemExit, match=message):
+        benchpair.run_once(Path("/ck"), "train_64", 3, 1.0)
+
+
+def test_run_once_returns_a_correct_run(benchpair, monkeypatch):
+    _stub_run(monkeypatch, benchpair, True, 0)
+    run = benchpair.run_once(Path("/ck"), "train_64", 3, 1.0)
+    assert run["result"]["correct"] is True and run["details"] == {"workload": "train_64"}
 
 
 def _pairs(name, parent, change):

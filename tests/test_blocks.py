@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,25 @@ def test_gdfn_gradients():
 
     check_gradients(loss, [x] + list(m.parameters()), rtol=1e-4,
                     max_per_tensor=3, rng=rng(7))
+
+
+def test_gdfn_tape_holds_four_hidden_arrays():
+    # with its output dropped, a taped call keeps the two 1x1 outputs (the
+    # depthwise convs read them) and the two depthwise outputs (the fused
+    # gate and output projection reads them), not the gate
+    m = GatedDConvFFN(16, rng(8))
+    x = Tensor(rng(9).normal(size=(64, 64, 16)), requires_grad=True)
+    hidden = 64 * 64 * m.proj1.weight.shape[1] * x.data.itemsize
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with T.Tape() as tape:
+            m(x)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 4 * hidden <= retained < 4.5 * hidden, retained / hidden
+    assert len(tape) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -349,45 +349,53 @@ def test_gelu_zero():
     assert T.gelu(Tensor(np.zeros(2))).data[0] == 0.0
 
 
+def _gated_chain(a, b, w, bias):
+    # what gated_linear fuses, as composed ops
+    return T.add_bias(T.matmul(T.mul(T.gelu(a), b), w), bias)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gated_gelu_is_bit_equal_to_mul_of_gelu(dtype):
-    a0 = rand(5, 6, 7, seed=50, lo=-4.0, hi=4.0).astype(dtype)
-    b0 = rand(5, 6, 7, seed=51).astype(dtype)
-    w = Tensor(rand(5, 6, 7, seed=52).astype(dtype))     # so each g differs
-    a_copy, b_copy = a0.copy(), b0.copy()
+def test_gated_linear_is_bit_equal_to_the_composed_chain(dtype):
+    data = [rand(5, 6, 7, seed=50, lo=-4.0, hi=4.0), rand(5, 6, 7, seed=51),
+            rand(7, 4, seed=57), rand(4, seed=58)]
+    data = [d.astype(dtype) for d in data]
+    m = Tensor(rand(5, 6, 4, seed=52).astype(dtype))     # so each g differs
+    copies = [d.copy() for d in data]
     runs = []
-    for op in (T.gated_gelu, lambda a, b: T.mul(T.gelu(a), b)):
-        a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+    for op in (T.gated_linear, _gated_chain):
+        leaves = [Tensor(d, requires_grad=True) for d in data]
         with Tape() as tape:
-            out = op(a, b)
-            loss = sum_all(T.mul(out, w))
+            out = op(*leaves)
+            loss = sum_all(T.mul(out, m))
         tape.backward(loss)
-        runs.append((op(Tensor(a0), Tensor(b0)).data, out.data, a.grad, b.grad))
-    for got, want in zip(*runs):                # untaped, taped, both gradients
+        runs.append((op(*(Tensor(d) for d in data)).data, out.data,
+                     *(leaf.grad for leaf in leaves)))
+    for got, want in zip(*runs):                # untaped, taped, the four gradients
         assert got.dtype == dtype
         np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(a0, a_copy)
-    np.testing.assert_array_equal(b0, b_copy)
+    for d, d_copy in zip(data, copies):
+        np.testing.assert_array_equal(d, d_copy)
 
 
-def test_gated_gelu_with_a_wider_b_computes_in_b_dtype():
-    # gelu(a) too is computed in float64: the all-float64 mul(gelu(a), b),
-    # with a's gradient rounded to float32 once at the end
+def test_gated_linear_with_a_wider_b_computes_in_b_dtype():
+    # gelu(a) too is computed in float64: the all-float64 chain, with a's
+    # gradient rounded to float32 once at the end
     a0 = rand(3, 4, seed=55, lo=-3.0, hi=3.0).astype(np.float32)
-    b0 = rand(3, 4, seed=56)
+    rest = [rand(3, 4, seed=56), rand(4, 2, seed=57), rand(2, seed=58)]
     runs = []
-    for op, a_data in ((T.gated_gelu, a0), (lambda a, b: T.mul(T.gelu(a), b), a0.astype(np.float64))):
-        a, b = Tensor(a_data, requires_grad=True), Tensor(b0, requires_grad=True)
+    for op, a_data in ((T.gated_linear, a0), (_gated_chain, a0.astype(np.float64))):
+        leaves = [Tensor(d, requires_grad=True) for d in (a_data, *rest)]
         with Tape() as tape:
-            out = op(a, b)
+            out = op(*leaves)
             loss = sum_all(out)
         tape.backward(loss)
-        runs.append((out.data, a.grad, b.grad))
-    (out, a_grad, b_grad), (want_out, want_a, want_b) = runs
-    assert (out.dtype, a_grad.dtype, b_grad.dtype) == (np.float64, np.float32, np.float64)
+        runs.append((out.data, *(leaf.grad for leaf in leaves)))
+    (out, *grads), (want_out, *want_grads) = runs
+    assert out.dtype == np.float64
+    assert [g.dtype for g in grads] == [np.float32] + [np.float64] * 3
     np.testing.assert_array_equal(out, want_out)
-    np.testing.assert_array_equal(b_grad, want_b)
-    np.testing.assert_array_equal(a_grad, want_a.astype(np.float32))
+    for g, want in zip(grads, want_grads):
+        np.testing.assert_array_equal(g, want.astype(g.dtype))
 
 
 def test_gelu_tape_holds_its_input_and_no_second_array():
@@ -419,22 +427,25 @@ def test_gelu_tape_holds_its_input_and_no_second_array():
         assert taped.data.tobytes() == untaped.tobytes()
 
 
-def test_gated_gelu_tape_holds_its_two_inputs_and_no_third_array():
+def test_gated_linear_tape_holds_its_two_inputs_and_no_third_array():
     # once the caller drops a, b and the output, the tape keeps a's and b's
-    # data for backward; mul(gelu(a), b) would keep gelu(a), its slope and b
+    # data for backward, and no array of their size beyond them: the gate
+    # gelu(a) * b, which a matmul of it would keep, is recomputed
     x = Tensor(rand(1024, 1024, seed=53), requires_grad=True)     # 8 MiB
     y = Tensor(rand(1024, 1024, seed=54), requires_grad=True)
+    w = Tensor(rand(1024, 8, seed=59), requires_grad=True)
+    bias = Tensor(rand(8, seed=60), requires_grad=True)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         with Tape() as tape:
             a, b = T.scale(x, 1.0), T.scale(y, 1.0)
-            out = T.gated_gelu(a, b)
+            out = T.gated_linear(a, b, w, bias)
             del a, b, out
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained < 2.5 * x.data.nbytes, retained / x.data.nbytes
+    assert 2 * x.data.nbytes <= retained < 2.5 * x.data.nbytes, retained / x.data.nbytes
     assert len(tape) == 3
 
 
@@ -617,6 +628,7 @@ def test_pool_and_resize_match_a_loop_oracle_at_every_preset_shape(monkeypatch):
 
 
 _W, _B = Tensor(np.zeros((2, 2, 3, 3))), Tensor(np.zeros(2))
+_GW, _GB = Tensor(np.zeros((3, 5))), Tensor(np.zeros(5))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -633,8 +645,13 @@ _W, _B = Tensor(np.zeros((2, 2, 3, 3))), Tensor(np.zeros(2))
     (lambda: T.bilinear_resize(Tensor(np.zeros(4)), 2, 2),
      r"bilinear_resize: needs a 3-d \[H,W,C\] input, got shape \(4,\)"),
     (lambda: T.sub(Tensor(np.zeros(3)), Tensor(np.zeros(4))), r"sub: shapes \(3,\) vs \(4,\)"),
-    (lambda: T.gated_gelu(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2)))),
-     r"gated_gelu: shapes \(2, 3\) vs \(3, 2\)"),
+    (lambda: T.gated_linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), _GW, _GB),
+     r"gated_linear: shapes \(2, 3\) vs \(3, 2\)"),
+    (lambda: T.gated_linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))), _GW, _GB),
+     r"gated_linear: inner dims \(2, 4\) vs \(3, 5\)"),
+    (lambda: T.gated_linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), _GW,
+                            Tensor(np.zeros(3))),
+     r"gated_linear: bias shape \(3,\), expected \(5,\)"),
     (lambda: T.add_bias(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2))),
      r"add_bias: trailing dims \(2, 3\) vs \(2,\)"),
     (lambda: T.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2)))),
@@ -643,9 +660,20 @@ _W, _B = Tensor(np.zeros((2, 2, 3, 3))), Tensor(np.zeros(2))
      "layer_norm: gamma/beta must match normalized extent"),
     (lambda: T.pixel_shuffle(Tensor(np.zeros((2, 2, 6))), 2),
      r"pixel_shuffle: 6 channels not divisible by r\^2=4"),
+    (lambda: T.bilinear_resize(Tensor(np.zeros((0, 4, 2))), 2, 2),
+     r"bilinear_resize: an empty side in input shape \(0, 4, 2\)"),
+    (lambda: T.bilinear_resize(Tensor(np.zeros((4, 0, 2))), 2, 2),
+     r"bilinear_resize: an empty side in input shape \(4, 0, 2\)"),
+    (lambda: T.layer_norm(Tensor(np.zeros((3, 0))), Tensor(np.ones(0)), Tensor(np.zeros(0))),
+     r"layer_norm: an empty normalized axis in shape \(3, 0\)"),
+    (lambda: T.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))], axis=-1),
+     r"concat: shapes \(2, 3\), \(3, 3\) on axis -1"),
+    (lambda: T.concat([], axis=0), "concat: needs at least one tensor"),
 ], ids=["conv2d-2d-x", "conv2d-3d-w", "pixel_unshuffle-2d", "pixel_shuffle-4d",
-        "adaptive_avg_pool-2d", "bilinear_resize-1d", "sub", "gated_gelu", "add_bias",
-        "matmul-1d", "layer_norm", "pixel_shuffle-channels"])
+        "adaptive_avg_pool-2d", "bilinear_resize-1d", "sub", "gated_linear",
+        "gated_linear-w", "gated_linear-bias", "add_bias",
+        "matmul-1d", "layer_norm", "pixel_shuffle-channels", "bilinear_resize-empty-h",
+        "bilinear_resize-empty-w", "layer_norm-empty", "concat-off-axis", "concat-none"])
 def test_shape_errors_name_the_op_and_the_shapes(call, message):
     with pytest.raises(T.ShapeError, match=f"^{message}$"):
         call()
@@ -683,8 +711,8 @@ _MIXED = {
                          [(3, 6, 5), (3, 1, 3, 3), (3,)], 0),
     "matmul": (T.matmul, [(2, 3, 4), (4, 5)], 0),
     "add_bias": (T.add_bias, [(3, 4), (4,)], 0),
-    "gated_gelu": (T.gated_gelu, [(3, 4), (3, 4)], 1),
-    "gated_gelu-a": (T.gated_gelu, [(3, 4), (3, 4)], 0),
+    "gated_linear": (T.gated_linear, [(3, 4), (3, 4), (4, 2), (2,)], 1),
+    "gated_linear-a": (T.gated_linear, [(3, 4), (3, 4), (4, 2), (2,)], 0),
     "concat": (lambda a, b: T.concat([a, b], axis=1), [(3, 4), (3, 2)], 0),
 }
 
@@ -897,7 +925,7 @@ def test_backward_softmax_cross_entropy_vs_finite_differences():
 
 @pytest.mark.parametrize("op_name", [
     "conv", "conv_stride1", "conv_narrow", "conv_narrow_stride2", "depthwise", "layer_norm",
-    "pool", "shuffle", "resize", "concat", "abs", "bias", "linear", "embedding", "softmax_axis", "gated_gelu",
+    "pool", "shuffle", "resize", "concat", "abs", "bias", "linear", "embedding", "softmax_axis", "gated_linear",
 ])
 def test_backward_each_op_vs_finite_differences(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -973,11 +1001,13 @@ def test_backward_each_op_vs_finite_differences(op_name):
         c = Tensor(rng.uniform(0.5, 1.5, (2, 5, 4)))
         fn = lambda: sum_all(T.mul(T.softmax(x, axis=-2), c))
         params = [x]
-    elif op_name == "gated_gelu":
+    elif op_name == "gated_linear":
         a = Tensor(rng.uniform(-3, 3, (3, 4, 2)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, (3, 4, 2)), requires_grad=True)
-        fn = lambda: sum_all(T.gated_gelu(a, b))
-        params = [a, b]
+        w = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+        bias = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+        fn = lambda: sum_all(T.gelu(T.gated_linear(a, b, w, bias)))
+        params = [a, b, w, bias]
     else:  # embedding
         w = Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
         ids = np.array([0, 2, 2, 5])

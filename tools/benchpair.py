@@ -17,8 +17,9 @@ least ten pairs were run, the change is better in at least 9/10 of them
 (ties count for neither side), and its median is better than the parent's
 by more than the parent's interquartile range.
 
-Exits 1 when a run fails; a metric worse beyond its bound is reported, not
-an exit status.
+Exits 1 when a run fails: it exits non-zero, prints too few lines, or
+reports an operation that failed its check (run.py itself exits 0 then). A
+metric worse beyond its bound is reported, not an exit status.
 """
 
 from __future__ import annotations
@@ -56,7 +57,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or len(lines) < 2:
         sys.exit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                  f"{proc.stderr[-2000:]}")
-    return {"details": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+    result = json.loads(lines[-1])
+    # run.py exits 0 when operations fail their checks, and says so here
+    if result["correct"] is not True or result["failed"] > 0:
+        sys.exit(f"error: {workload} seed {seed} in {checkout}: correct={result['correct']}, "
+                 f"{result['failed']} of {result['attempted']} operations failed")
+    return {"details": json.loads(lines[-2]), "result": result}
 
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
