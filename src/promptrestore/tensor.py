@@ -330,7 +330,7 @@ def gated_linear(a: Tensor, b: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     gate from a and b, so a taped call holds a's and b's data (in the widest
     dtype) and the parameters, not the gate. A mixed call computes in the
     widest dtype of the four; values and gradients are bit-equal to
-    add_bias(matmul(mul(gelu(a), b), w), bias) with every input in it."""
+    add_bias(matmul(mul(gelu(a), b), w), bias) with every input cast to it."""
     if a.shape != b.shape:
         raise ShapeError(f"gated_linear: shapes {a.shape} vs {b.shape}")
     if w.ndim != 2 or a.shape[-1:] != w.shape[:1]:
